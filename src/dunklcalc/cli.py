@@ -227,8 +227,6 @@ def _cmd_verify(args) -> int:
             try:
                 reports.append(fn(system, kappas, **kwargs))
             except ValueError as exc:
-                if runs is None and name == "transforms":
-                    continue  # non sign-flip defaults never reach here
                 raise UsageError(f"{name} on {system}: {exc}") from exc
 
     payload = [r.to_dict() for r in reports]

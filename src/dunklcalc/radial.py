@@ -464,7 +464,8 @@ def parse_profile(text: str) -> RadialProfile:
     """Parse profile text like "r^(-3)*exp(-1/2*r^2)" or "r^2 + 2*r^4".
 
     Terms are products of a rational factor, powers of r (integer exponents
-    bare, rationals in parentheses), and gaussian factors exp(a*r^2); sums
+    bare, rationals in parentheses), and gaussian factors exp(a*r^2), with
+    exp(r^2) and exp(-r^2) short for rates 1 and -1; sums
     must stay inside one profile family (equal gaussian rates, exponent
     differences even).
     """
@@ -518,11 +519,21 @@ def parse_profile(text: str) -> RadialProfile:
             if pos >= n or s[pos] != "(":
                 raise fail("expected '(' after exp")
             pos += 1
-            rate = read_rational()
             skip_ws()
-            if not s.startswith("*r^2", pos):
-                raise fail("expected '*r^2' inside exp(...)")
-            pos += 4
+            start = pos
+            if pos < n and s[pos] in "+-":
+                pos += 1
+                skip_ws()
+            if s.startswith("r^2", pos):  # unit rate: exp(r^2), exp(-r^2)
+                rate = Fraction(-1 if s[start] == "-" else 1)
+                pos += 3
+            else:
+                pos = start
+                rate = read_rational()
+                skip_ws()
+                if not s.startswith("*r^2", pos):
+                    raise fail("expected '*r^2' inside exp(...)")
+                pos += 4
             skip_ws()
             if pos >= n or s[pos] != ")":
                 raise fail("expected ')'")

@@ -137,3 +137,16 @@ def test_transform_cli(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["hecke_residual"] <= 1e-9
+
+
+def test_verify_default_transforms_fails_loud(capsys, monkeypatch):
+    import dunklcalc.verify
+
+    def broken(*args, **kwargs):
+        raise ValueError("hankel broke")
+
+    monkeypatch.setattr(dunklcalc.verify, "hankel_numeric", broken)
+    code, out, err = run_cli(capsys, "verify", "transforms")
+    assert code == 2
+    assert out == ""
+    assert "transforms on z2:d=1: hankel broke" in err

@@ -266,3 +266,16 @@ def test_parse_profile():
         parse_profile("r^2 + exp(-1*r^2)")  # mixed rates cannot merge
     with pytest.raises(ValueError):
         parse_profile("r^^2")
+
+
+def test_parse_profile_unit_gaussian_rate():
+    assert parse_profile("exp(-r^2)") == parse_profile("exp(-1*r^2)")
+    assert str(parse_profile("exp(-r^2)")) == "exp(-1*r^2)"
+    assert parse_profile("exp(r^2)") == RadialProfile.gaussian(1)
+    assert parse_profile("exp(+r^2)") == RadialProfile.gaussian(1)
+    assert parse_profile("r^2*exp(-r^2)") == RadialProfile.power_gauss(2, -1)
+    assert parse_profile("exp(-1/2*r^2)") == RadialProfile.gaussian(Q(-1, 2))
+    assert str(parse_profile("exp(-1/2*r^2)")) == "exp(-1/2*r^2)"
+    for text in ("exp(-)", "exp(-r)", "exp(2*r)", "exp(r^2"):
+        with pytest.raises(ValueError):
+            parse_profile(text)

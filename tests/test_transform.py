@@ -1,10 +1,14 @@
+import itertools
 import math
+import random
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from dunklcalc.harmonic import hermite_poly
-from dunklcalc.integrate import pizzetti_mean
+from dunklcalc.integrate import pizzetti_mean, sphere_oracle_z2d
 from dunklcalc.operators import DunklContext
 from dunklcalc.poly import Poly, parse_poly
 from dunklcalc.roots import build_root_system
@@ -58,6 +62,47 @@ def test_bessel_argument_range_guard():
     assert normalized_bessel(1.0, 31.0, max_arg=40.0) == pytest.approx(
         bessel_j(1.0, 31.0, max_arg=40.0) / 31.0, rel=1e-9
     )
+
+
+EPS = sys.float_info.epsilon
+BOUND_ORDERS = (-0.5, -0.25, 0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 2.75, 3.5, 4.0, 5.0)
+BOUND_ARGS = (
+    1e-3, 0.1, 0.5, 1.0, 2.0, 3.3, 5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0,
+    22.5, 25.0, 27.5, 29.9, 30.0,
+)
+
+
+def _mp(q):
+    return mpmath.mpf(Fraction(q).numerator) / Fraction(q).denominator
+
+
+def test_normalized_bessel_error_bound():
+    # |err| <= 16 eps sum_j |term_j| = 16 eps I_nu(x) / x^nu
+    with mpmath.workdps(50):
+        for nu in BOUND_ORDERS:
+            for x in BOUND_ARGS:
+                xnu = mpmath.mpf(x) ** _mp(nu)
+                exact = mpmath.besselj(_mp(nu), x) / xnu
+                abs_sum = mpmath.besseli(_mp(nu), x) / xnu
+                err = abs(normalized_bessel(nu, x) - exact)
+                assert err <= 16 * EPS * abs_sum, (nu, x, float(err / (EPS * abs_sum)))
+
+
+def test_scaled_normalized_bessel_error_bound():
+    # same bound on the scale 2^lam Gamma(lam+1) of the rational series
+    with mpmath.workdps(50):
+        for lam in (Q(-1, 2), Q(0), Q(1, 2), Q(1), Q(3, 2), Q(5, 2)):
+            scale = mpmath.mpf(2) ** _mp(lam) * mpmath.gamma(_mp(lam) + 1)
+            for shift in range(6):
+                nu = lam + shift
+                if nu > 5:
+                    continue
+                for x in BOUND_ARGS:
+                    xnu = mpmath.mpf(x) ** _mp(nu)
+                    exact = scale * mpmath.besselj(_mp(nu), x) / xnu
+                    abs_sum = scale * mpmath.besseli(_mp(nu), x) / xnu
+                    err = abs(scaled_normalized_bessel(lam, shift, x) - exact)
+                    assert err <= 16 * EPS * abs_sum, (lam, shift, x)
 
 
 def test_bessel_radial_derivative_identity():
@@ -297,3 +342,54 @@ def test_truncation_doubling_stability():
     k1 = dunkl_kernel_z2d(z2_kappas(ctx.rs), (1.0, 1.0), y, n_terms=40)
     k2 = dunkl_kernel_z2d(z2_kappas(ctx.rs), (1.0, 1.0), y, n_terms=80)
     assert abs(k1 - k2) <= 1e-12 * abs(k2)
+
+
+def _sphere_pairing_by_expansion(kappas, p, y, n_terms=None):
+    """Reference pairing: every kernel index combination against its exact mean."""
+    d = len(kappas)
+    order = n_terms if n_terms is not None else truncation_order(max(abs(v) for v in y))
+    coeff_lists = [kernel_coefficients(k, order) for k in kappas]
+    zpows = []
+    for yj in y:
+        row = [1 + 0j]
+        for _ in range(order):
+            row.append(row[-1] * (-1j * yj))
+        zpows.append(row)
+    means = {}
+    total = 0j
+    for e, c in p.terms.items():
+        choices = [[n for n in range(order + 1) if (n + e[j]) % 2 == 0] for j in range(d)]
+        for combo in itertools.product(*choices):
+            exponents = tuple(e[j] + n for j, n in enumerate(combo))
+            if exponents not in means:
+                means[exponents] = sphere_oracle_z2d(kappas, exponents)
+            weight = c * means[exponents]
+            phase = 1 + 0j
+            for j, n in enumerate(combo):
+                weight *= coeff_lists[j][n]
+                phase *= zpows[j][n]
+            total += float(weight) * phase
+    return total
+
+
+def test_sphere_pairing_matches_term_by_term_expansion():
+    rng = random.Random(20)
+    kappa_choices = ["0", "1/2", "1", "3/2", "2"]
+    # the reference costs (n_terms/2)^d Fraction products per monomial
+    cases = [(d, n_terms, 3) for d in (1, 2) for n_terms in (None, 40, 80)]
+    cases += [(3, None, 3), (3, 40, 1)]
+    for d, n_terms, count in cases:
+        for _ in range(count):
+            kappas = [rng.choice(kappa_choices) for _ in range(d)]
+            ctx = make_ctx(f"z2:d={d}", kappas)
+            degree = rng.randint(0, 5)
+            p = Poly.zero(d)
+            for _ in range(3):
+                e = [0] * d
+                for _ in range(degree):
+                    e[rng.randrange(d)] += 1
+                p = p + Poly.monomial(d, tuple(e)).scale(Q(rng.randint(1, 9), rng.randint(1, 4)))
+            y = tuple(rng.uniform(-4.0, 4.0) for _ in range(d))
+            want = _sphere_pairing_by_expansion(z2_kappas(ctx.rs), p, y, n_terms)
+            got = sphere_pairing(ctx, p, y, n_terms=n_terms)
+            assert abs(got - want) <= 1e-12 * abs(want), (kappas, str(p), y, n_terms)
