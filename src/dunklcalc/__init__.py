@@ -30,10 +30,11 @@ from .operators import (
     adjoint_formula_residual,
     commutator_residual,
     dunkl_apply,
-    dunkl_laplacian,
     dunkl_laplacian_expr,
     dunkl_laplacian_invariant,
     dunkl_laplacian_sq,
+    heat_series,
+    laplacian_powers,
     mult_commutator_residual,
     poly_of_dunkl,
 )

@@ -208,6 +208,8 @@ def _cmd_transform(args) -> int:
 
 def _cmd_verify(args) -> int:
     requested = args.suite
+    if args.tolerance is not None and requested not in ("all", "transforms"):
+        raise UsageError(f"--tolerance applies only to transforms, not to {requested}")
     names = list(SUITES) if requested == "all" else [requested]
     if args.system:
         kappas = tuple(args.kappa.split(",")) if args.kappa else ()
@@ -222,7 +224,7 @@ def _cmd_verify(args) -> int:
             kwargs = {"seed": args.seed}
             if args.deg is not None:
                 kwargs["degree"] = args.deg
-            if args.tolerance is not None:
+            if args.tolerance is not None and name == "transforms":
                 kwargs["tolerance"] = args.tolerance
             try:
                 reports.append(fn(system, kappas, **kwargs))
@@ -302,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deg", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--tolerance", type=float, default=None,
+                   help="override every transforms tolerance (exact suites take none)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--report", help="write the JSON report to this path")
     p.set_defaults(fn=_cmd_verify)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .operators import DunklContext, dunkl_laplacian_sq
+from .operators import DunklContext, dunkl_laplacian_sq, heat_series, laplacian_powers
 from .poly import Poly, divide_exact_by_norm_sq, norm_sq_poly
 from .radial import RadialProfile, WeightedFunction, weighted_poly_of_dunkl
 from .util import pochhammer
@@ -56,10 +56,8 @@ def clebsch_project_series(ctx: DunklContext, p: Poly) -> Poly:
     m = p.degree()
     r2 = norm_sq_poly(ctx.dim)
     result = p
-    lap_power = p
     r2_power = Poly.const(ctx.dim, 1)
-    for j in range(1, m // 2 + 1):
-        lap_power = dunkl_laplacian_sq(ctx, lap_power)
+    for j, lap_power in enumerate(laplacian_powers(ctx, p, m // 2)[1:], start=1):
         r2_power = r2_power * r2
         result = result + (r2_power * lap_power).scale(1 / _series_denominator(ctx, m, j))
     return result
@@ -148,20 +146,12 @@ def harmonic_decompose(ctx: DunklContext, p: Poly) -> HarmonicDecomposition:
 def hermite_poly(ctx: DunklContext, p: Poly) -> Poly:
     """Generalized Hermite polynomial attached to homogeneous p.
 
-    The alternating sum over j of Laplacian powers of p divided by 4^j j!;
-    harmonic input is returned unchanged.
+    The alternating sum over j of Laplacian powers of p divided by 4^j j!,
+    that is exp(-Lap/4) p; harmonic input is returned unchanged.
     """
     if not p.is_homogeneous():
         raise ValueError("Hermite construction needs homogeneous input")
-    if p.is_zero():
-        return p
-    result = p
-    lap_power = p
-    for j in range(1, p.degree() // 2 + 1):
-        lap_power = dunkl_laplacian_sq(ctx, lap_power)
-        sign = -1 if j % 2 else 1
-        result = result + lap_power.scale(Fraction(sign, 4**j * factorial(j)))
-    return result
+    return heat_series(ctx, p, Fraction(-1, 4))
 
 
 def rodrigues_residual(ctx: DunklContext, p: Poly) -> WeightedFunction:
@@ -187,7 +177,8 @@ def gaussian_series_residual(ctx: DunklContext, p: Poly) -> WeightedFunction:
 
     Checks p(D) exp(-r^2/2) = sum_j (-1)^(m-j)/(2^j j!) exp(-r^2/2) Lap^j p
     for homogeneous p of degree m, a direct specialization of the radial
-    expansion that the Hermite transform theory relies on.
+    expansion that the Hermite transform theory relies on; the sum is
+    (-1)^m exp(-Lap/2) p.
     """
     if not p.is_homogeneous():
         raise ValueError("gaussian expansion check needs homogeneous input")
@@ -196,12 +187,6 @@ def gaussian_series_residual(ctx: DunklContext, p: Poly) -> WeightedFunction:
     m = p.degree()
     gauss = RadialProfile.gaussian(Fraction(-1, 2))
     image = weighted_poly_of_dunkl(ctx, p, gauss)
-    series = Poly.zero(ctx.dim)
-    lap_power = p
-    for j in range(m // 2 + 1):
-        if j:
-            lap_power = dunkl_laplacian_sq(ctx, lap_power)
-        sign = -1 if (m - j) % 2 else 1
-        series = series + lap_power.scale(Fraction(sign, 2**j * factorial(j)))
+    series = heat_series(ctx, p, Fraction(-1, 2)).scale(-1 if m % 2 else 1)
     expected = WeightedFunction(ctx.dim, [(series, gauss)])
     return (image - expected).canonical()

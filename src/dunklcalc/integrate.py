@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .operators import DunklContext, dunkl_laplacian_sq
+from .operators import DunklContext, dunkl_laplacian_sq, laplacian_powers
 from .poly import Poly
 from .util import pochhammer
 
@@ -30,15 +30,20 @@ def pizzetti_mean(ctx: DunklContext, p: Poly) -> Fraction:
     constant term.
     """
     lam = ctx.constants.bessel_index
+    return _series_at_origin(
+        ctx, p, lambda l: Fraction(4**l * factorial(l)) * pochhammer(lam + 1, l)
+    )
+
+
+def _series_at_origin(
+    ctx: DunklContext, p: Poly, denominator: Callable[[int], Fraction]
+) -> Fraction:
+    """Sum over l of (Lap^l p)(0) / denominator(l), skipping zero terms."""
     total = Fraction(0)
-    level = p
-    l = 0
-    while not level.is_zero():
+    for l, level in enumerate(laplacian_powers(ctx, p, max(p.degree(), 0) // 2)):
         value = level.constant_term()
         if value:
-            total += value / (Fraction(4**l * factorial(l)) * pochhammer(lam + 1, l))
-        level = dunkl_laplacian_sq(ctx, level)
-        l += 1
+            total += value / denominator(l)
     return total
 
 
@@ -74,18 +79,10 @@ def gaussian_moment(ctx: DunklContext, p: Poly) -> Fraction:
     """Mass-normalized Gaussian integral of p against the squared weight.
 
     Equals the heat semigroup at time one applied to p and evaluated at the
-    origin: sum over l of (Lap^l p)(0) / (2^l l!).  Exact, and 1 for p = 1.
+    origin: sum over l of (Lap^l p)(0) / (2^l l!), the constant term of
+    exp(Lap/2) p.  Exact, and 1 for p = 1.
     """
-    total = Fraction(0)
-    level = p
-    l = 0
-    while not level.is_zero():
-        value = level.constant_term()
-        if value:
-            total += value / Fraction(2**l * factorial(l))
-        level = dunkl_laplacian_sq(ctx, level)
-        l += 1
-    return total
+    return _series_at_origin(ctx, p, lambda l: Fraction(2**l * factorial(l)))
 
 
 def mean_value_check(ctx: DunklContext, p: Poly) -> Fraction:

@@ -14,7 +14,6 @@ from math import comb, factorial
 from typing import Sequence
 
 from .poly import (
-    ExactDivisionError,
     Poly,
     classical_laplacian,
     compose_reflection,
@@ -78,11 +77,7 @@ class DunklContext:
                 if aj:
                     factor = self._kappa[idx] * aj
                     for f, c in self._quotient(idx, e).terms.items():
-                        s = acc.get(f, 0) + factor * c
-                        if s:
-                            acc[f] = s
-                        else:
-                            acc.pop(f, None)
+                        acc[f] = acc.get(f, 0) + factor * c
             cached = Poly(self.dim, acc)
             self._coord_images[key] = cached
         return cached
@@ -103,11 +98,7 @@ def apply_coord(ctx: DunklContext, j: int, p: Poly) -> Poly:
     acc: dict[Exponent, Fraction] = {}
     for e, c in p.terms.items():
         for f, w in ctx._coord_image(j, e).terms.items():
-            s = acc.get(f, 0) + c * w
-            if s:
-                acc[f] = s
-            else:
-                acc.pop(f, None)
+            acc[f] = acc.get(f, 0) + c * w
     return Poly(ctx.dim, acc)
 
 
@@ -128,11 +119,7 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence, p: Poly) -> Poly:
             continue
         for e, c in p.terms.items():
             for f, w in ctx._coord_image(j, e).terms.items():
-                s = acc.get(f, 0) + coeff * c * w
-                if s:
-                    acc[f] = s
-                else:
-                    acc.pop(f, None)
+                acc[f] = acc.get(f, 0) + coeff * c * w
     return Poly(ctx.dim, acc)
 
 
@@ -141,15 +128,37 @@ def dunkl_laplacian_sq(ctx: DunklContext, p: Poly) -> Poly:
     acc: dict[Exponent, Fraction] = {}
     for e, c in p.terms.items():
         for f, w in ctx._laplacian_image(e).terms.items():
-            s = acc.get(f, 0) + c * w
-            if s:
-                acc[f] = s
-            else:
-                acc.pop(f, None)
+            acc[f] = acc.get(f, 0) + c * w
     return Poly(ctx.dim, acc)
 
 
-dunkl_laplacian = dunkl_laplacian_sq
+def laplacian_powers(ctx: DunklContext, p: Poly, n: int) -> list[Poly]:
+    """[p, Lap p, ..., Lap^n p] by repeated dunkl_laplacian_sq.
+
+    Every Laplacian-power series of the package (Hobson's expansion, the
+    Clebsch projection, the Pizzetti mean, Bochner-Hecke, the Hankel and
+    spherical pairings) is a weighted sum over this list.
+    """
+    powers = [p]
+    for _ in range(n):
+        powers.append(dunkl_laplacian_sq(ctx, powers[-1]))
+    return powers
+
+
+def heat_series(ctx: DunklContext, p: Poly, t) -> Poly:
+    """exp(t Lap) p, the sum over j <= deg(p)/2 of t^j / j! Lap^j p, exact.
+
+    The Laplacian lowers the degree by two, so the series is finite; the
+    generalized Hermite polynomial is the case t = -1/4 and the
+    Bochner-Hecke closed form the case t = -1/2.
+    """
+    t = Fraction(t)
+    acc: dict[Exponent, Fraction] = {}
+    for j, power in enumerate(laplacian_powers(ctx, p, max(p.degree(), 0) // 2)):
+        weight = t**j / factorial(j)
+        for e, c in power.terms.items():
+            acc[e] = acc.get(e, 0) + weight * c
+    return Poly(ctx.dim, acc)
 
 
 def dunkl_laplacian_expr(ctx: DunklContext, p: Poly) -> Poly:
@@ -226,18 +235,9 @@ def mult_commutator_residual(ctx: DunklContext, power: int, coord: int, p: Poly)
     if power < 1:
         raise ValueError("power must be at least 1")
     x = Poly.variable(ctx.dim, coord + 1)
-    lhs = x * p
-    for _ in range(power):
-        lhs = dunkl_laplacian_sq(ctx, lhs)
-    rhs_a = p
-    for _ in range(power):
-        rhs_a = dunkl_laplacian_sq(ctx, rhs_a)
-    rhs_a = x * rhs_a
-    lower = p
-    for _ in range(power - 1):
-        lower = dunkl_laplacian_sq(ctx, lower)
-    rhs_b = apply_coord(ctx, coord, lower).scale(2 * power)
-    return lhs - rhs_a - rhs_b
+    lhs = laplacian_powers(ctx, x * p, power)[power]
+    lower, top = laplacian_powers(ctx, p, power)[-2:]
+    return lhs - x * top - apply_coord(ctx, coord, lower).scale(2 * power)
 
 
 def adjoint_formula_residual(ctx: DunklContext, p: Poly, target: Poly) -> Poly:
@@ -252,17 +252,12 @@ def adjoint_formula_residual(ctx: DunklContext, p: Poly, target: Poly) -> Poly:
     if p.is_zero():
         return Poly.zero(ctx.dim)
     m = p.degree()
-
-    def half_lap_power(q: Poly, k: int) -> Poly:
-        for _ in range(k):
-            q = dunkl_laplacian_sq(ctx, q).scale(Fraction(1, 2))
-        return q
-
+    target_powers = laplacian_powers(ctx, target, m)
     acc = Poly.zero(ctx.dim)
     for i in range(m + 1):
-        inner = half_lap_power(target, m - i)
-        term = half_lap_power(p * inner, i)
+        # (Lap/2)^i (p (Lap/2)^(m-i) target), with the halvings pulled out
+        term = laplacian_powers(ctx, p * target_powers[m - i], i)[i]
         sign = -1 if (m - i) % 2 else 1
-        acc = acc + term.scale(Fraction(sign * comb(m, i)))
+        acc = acc + term.scale(Fraction(sign * comb(m, i), 2**m))
     expansion = acc.scale(Fraction(1, factorial(m)))
     return poly_of_dunkl(ctx, p, target) - expansion

@@ -92,11 +92,7 @@ class Poly:
         self._require_same_dim(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + c
         return Poly(self.dim, out)
 
     __radd__ = __add__
@@ -120,11 +116,7 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, 0) + c1 * c2
         return Poly(self.dim, out)
 
     def __rmul__(self, other):
@@ -221,11 +213,7 @@ def partial_derivative(p: Poly, direction: Sequence) -> Poly:
         for i, xi in enumerate(direction):
             if xi and e[i]:
                 f = tuple(v - 1 if j == i else v for j, v in enumerate(e))
-                s = out.get(f, 0) + c * xi * e[i]
-                if s:
-                    out[f] = s
-                else:
-                    out.pop(f, None)
+                out[f] = out.get(f, 0) + c * xi * e[i]
     return Poly(p.dim, out)
 
 
@@ -245,11 +233,7 @@ def classical_laplacian(p: Poly) -> Poly:
         for i, k in enumerate(e):
             if k >= 2:
                 f = tuple(v - 2 if j == i else v for j, v in enumerate(e))
-                s = out.get(f, 0) + c * k * (k - 1)
-                if s:
-                    out[f] = s
-                else:
-                    out.pop(f, None)
+                out[f] = out.get(f, 0) + c * k * (k - 1)
     return Poly(p.dim, out)
 
 
@@ -300,11 +284,7 @@ def compose_reflection(p: Poly, alpha: Sequence) -> Poly:
                     if s < 0 and k % 2:
                         sign = -sign
             key = tuple(f)
-            v = out.get(key, 0) + sign * c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + sign * c
         return Poly(p.dim, out)
 
     result = Poly.zero(p.dim)
@@ -528,11 +508,7 @@ def parse_poly(text: str, dim: int) -> Poly:
         pos += 1
     while True:
         coeff, e = read_term()
-        total = terms.get(e, 0) + sign * coeff
-        if total:
-            terms[e] = total
-        else:
-            terms.pop(e, None)
+        terms[e] = terms.get(e, 0) + sign * coeff
         skip_ws()
         if pos >= n:
             break

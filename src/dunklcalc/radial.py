@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from .operators import DunklContext, apply_coord, dunkl_apply, dunkl_laplacian_sq
+from .operators import DunklContext, apply_coord, laplacian_powers
 from .poly import Exponent, Poly, norm_sq_poly, try_divide_norm_sq
 
 ProfileKey = tuple[Fraction, Fraction]  # (base exponent, gaussian rate)
@@ -324,27 +324,18 @@ def weighted_dunkl_apply(
 
     Per summand P r^s exp(a r^2) the result is (D_xi P) at the same profile
     plus <xi, x> P against the radial derivative of the profile, which only
-    shifts exponents by -2 and reuses the gaussian rate.
+    shifts exponents by -2 and reuses the gaussian rate.  It is linear in
+    xi, so it is assembled from the coordinate operators.
     """
-    xi_form = _linear_form_poly(w.dim, xi)
+    xi = [Fraction(c) for c in xi]
+    if len(xi) != ctx.dim:
+        raise ValueError("direction has wrong dimension")
     out = WeightedFunction.zero(w.dim)
-    for (s, a), poly in w.parts.items():
-        out._add_part((s, a), dunkl_apply(ctx, xi, poly))
-        radial = xi_form * poly
-        if s:
-            out._add_part((s - 2, a), radial.scale(s))
-        if a:
-            out._add_part((s, a), radial.scale(2 * a))
+    for j, coeff in enumerate(xi):
+        if coeff:
+            for key, poly in _apply_coord_weighted(ctx, j, w.parts).items():
+                out._add_part(key, poly.scale(coeff))
     return out
-
-
-def _linear_form_poly(dim: int, xi: Sequence) -> Poly:
-    terms: dict[Exponent, Fraction] = {}
-    for i, c in enumerate(xi):
-        c = Fraction(c)
-        if c:
-            terms[tuple(1 if j == i else 0 for j in range(dim))] = c
-    return Poly(dim, terms)
 
 
 def _times_var(poly: Poly, j: int) -> Poly:
@@ -356,28 +347,18 @@ def _times_var(poly: Poly, j: int) -> Poly:
 
 
 def _apply_coord_weighted(
-    ctx: DunklContext, j: int, parts: dict[ProfileKey, Poly], dim: int
+    ctx: DunklContext, j: int, parts: Mapping[ProfileKey, Poly]
 ) -> dict[ProfileKey, Poly]:
-    out: dict[ProfileKey, Poly] = {}
-
-    def add(key: ProfileKey, poly: Poly) -> None:
-        if poly.is_zero():
-            return
-        current = out.get(key)
-        total = poly if current is None else current + poly
-        if total.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = total
-
+    """D_j on the summands P r^s exp(a r^2) given as parts."""
+    out = WeightedFunction.zero(ctx.dim)
     for (s, a), poly in parts.items():
-        add((s, a), apply_coord(ctx, j, poly))
+        out._add_part((s, a), apply_coord(ctx, j, poly))
         shifted = _times_var(poly, j)
         if s:
-            add((s - 2, a), shifted.scale(s))
+            out._add_part((s - 2, a), shifted.scale(s))
         if a:
-            add((s, a), shifted.scale(2 * a))
-    return out
+            out._add_part((s, a), shifted.scale(2 * a))
+    return out.parts
 
 
 def _monomial_node(
@@ -401,7 +382,7 @@ def _monomial_node(
             prev = _monomial_node(
                 ctx, key, tuple(v - 1 if i == j else v for i, v in enumerate(e))
             )
-            cached = _apply_coord_weighted(ctx, j, prev, ctx.dim)
+            cached = _apply_coord_weighted(ctx, j, prev)
         cache[memo_key] = cached
     return cached
 
@@ -441,15 +422,11 @@ def hobson_rhs(ctx: DunklContext, p: Poly, profile: RadialProfile) -> WeightedFu
     for _ in range(m):
         derivatives.append(inv_r_ddr(derivatives[-1]))
     out = WeightedFunction.zero(ctx.dim)
-    lap_power = p
-    for j in range(m // 2 + 1):
-        if j:
-            lap_power = dunkl_laplacian_sq(ctx, lap_power)
+    for j, lap_power in enumerate(laplacian_powers(ctx, p, m // 2)):
         coeff = Fraction(1, 2**j * factorial(j))
-        contribution = WeightedFunction(
+        out = out + WeightedFunction(
             ctx.dim, [(lap_power.scale(coeff), derivatives[m - j])]
         )
-        out = out + contribution
     return out
 
 

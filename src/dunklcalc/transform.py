@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 from .harmonic import hermite_poly
 from .integrate import gaussian_moment
-from .operators import DunklContext, apply_coord, dunkl_laplacian_sq
+from .operators import DunklContext, apply_coord, heat_series, laplacian_powers
 from .poly import Poly, homogeneous_components, norm_sq_poly
 from .roots import RootSystem, build_root_system
 from .util import pochhammer
@@ -345,10 +345,7 @@ def sphere_pairing_rhs(ctx: DunklContext, p: Poly, y: Sequence[float]) -> comple
     lam = ctx.constants.bessel_index
     t = math.sqrt(sum(float(v) ** 2 for v in y))
     acc = 0.0
-    lap_power = p
-    for j in range(m // 2 + 1):
-        if j:
-            lap_power = dunkl_laplacian_sq(ctx, lap_power)
+    for j, lap_power in enumerate(laplacian_powers(ctx, p, m // 2)):
         coeff = (-1.0 if j % 2 else 1.0) / (2**j * factorial(j))
         acc += coeff * scaled_normalized_bessel(lam, m - j, t) * float(
             lap_power.evaluate(tuple(float(v) for v in y))
@@ -449,7 +446,7 @@ def hecke_residual(
 
     Compares the kernel-expansion transform of p times the Gaussian with
     the closed form: the phase (-i)^m times the Gaussian at y times the
-    alternating Laplacian series of p evaluated at y.
+    alternating Laplacian series exp(-Lap/2) p evaluated at y.
     """
     if not p.is_homogeneous():
         raise ValueError("Bochner-Hecke identity needs homogeneous input")
@@ -458,14 +455,8 @@ def hecke_residual(
     m = p.degree()
     lhs = dunkl_transform_gauss_poly(ctx, p, y, n_terms=n_terms)
     yf = tuple(float(v) for v in y)
-    acc = 0.0
-    lap_power = p
-    for j in range(m // 2 + 1):
-        if j:
-            lap_power = dunkl_laplacian_sq(ctx, lap_power)
-        coeff = (-1.0 if j % 2 else 1.0) / (2**j * factorial(j))
-        acc += coeff * float(lap_power.evaluate(yf))
-    rhs = _PHASES[m % 4] * math.exp(-sum(v**2 for v in yf) / 2.0) * acc
+    series = heat_series(ctx, p, Fraction(-1, 2))
+    rhs = _PHASES[m % 4] * math.exp(-sum(v**2 for v in yf) / 2.0) * float(series.evaluate(yf))
     return abs(lhs - rhs)
 
 
@@ -603,10 +594,7 @@ def hankel_identity_residual(
     yf = tuple(float(v) for v in y)
     t = math.sqrt(sum(v**2 for v in yf))
     acc = 0.0
-    lap_power = p
-    for j in range(m // 2 + 1):
-        if j:
-            lap_power = dunkl_laplacian_sq(ctx, lap_power)
+    for j, lap_power in enumerate(laplacian_powers(ctx, p, m // 2)):
         coeff = (-1.0 if j % 2 else 1.0) / (2**j * factorial(j))
         hank = hankel_numeric(
             f0, lam + m - j, t, tol=quad_tol, power=radial_power, rate=0.5
@@ -640,12 +628,7 @@ def transform_multiplication_residual(
     real = Poly.zero(1)
     imag = Poly.zero(1)
     for degree, component in homogeneous_components(q):
-        series = Poly.zero(1)
-        lap_power = component
-        for j in range(degree // 2 + 1):
-            if j:
-                lap_power = dunkl_laplacian_sq(ctx, lap_power)
-            series = series + lap_power.scale(Fraction(-1 if j % 2 else 1, 2**j * factorial(j)))
+        series = heat_series(ctx, component, Fraction(-1, 2))
         rot = degree % 4
         if rot == 0:
             real = real + series

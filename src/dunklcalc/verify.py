@@ -185,13 +185,8 @@ def random_direction(rng: random.Random, dim: int) -> tuple[Fraction, ...]:
             return vec
 
 
-def _poly_case(name: str, residual: Poly, detail: str = "") -> CaseResult:
-    if residual.is_zero():
-        return CaseResult(name, "pass", "0", detail)
-    return CaseResult(name, "fail", str(residual), detail)
-
-
-def _weighted_case(name: str, residual: WeightedFunction, detail: str = "") -> CaseResult:
+def _zero_case(name: str, residual: Poly | WeightedFunction, detail: str = "") -> CaseResult:
+    """Exact case: passes when the residual is literally zero."""
     if residual.is_zero():
         return CaseResult(name, "pass", "0", detail)
     return CaseResult(name, "fail", str(residual), detail)
@@ -230,7 +225,6 @@ def hobson_suite(
     seed: int = 0,
     degree: int = 6,
     count_per_profile: int = 8,
-    tolerance: float | None = None,
 ) -> VerificationReport:
     """Radial expansion of p(D): residual must be exactly zero.
 
@@ -258,7 +252,7 @@ def hobson_suite(
             p = random_homogeneous(rng, ctx.dim, m)
             res = hobson_residual(ctx, p, profile)
             cases.append(
-                _weighted_case(
+                _zero_case(
                     f"{pname}/{i:02d}-deg{m}", res, detail=f"p={p}, profile={profile}"
                 )
             )
@@ -273,7 +267,6 @@ def commutativity_suite(
     seed: int = 0,
     degree: int = 6,
     count: int = 15,
-    tolerance: float | None = None,
 ) -> VerificationReport:
     """Pairwise commutativity of the operators in random directions."""
     ctx = get_context(system, kappas)
@@ -284,11 +277,11 @@ def commutativity_suite(
         eta = random_direction(rng, ctx.dim)
         p = random_poly(rng, ctx.dim, degree)
         res = commutator_residual(ctx, xi, eta, p)
-        cases.append(_poly_case(f"pair/{i:02d}", res, detail=f"xi={xi}, eta={eta}"))
+        cases.append(_zero_case(f"pair/{i:02d}", res, detail=f"xi={xi}, eta={eta}"))
     p = random_poly(rng, ctx.dim, degree)
     xi = random_direction(rng, ctx.dim)
     cases.append(
-        _poly_case("equal-directions", commutator_residual(ctx, xi, xi, p))
+        _zero_case("equal-directions", commutator_residual(ctx, xi, xi, p))
     )
     return VerificationReport("commutativity", system, seed, cases)
 
@@ -300,7 +293,6 @@ def laplacian_routes_suite(
     seed: int = 0,
     degree: int = 6,
     count: int = 100,
-    tolerance: float | None = None,
 ) -> VerificationReport:
     """Squared-operator route against the explicit second-order expression."""
     ctx = get_context(system, kappas)
@@ -309,12 +301,12 @@ def laplacian_routes_suite(
     for i in range(count):
         p = random_poly(rng, ctx.dim, degree)
         res = dunkl_laplacian_sq(ctx, p) - dunkl_laplacian_expr(ctx, p)
-        cases.append(_poly_case(f"routes/{i:03d}", res))
+        cases.append(_zero_case(f"routes/{i:03d}", res))
     zero_ctx = _zero_kappa_context(ctx)
     for i in range(5):
         p = random_poly(rng, ctx.dim, degree)
         res = dunkl_laplacian_sq(zero_ctx, p) - classical_laplacian(p)
-        cases.append(_poly_case(f"classical-limit/{i}", res))
+        cases.append(_zero_case(f"classical-limit/{i}", res))
     r2 = norm_sq_poly(ctx.dim)
     invariant = Poly.const(ctx.dim, 1)
     for j in range(1, 4):
@@ -322,7 +314,7 @@ def laplacian_routes_suite(
         res = dunkl_laplacian_sq(ctx, invariant) - dunkl_laplacian_invariant(
             ctx, invariant
         )
-        cases.append(_poly_case(f"invariant-restriction/r^{2 * j}", res))
+        cases.append(_zero_case(f"invariant-restriction/r^{2 * j}", res))
     return VerificationReport("laplacian-routes", system, seed, cases)
 
 
@@ -332,7 +324,6 @@ def laplacian_commutator_suite(
     *,
     seed: int = 0,
     degree: int = 4,
-    tolerance: float | None = None,
 ) -> VerificationReport:
     """[Lap^j, x_l .] = 2 j D_l Lap^(j-1) on random polynomials, j <= 3."""
     ctx = get_context(system, kappas)
@@ -343,7 +334,7 @@ def laplacian_commutator_suite(
             p = random_poly(rng, ctx.dim, degree)
             res = mult_commutator_residual(ctx, power, coord, p)
             cases.append(
-                _poly_case(f"power{power}/x{coord + 1}", res, detail=f"p={p}")
+                _zero_case(f"power{power}/x{coord + 1}", res, detail=f"p={p}")
             )
     return VerificationReport("laplacian-commutator", system, seed, cases)
 
@@ -354,7 +345,6 @@ def adjoint_formula_suite(
     *,
     seed: int = 0,
     degree: int = 4,
-    tolerance: float | None = None,
 ) -> VerificationReport:
     """p(D) against the iterated half-Laplacian commutator form, m <= 4."""
     ctx = get_context(system, kappas)
@@ -364,11 +354,11 @@ def adjoint_formula_suite(
         p = random_homogeneous(rng, ctx.dim, m, max_terms=3)
         target = random_poly(rng, ctx.dim, 4)
         res = adjoint_formula_residual(ctx, p, target)
-        cases.append(_poly_case(f"deg{m}", res, detail=f"p={p}"))
+        cases.append(_zero_case(f"deg{m}", res, detail=f"p={p}"))
     res = adjoint_formula_residual(
         ctx, norm_sq_poly(ctx.dim), random_poly(rng, ctx.dim, 4)
     )
-    cases.append(_poly_case("norm-square", res))
+    cases.append(_zero_case("norm-square", res))
     return VerificationReport("adjoint-formula", system, seed, cases)
 
 
@@ -378,7 +368,6 @@ def projection_suite(
     *,
     seed: int = 0,
     degree: int = 5,
-    tolerance: float | None = None,
 ) -> VerificationReport:
     """Harmonicity, idempotence, route agreement, and decomposition."""
     ctx = get_context(system, kappas)
@@ -391,10 +380,10 @@ def projection_suite(
             name = f"deg{m}/{i}"
             h = clebsch_project_series(ctx, p)
             cases.append(
-                _poly_case(f"{name}/harmonic", dunkl_laplacian_sq(ctx, h))
+                _zero_case(f"{name}/harmonic", dunkl_laplacian_sq(ctx, h))
             )
             cases.append(
-                _poly_case(f"{name}/idempotent", clebsch_project_series(ctx, h) - h)
+                _zero_case(f"{name}/idempotent", clebsch_project_series(ctx, h) - h)
             )
             if lam == 0 and m >= 1:
                 cases.append(
@@ -409,21 +398,21 @@ def projection_suite(
             else:
                 try:
                     maxwell = clebsch_project_maxwell(ctx, p)
-                    cases.append(_poly_case(f"{name}/maxwell", maxwell - h))
+                    cases.append(_zero_case(f"{name}/maxwell", maxwell - h))
                 except (ArithmeticError, MaxwellDegenerateError) as exc:
                     cases.append(
                         CaseResult(f"{name}/maxwell", "fail", str(exc), f"p={p}")
                     )
             decomposition = harmonic_decompose(ctx, p)
             cases.append(
-                _poly_case(
+                _zero_case(
                     f"{name}/recompose", decomposition.recompose() - p,
                     detail=f"{len(decomposition.components)} components",
                 )
             )
             for j, component in decomposition.components:
                 cases.append(
-                    _poly_case(
+                    _zero_case(
                         f"{name}/component{j}-harmonic",
                         dunkl_laplacian_sq(ctx, component),
                     )
@@ -437,7 +426,6 @@ def pizzetti_suite(
     *,
     seed: int = 0,
     degree: int = 8,
-    tolerance: float | None = None,
 ) -> VerificationReport:
     """Spherical-mean series against the Dirichlet oracle and invariances."""
     ctx = get_context(system, kappas)
@@ -512,7 +500,6 @@ def hermite_suite(
     *,
     seed: int = 0,
     degree: int = 5,
-    tolerance: float | None = None,
 ) -> VerificationReport:
     """Rodrigues form, Gaussian expansion, and fixed points on harmonics."""
     ctx = get_context(system, kappas)
@@ -521,17 +508,17 @@ def hermite_suite(
     for m in range(degree + 1):
         p = random_homogeneous(rng, ctx.dim, m, max_terms=3)
         cases.append(
-            _weighted_case(f"rodrigues/deg{m}", rodrigues_residual(ctx, p), f"p={p}")
+            _zero_case(f"rodrigues/deg{m}", rodrigues_residual(ctx, p), f"p={p}")
         )
         cases.append(
-            _weighted_case(
+            _zero_case(
                 f"gauss-series/deg{m}", gaussian_series_residual(ctx, p), f"p={p}"
             )
         )
         h = clebsch_project_series(ctx, p)
         if not h.is_zero():
             cases.append(
-                _poly_case(f"fixed-on-harmonic/deg{m}", hermite_poly(ctx, h) - h)
+                _zero_case(f"fixed-on-harmonic/deg{m}", hermite_poly(ctx, h) - h)
             )
     return VerificationReport("hermite", system, seed, cases)
 
@@ -542,7 +529,6 @@ def mean_value_suite(
     *,
     seed: int = 0,
     degree: int = 4,
-    tolerance: float | None = None,
 ) -> VerificationReport:
     """Spherical mean of projected harmonics equals the value at the origin."""
     ctx = get_context(system, kappas)

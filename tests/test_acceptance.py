@@ -3,9 +3,14 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 pass/fail lines and timings.  Exact criteria demand literal zero residuals;
 numeric criteria run at the tolerances pinned in the verification suites.
+Every exact report must also match, byte for byte, the digest that the
+benchmark recorded for the same run (perfbench/expected/verify-default.json).
 """
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 from dunklcalc.verify import (
     EXACT_DEFAULT_RUNS,
@@ -24,6 +29,20 @@ from dunklcalc.verify import (
 )
 
 SEED = 11
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "verify-default.json"
+
+
+def _assert_golden(reports) -> None:
+    """Compare each report with the recorded [suite, system, cases, digest]."""
+    records = json.loads(GOLDEN.read_text())[str(SEED)]
+    for suite in {r.suite for r in reports}:
+        want = [rec for rec in records if rec[0] == suite]
+        got = [
+            [r.suite, r.system, len(r.cases),
+             hashlib.sha256(json.dumps(r.to_dict(), indent=2).encode()).hexdigest()[:16]]
+            for r in reports if r.suite == suite
+        ]
+        assert got == want, suite
 
 
 def _announce(number: int, title: str, reports, elapsed: float) -> None:
@@ -44,6 +63,7 @@ def _run(suite, runs, number, title, **kwargs):
     reports = [suite(system, kappas, seed=SEED, **kwargs) for system, kappas in runs]
     _announce(number, title, reports, time.time() - start)
     assert all(r.passed for r in reports), f"criterion {number} failed"
+    _assert_golden(reports)
     return reports
 
 
@@ -77,6 +97,7 @@ def test_criterion_2_operator_identities():
         "Laplacian routes", reports, time.time() - start,
     )
     assert all(r.passed for r in reports)
+    _assert_golden(reports)
 
 
 def test_criterion_3_projection():

@@ -150,3 +150,21 @@ def test_verify_default_transforms_fails_loud(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "transforms on z2:d=1: hankel broke" in err
+
+
+def test_verify_tolerance_is_only_for_transforms(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "hobson", "--system", "z2:d=1", "--kappa", "1/2",
+        "--tolerance", "1e-3",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--tolerance applies only to transforms" in err
+    code, out, _ = run_cli(
+        capsys, "verify", "all", "--system", "z2:d=1", "--kappa", "1/2",
+        "--tolerance", "1e-3", "--json",
+    )
+    assert code == 0
+    tolerances = {r["suite"]: r.get("tolerance") for r in json.loads(out)}
+    assert tolerances.pop("transforms") == 1e-3
+    assert set(tolerances.values()) == {None}

@@ -12,6 +12,8 @@ from dunklcalc.operators import (
     dunkl_laplacian_expr,
     dunkl_laplacian_invariant,
     dunkl_laplacian_sq,
+    heat_series,
+    laplacian_powers,
     mult_commutator_residual,
     poly_of_dunkl,
 )
@@ -198,3 +200,29 @@ def test_adjoint_formula_requires_homogeneous():
     ctx = make_ctx("z2:d=2", ["1", "0"])
     with pytest.raises(ValueError):
         adjoint_formula_residual(ctx, parse_poly("x1 + 1", 2), parse_poly("x1", 2))
+
+
+def test_laplacian_powers_are_iterated_laplacians():
+    rng = random.Random(23)
+    for system, kappas in SYSTEMS:
+        ctx = make_ctx(system, kappas)
+        p = random_poly(rng, ctx.dim, 6)
+        powers = laplacian_powers(ctx, p, 4)
+        assert len(powers) == 5
+        expected = p
+        for k, power in enumerate(powers):
+            assert power == expected, (system, k)
+            expected = dunkl_laplacian_sq(ctx, expected)
+    assert laplacian_powers(ctx, p, 0) == [p]
+
+
+def test_heat_series_inverts_exactly():
+    rng = random.Random(29)
+    for system, kappas in SYSTEMS:
+        ctx = make_ctx(system, kappas)
+        p = random_poly(rng, ctx.dim, 6)
+        for t in (Q(1, 2), Q(-1, 4), Q(3)):
+            assert heat_series(ctx, heat_series(ctx, p, t), -t) == p, (system, t)
+        assert heat_series(ctx, p, 0) == p
+    assert heat_series(ctx, Poly.zero(ctx.dim), 1).is_zero()
+
