@@ -28,7 +28,7 @@ from .operators import (
     dunkl_laplacian_sq,
 )
 from .poly import ExactDivisionError, Poly, PolyError, parse_poly
-from .radial import hobson_lhs, hobson_residual, hobson_rhs, parse_profile
+from .radial import hobson_lhs, hobson_rhs, parse_profile
 from .roots import RootSystemError, build_root_system
 from .transform import dunkl_transform_gauss_poly, hecke_residual, z2_kappas
 from .util import parse_rational
@@ -101,7 +101,7 @@ def _cmd_hobson(args) -> int:
         raise UsageError("--profile is required")
     lhs = hobson_lhs(ctx, p, profile)
     rhs = hobson_rhs(ctx, p, profile)
-    residual = hobson_residual(ctx, p, profile)
+    residual = (lhs - rhs).canonical()
     ok = residual.is_zero()
     payload = {
         "system": args.system,

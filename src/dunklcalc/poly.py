@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -22,7 +22,7 @@ class PolyError(ValueError):
 
 
 class PolyParseError(PolyError):
-    """Syntax error in polynomial text; carries the offending position."""
+    """Syntax error in polynomial or profile text; carries the offending position."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -392,9 +392,105 @@ def homogeneous_components(p: Poly) -> list[tuple[int, Poly]]:
 
 # -- text form -------------------------------------------------------------
 #
-# term   := factor ('*' factor)*
-# factor := integer ('/' integer)? | 'x' index ('^' exponent)?
-# terms joined by '+' / '-'; whitespace free; variables are 1-based.
+# Polynomials here and radial profiles (radial.parse_profile) share one
+# scanner and one shape:
+#   sum    := [sign] term (('+' | '-') term)*
+#   term   := factor ('*' factor)*
+#   factor := integer ['/' integer] | 'x' index ['^' exponent]
+# Variables are 1-based.  Whitespace may separate tokens but not split one
+# (`x12`, `123`), and U+2212 reads as '-'.
+
+# Largest total degree of a parsed polynomial term: far above the degrees the
+# suites use, far below where the per-monomial operator recursion overflows.
+MAX_DEGREE = 256
+
+
+class _Scanner:
+    """Cursor over grammar text.
+
+    Every error is a PolyParseError at the first character of the offending
+    token, or at len(text) at the end of input.
+    """
+
+    def __init__(self, text: str):
+        self.text = text.replace("\u2212", "-")
+        self.pos = 0
+
+    def error(self, message: str, position: int | None = None) -> PolyParseError:
+        return PolyParseError(message, self.pos if position is None else position)
+
+    def peek(self) -> str:
+        """Skip whitespace; the next character, or "" at the end of input."""
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
+        return text[pos : pos + 1]
+
+    def take(self, token: str) -> bool:
+        """Consume token if it comes next, after whitespace."""
+        self.peek()
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
+            return True
+        return False
+
+    def expect(self, token: str) -> None:
+        if not self.take(token):
+            raise self.error(f"expected {token!r}")
+
+    def digits(self, what: str) -> int:
+        """An unsigned integer that starts right at the cursor."""
+        text, start = self.text, self.pos
+        while self.pos < len(text) and text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            raise self.error(f"expected {what}")
+        try:
+            return int(text[start : self.pos])
+        except ValueError:  # past the interpreter's int digit limit
+            raise self.error("number too long", start) from None
+
+    def rational(self, signed: bool = False) -> Fraction:
+        """integer ['/' integer]; if signed, a sign may touch the digits."""
+        lead = self.peek()
+        if signed and lead in ("+", "-"):
+            self.pos += 1
+        num = self.digits("a number")
+        if signed and lead == "-":
+            num = -num
+        if self.peek() != "/":
+            return Fraction(num)
+        slash = self.pos
+        self.pos += 1
+        self.peek()
+        den = self.digits("a denominator")
+        if not den:
+            raise self.error("zero denominator", slash)
+        return Fraction(num, den)
+
+    def read_sum(self, factor: Callable[[], tuple]) -> list[tuple[int, int, list[tuple]]]:
+        """The whole text as a sum of products of factor() results.
+
+        Returns (sign, position, factors) per term, where position is the
+        start of the term's first factor.
+        """
+        if not self.peek():
+            raise self.error("empty input")
+        terms = []
+        while op := self.peek():
+            if op in ("+", "-"):
+                self.pos += 1
+            elif terms:  # only the first term may go unsigned
+                raise self.error(f"expected '+' or '-', got {op!r}")
+            self.peek()
+            start, factors = self.pos, []
+            while not factors or self.take("*"):
+                if not self.peek():
+                    raise self.error("unexpected end of input")
+                factors.append(factor())
+            terms.append((-1 if op == "-" else 1, start, factors))
+        return terms
 
 
 def _grlex_sort_key(e: Exponent):
@@ -429,94 +525,37 @@ def format_poly(p: Poly) -> str:
 
 
 def parse_poly(text: str, dim: int) -> Poly:
-    """Parse polynomial text into a canonical Poly with the given dimension."""
-    s = text.replace("−", "-")
-    n = len(s)
-    pos = 0
+    """Parse polynomial text into a canonical Poly with the given dimension.
 
-    def skip_ws():
-        nonlocal pos
-        while pos < n and s[pos].isspace():
-            pos += 1
+    Raises PolyParseError on bad syntax, on a variable outside 1..dim and
+    on a term of total degree above MAX_DEGREE.
+    """
+    scanner = _Scanner(text)
 
-    def read_int(what: str) -> int:
-        nonlocal pos
-        start = pos
-        while pos < n and s[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise PolyParseError(f"expected {what}", start)
-        return int(s[start:pos])
-
-    def read_factor() -> tuple[Fraction, list[int]]:
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise PolyParseError("unexpected end of input", pos)
-        ch = s[pos]
-        if ch == "x":
-            var_pos = pos
-            pos += 1
-            index = read_int("variable index")
-            if not 1 <= index <= dim:
-                raise PolyParseError(
-                    f"variable x{index} out of range 1..{dim}", var_pos
-                )
-            exp = 1
-            skip_ws()
-            if pos < n and s[pos] == "^":
-                pos += 1
-                skip_ws()
-                exp = read_int("exponent")
-            exps = [0] * dim
-            exps[index - 1] = exp
-            return Fraction(1), exps
-        if ch.isdigit():
-            num = read_int("number")
-            skip_ws()
-            if pos < n and s[pos] == "/":
-                slash = pos
-                pos += 1
-                skip_ws()
-                den = read_int("denominator")
-                if den == 0:
-                    raise PolyParseError("zero denominator", slash)
-                return Fraction(num, den), [0] * dim
-            return Fraction(num), [0] * dim
-        raise PolyParseError(f"unexpected character {ch!r}", pos)
-
-    def read_term() -> tuple[Fraction, Exponent]:
-        nonlocal pos
-        coeff, exps = read_factor()
-        while True:
-            skip_ws()
-            if pos < n and s[pos] == "*":
-                pos += 1
-                c2, e2 = read_factor()
-                coeff *= c2
-                exps = [a + b for a, b in zip(exps, e2)]
-            else:
-                return coeff, tuple(exps)
+    def factor() -> tuple[Fraction, int, int]:
+        """(coefficient, 0-based variable, power) of one factor."""
+        ch, at = scanner.peek(), scanner.pos
+        if ch.isdecimal():
+            return scanner.rational(), 0, 0
+        if not scanner.take("x"):
+            raise scanner.error(f"unexpected character {ch!r}")
+        index = scanner.digits("variable index")
+        if not 1 <= index <= dim:
+            raise scanner.error(f"variable x{index} out of range 1..{dim}", at)
+        power = 1
+        if scanner.take("^"):
+            scanner.peek()
+            power = scanner.digits("exponent")
+        return Fraction(1), index - 1, power
 
     terms: dict[Exponent, Fraction] = {}
-    skip_ws()
-    if pos >= n:
-        raise PolyParseError("empty input", pos)
-    sign = 1
-    if s[pos] in "+-":
-        sign = -1 if s[pos] == "-" else 1
-        pos += 1
-    while True:
-        coeff, e = read_term()
-        terms[e] = terms.get(e, 0) + sign * coeff
-        skip_ws()
-        if pos >= n:
-            break
-        if s[pos] == "+":
-            sign = 1
-        elif s[pos] == "-":
-            sign = -1
-        else:
-            raise PolyParseError(f"expected '+' or '-', got {s[pos]!r}", pos)
-        pos += 1
+    for sign, start, factors in scanner.read_sum(factor):
+        coeff, exps = Fraction(sign), [0] * dim
+        for c, i, k in factors:
+            coeff *= c
+            exps[i] += k
+        if sum(exps) > MAX_DEGREE:
+            raise scanner.error(f"term degree {sum(exps)} exceeds {MAX_DEGREE}", start)
+        e = tuple(exps)
+        terms[e] = terms.get(e, 0) + coeff
     return Poly(dim, terms)

@@ -22,7 +22,7 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .operators import DunklContext, apply_coord, laplacian_powers
-from .poly import Exponent, Poly, norm_sq_poly, try_divide_norm_sq
+from .poly import Exponent, Poly, _Scanner, norm_sq_poly, try_divide_norm_sq
 
 ProfileKey = tuple[Fraction, Fraction]  # (base exponent, gaussian rate)
 
@@ -440,134 +440,50 @@ def hobson_residual(
 def parse_profile(text: str) -> RadialProfile:
     """Parse profile text like "r^(-3)*exp(-1/2*r^2)" or "r^2 + 2*r^4".
 
-    Terms are products of a rational factor, powers of r (integer exponents
-    bare, rationals in parentheses), and gaussian factors exp(a*r^2), with
-    exp(r^2) and exp(-r^2) short for rates 1 and -1; sums
+    Terms are products of a rational factor, powers of r (integer or p/q
+    exponents bare, signed ones in parentheses), and gaussian factors
+    exp(a*r^2), with exp(r^2) and exp(-r^2) short for rates 1 and -1.  The
+    lexical rules and PolyParseError are those of poly.parse_poly.  Sums
     must stay inside one profile family (equal gaussian rates, exponent
-    differences even).
+    differences even), else ValueError.
     """
-    s = text.replace("−", "-")
-    n = len(s)
-    pos = 0
+    scanner = _Scanner(text)
 
-    def fail(message: str) -> ValueError:
-        return ValueError(f"bad profile text: {message} (at position {pos})")
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and s[pos].isspace():
-            pos += 1
-
-    def read_rational(allow_sign: bool = True) -> Fraction:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        if allow_sign and pos < n and s[pos] in "+-":
-            pos += 1
-        while pos < n and s[pos].isdigit():
-            pos += 1
-        if pos == start or not s[start:pos].lstrip("+-"):
-            raise fail("expected a number")
-        num = int(s[start:pos])
-        skip_ws()
-        if pos < n and s[pos] == "/":
-            pos += 1
-            skip_ws()
-            dstart = pos
-            while pos < n and s[pos].isdigit():
-                pos += 1
-            if pos == dstart:
-                raise fail("expected a denominator")
-            den = int(s[dstart:pos])
-            if den == 0:
-                raise fail("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def read_factor() -> tuple[Fraction, Fraction, Fraction]:
-        """Returns (coefficient, r exponent, gaussian rate) of one factor."""
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise fail("unexpected end of input")
-        if s.startswith("exp", pos):
-            pos += 3
-            skip_ws()
-            if pos >= n or s[pos] != "(":
-                raise fail("expected '(' after exp")
-            pos += 1
-            skip_ws()
-            start = pos
-            if pos < n and s[pos] in "+-":
-                pos += 1
-                skip_ws()
-            if s.startswith("r^2", pos):  # unit rate: exp(r^2), exp(-r^2)
-                rate = Fraction(-1 if s[start] == "-" else 1)
-                pos += 3
+    def factor() -> tuple[Fraction, Fraction, Fraction]:
+        """(coefficient, r exponent, gaussian rate) of one factor."""
+        if scanner.take("exp"):
+            scanner.expect("(")
+            scanner.peek()
+            mark = scanner.pos
+            scanner.take("+") or scanner.take("-")
+            if scanner.take("r^2"):  # unit rate: exp(r^2), exp(-r^2)
+                rate = Fraction(-1 if scanner.text[mark] == "-" else 1)
             else:
-                pos = start
-                rate = read_rational()
-                skip_ws()
-                if not s.startswith("*r^2", pos):
-                    raise fail("expected '*r^2' inside exp(...)")
-                pos += 4
-            skip_ws()
-            if pos >= n or s[pos] != ")":
-                raise fail("expected ')'")
-            pos += 1
+                scanner.pos = mark
+                rate = scanner.rational(signed=True)
+                scanner.expect("*r^2")
+            scanner.expect(")")
             return Fraction(1), Fraction(0), rate
-        if s[pos] == "r":
-            pos += 1
-            skip_ws()
+        if scanner.take("r"):
             exponent = Fraction(1)
-            if pos < n and s[pos] == "^":
-                pos += 1
-                skip_ws()
-                if pos < n and s[pos] == "(":
-                    pos += 1
-                    exponent = read_rational()
-                    skip_ws()
-                    if pos >= n or s[pos] != ")":
-                        raise fail("expected ')'")
-                    pos += 1
+            if scanner.take("^"):
+                if scanner.take("("):
+                    exponent = scanner.rational(signed=True)
+                    scanner.expect(")")
                 else:
-                    exponent = read_rational(allow_sign=False)
+                    exponent = scanner.rational()
             return Fraction(1), exponent, Fraction(0)
-        if s[pos].isdigit():
-            return read_rational(allow_sign=False), Fraction(0), Fraction(0)
-        raise fail(f"unexpected character {s[pos]!r}")
+        ch = scanner.peek()
+        if ch.isdecimal():
+            return scanner.rational(), Fraction(0), Fraction(0)
+        raise scanner.error(f"unexpected character {ch!r}")
 
-    pieces: list[RadialProfile] = []
-    skip_ws()
-    if pos >= n:
-        raise fail("empty input")
-    sign = 1
-    if s[pos] in "+-":
-        sign = -1 if s[pos] == "-" else 1
-        pos += 1
-    while True:
-        coeff = Fraction(sign)
-        exponent = Fraction(0)
-        rate = Fraction(0)
-        while True:
-            c, e, a = read_factor()
+    pieces = []
+    for sign, _, factors in scanner.read_sum(factor):
+        coeff, exponent, rate = Fraction(sign), Fraction(0), Fraction(0)
+        for c, e, a in factors:
             coeff *= c
             exponent += e
             rate += a
-            skip_ws()
-            if pos < n and s[pos] == "*":
-                pos += 1
-            else:
-                break
         pieces.append(RadialProfile.power_gauss(exponent, rate).scale(coeff))
-        skip_ws()
-        if pos >= n:
-            break
-        if s[pos] == "+":
-            sign = 1
-        elif s[pos] == "-":
-            sign = -1
-        else:
-            raise fail(f"expected '+' or '-', got {s[pos]!r}")
-        pos += 1
     return _merge_profile_sum(pieces)

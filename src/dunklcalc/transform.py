@@ -29,10 +29,9 @@ from math import factorial
 from typing import Callable, Sequence
 
 from .harmonic import hermite_poly
-from .integrate import gaussian_moment
 from .operators import DunklContext, apply_coord, heat_series, laplacian_powers
 from .poly import Poly, homogeneous_components, norm_sq_poly
-from .roots import RootSystem, build_root_system
+from .roots import RootSystem
 from .util import pochhammer
 
 _PHASES = (1 + 0j, -1j, -1 + 0j, 1j)  # (-i)^m for m mod 4
@@ -361,44 +360,30 @@ def sphere_pairing_residual(
 
 # -- Gaussian transforms ----------------------------------------------------
 
-_CTX_1D: dict[Fraction, DunklContext] = {}
-_MOMENT_1D: dict[tuple[Fraction, int], Fraction] = {}
-
-
-def _moment_1d(kappa: Fraction, exponent: int) -> Fraction:
-    """Exact normalized Gaussian moment of x^exponent for one coordinate."""
-    if exponent % 2:
-        return Fraction(0)
-    key = (kappa, exponent)
-    value = _MOMENT_1D.get(key)
-    if value is None:
-        ctx = _CTX_1D.get(kappa)
-        if ctx is None:
-            ctx = DunklContext(build_root_system("z2:d=1", [kappa]))
-            _CTX_1D[kappa] = ctx
-        value = gaussian_moment(ctx, Poly.monomial(1, (exponent,)))
-        _MOMENT_1D[key] = value
-    return value
-
-
 def _gauss_factor(
     kappa: Fraction, exponent: int, t: float, n_terms: int | None
 ) -> complex:
-    """One-coordinate factor sum_n a_n (-i t)^n moment(exponent + n)."""
+    """One-coordinate factor sum_n a_n (-i t)^n M(exponent + n).
+
+    M is the normalized one-dimensional Gaussian moment: M(m) = 0 for odd m,
+    M(2b) = 2^b (kappa+1/2)_b, so M(m+2) = (2 kappa + 1 + m) M(m).  The
+    exact product a_n M(exponent + n) is carried as one running factor and
+    each term is rounded once.
+    """
     z = -1j * t
     acc = 0j
     zpow = 1 + 0j
     biggest = 0.0
-    coeffs = kernel_coefficients(kappa, n_terms) if n_terms is not None else None
     limit = n_terms if n_terms is not None else 400
-    running = Fraction(1)
+    b = (exponent + 1) // 2  # the first even moment index 2b >= exponent
+    weight = 2**b * pochhammer(kappa + Fraction(1, 2), b)
+    step = 2 * kappa + 1 + exponent
     for n in range(limit + 1):
         if n:
-            div = Fraction(n) + (2 * kappa if n % 2 else 0)
-            running /= div
-        a = coeffs[n] if coeffs is not None else running
+            weight /= Fraction(n) + (2 * kappa if n % 2 else 0)
         if (exponent + n) % 2 == 0:
-            term = float(a * _moment_1d(kappa, exponent + n)) * zpow
+            term = float(weight) * zpow
+            weight *= step + n
             acc += term
             biggest = max(biggest, abs(term))
             if n_terms is None and abs(term) < 1e-18 * max(1.0, biggest) and n > abs(t) ** 2:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import dunklcalc.radial
 from dunklcalc.cli import main
 from dunklcalc.poly import parse_poly
 
@@ -127,6 +128,32 @@ def test_hobson_cli_residual_zero(capsys):
     payload = json.loads(out)
     assert payload["residual"] == "0"
     assert payload["status"] == "pass"
+
+
+def test_hobson_degree_above_cap_exits_two(capsys):
+    code, _, err = run_cli(
+        capsys, "hobson", "--system", "z2:d=1", "--kappa", "1",
+        "--poly", "x1^1500", "--profile", "r^2",
+    )
+    assert code == 2
+    assert "exceeds" in err
+
+
+def test_hobson_cli_computes_each_side_once(capsys, monkeypatch):
+    calls = []
+    original = dunklcalc.radial.weighted_poly_of_dunkl
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dunklcalc.radial, "weighted_poly_of_dunkl", counted)
+    code, _, _ = run_cli(
+        capsys, "hobson", "--system", "b:d=2", "--kappa", "1,2",
+        "--poly", "x1^2*x2", "--profile", "r^(-3)*exp(-1/2*r^2)",
+    )
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_transform_cli(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dunklcalc.poly import (
+    MAX_DEGREE,
     ExactDivisionError,
     Poly,
     PolyParseError,
@@ -95,6 +96,45 @@ def test_parse_examples():
     assert parse_poly("x1^0", 1) == Poly.const(1, 1)
     # unicode minus from formatted output
     assert parse_poly("−2*x1", 1) == P("-2*x1", 1)
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("\u22122*x1 + x2", {(1, 0): Q(-2), (0, 1): Q(1)}),  # unicode minus
+        (" 3 / 4 * x1 ^ 2\t-x2 ", {(2, 0): Q(3, 4), (0, 1): Q(-1)}),
+        ("+x1*x2*5", {(1, 1): Q(5)}),
+        ("x1^0", {(0, 0): Q(1)}),
+        ("x1 - x1", {}),
+        (f"x1^{MAX_DEGREE}", {(MAX_DEGREE, 0): Q(1)}),
+    ],
+)
+def test_poly_grammar_accepts(text, terms):
+    assert parse_poly(text, 2) == Poly(2, terms)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("x 1", 1),  # whitespace may not split a token
+        ("x0", 0),
+        ("x3", 0),
+        ("1/0", 1),  # the slash
+        ("x1 &", 3),
+        ("", 0),
+        ("  ", 2),  # end of input: the length of the text
+        ("x1 +", 4),
+        ("x1^", 3),
+        ("- -x1", 2),
+        ("2/ x1", 3),
+        (f"x2 - x1^{MAX_DEGREE}*x2", 5),  # degree cap, at the term
+        pytest.param("1" * 5000, 0, id="5000-digit number"),
+    ],
+)
+def test_poly_grammar_rejects(text, position):
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text, 2)
+    assert err.value.position == position
 
 
 def test_format_canonical_order():

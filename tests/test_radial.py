@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dunklcalc.operators import DunklContext, poly_of_dunkl
-from dunklcalc.poly import Poly, norm_sq_poly, parse_poly
+from dunklcalc.poly import Poly, PolyParseError, norm_sq_poly, parse_poly
 from dunklcalc.radial import (
     RadialProfile,
     WeightedFunction,
+    format_profile,
     hobson_lhs,
     hobson_residual,
     hobson_rhs,
@@ -279,3 +281,55 @@ def test_parse_profile_unit_gaussian_rate():
     for text in ("exp(-)", "exp(-r)", "exp(2*r)", "exp(r^2"):
         with pytest.raises(ValueError):
             parse_profile(text)
+
+
+@pytest.mark.parametrize(
+    "text, profile",
+    [
+        ("\u2212r^2", RadialProfile.power(2).scale(-1)),  # unicode minus
+        (" 2 * r ^ ( -3/2 )\t* exp ( -1/2*r^2 ) ",
+         RadialProfile.power_gauss(Q(-3, 2), Q(-1, 2)).scale(2)),
+        ("r^3/2", RadialProfile.power(Q(3, 2))),  # a bare p/q exponent
+        ("exp(- r^2)", RadialProfile.gaussian(-1)),
+        ("r*r", RadialProfile.power(2)),
+        ("3/4", RadialProfile.power(0).scale(Q(3, 4))),
+    ],
+)
+def test_profile_grammar_accepts(text, profile):
+    assert parse_profile(text) == profile
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("r^(-)", 4),
+        ("r^(- 3)", 4),  # a sign must touch its digits
+        ("exp(r)", 4),
+        ("exp(2 * r^2)", 6),
+        ("1/0", 1),  # the slash
+        ("r^2/ 0", 3),
+        ("r^2 &", 4),
+        ("", 0),
+        ("r^2 *", 5),  # end of input: the length of the text
+        ("x1", 0),
+    ],
+)
+def test_profile_grammar_rejects(text, position):
+    with pytest.raises(PolyParseError) as err:
+        parse_profile(text)
+    assert err.value.position == position
+
+
+rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 4))
+profiles = st.builds(
+    RadialProfile.make,
+    rationals,
+    rationals,
+    st.dictionaries(st.integers(0, 3), rationals, max_size=4),
+)
+
+
+@given(profiles)
+@settings(max_examples=200, deadline=None)
+def test_profile_text_round_trip(profile):
+    assert parse_profile(format_profile(profile)) == profile
