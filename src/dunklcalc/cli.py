@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 internal invariant violation (an exact identity the implementation
-guarantees was found broken).
+guarantees was found broken), 4 numeric limit (a series or a quadrature
+could not reach its bound at the requested point).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -30,13 +32,20 @@ from .operators import (
 from .poly import ExactDivisionError, Poly, PolyError, parse_poly
 from .radial import hobson_lhs, hobson_rhs, parse_profile
 from .roots import RootSystemError, build_root_system
-from .transform import dunkl_transform_gauss_poly, hecke_residual, z2_kappas
+from .transform import (
+    QuadratureError,
+    TruncationError,
+    dunkl_transform_gauss_poly,
+    hecke_residual,
+    z2_kappas,
+)
 from .util import parse_rational
 from .verify import SUITES, default_runs
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 1
 INTERNAL_EXIT = 3
+NUMERIC_EXIT = 4
 
 
 class UsageError(ValueError):
@@ -103,16 +112,18 @@ def _cmd_hobson(args) -> int:
     rhs = hobson_rhs(ctx, p, profile)
     residual = (lhs - rhs).canonical()
     ok = residual.is_zero()
+    # each str() of a WeightedFunction canonicalizes it, so format once
+    lhs_text, rhs_text = str(lhs), str(rhs)
     payload = {
         "system": args.system,
         "poly": str(p),
         "profile": str(profile),
-        "lhs": str(lhs),
-        "rhs": str(rhs),
+        "lhs": lhs_text,
+        "rhs": rhs_text,
         "residual": "0" if ok else str(residual),
         "status": "pass" if ok else "fail",
     }
-    _emit(args, payload, f"lhs = {lhs}\nrhs = {rhs}\nresidual = {payload['residual']}")
+    _emit(args, payload, f"lhs = {lhs_text}\nrhs = {rhs_text}\nresidual = {payload['residual']}")
     return 0 if ok else FAILURE_EXIT
 
 
@@ -190,6 +201,8 @@ def _cmd_transform(args) -> int:
     y = [float(v) for v in args.y.split(",") if v.strip()]
     if len(y) != ctx.dim:
         raise UsageError(f"--y needs {ctx.dim} coordinates")
+    if not all(math.isfinite(v) for v in y):
+        raise UsageError("--y coordinates must be finite")
     value = dunkl_transform_gauss_poly(ctx, p, y)
     payload = {
         "system": args.system,
@@ -324,6 +337,9 @@ def main(argv=None) -> int:
     except (ExactDivisionError, ArithmeticError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
+    except (TruncationError, QuadratureError) as exc:
+        print(f"error: numeric limit: {exc}", file=sys.stderr)
+        return NUMERIC_EXIT
 
 
 if __name__ == "__main__":

@@ -56,10 +56,9 @@ class DunklContext:
         key = (root_index, e)
         cached = self._quotients.get(key)
         if cached is None:
-            alpha = self.rs.positive_roots[root_index]
             mono = Poly.monomial(self.dim, e)
-            diff = mono - compose_reflection(mono, alpha)
-            cached = divide_exact_by_linear(diff, alpha)
+            diff = mono - compose_reflection(mono, self.rs.reflections[root_index])
+            cached = divide_exact_by_linear(diff, self.rs.positive_roots[root_index])
             self._quotients[key] = cached
         return cached
 

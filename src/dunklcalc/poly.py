@@ -3,13 +3,14 @@
 Terms live in a dict keyed by exponent tuples with nonzero Fraction
 coefficients, so equality is exact structural equality of canonical forms.
 Besides ring arithmetic the module provides the two primitives the Dunkl
-calculus leans on: substitution of a reflection and exact division by the
-linear form <a, x> of a root (and by the squared norm, which the harmonic
-decomposition needs).
+calculus leans on: substitution of a reflection (compiled once per root into
+a ReflectionAction) and exact division by the linear form <a, x> of a root
+(and by the squared norm, which the harmonic decomposition needs).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Callable, Mapping, Sequence
@@ -257,21 +258,61 @@ def reflection_variable_images(alpha: Sequence[Fraction], dim: int) -> list[Poly
     return images
 
 
-def compose_reflection(p: Poly, alpha: Sequence) -> Poly:
-    """Substitute the reflection in alpha^perp into p; an involution."""
-    images = reflection_variable_images(alpha, p.dim)
+@dataclass(frozen=True)
+class ReflectionAction:
+    """The substitution x -> r_alpha x of one root, compiled once.
 
-    # Most systems of interest reflect by signed coordinate permutations, in
-    # which case monomials map to signed monomials and no expansion is needed.
-    signed: list[tuple[int, int]] | None = []
-    for img in images:
-        if len(img.terms) == 1:
-            (e, c), = img.terms.items()
-            if sum(e) == 1 and abs(c) == 1:
-                signed.append((e.index(1), 1 if c > 0 else -1))
-                continue
-        signed = None
-        break
+    When the reflection is a signed coordinate permutation, signed[i] is the
+    pair (t, s) with (r_alpha x)_i = s * x_t, and a monomial maps to one
+    signed monomial.  Otherwise images[i] is the linear polynomial
+    (r_alpha x)_i, and substitution expands products of them.
+    """
+
+    dim: int
+    signed: tuple[tuple[int, int], ...] | None
+    images: tuple[Poly, ...] | None
+
+    def reflect_vector(self, v: Sequence) -> tuple:
+        """r_alpha v; exact for Fraction entries."""
+        if self.signed is not None:
+            return tuple(v[t] if s > 0 else -v[t] for t, s in self.signed)
+        return tuple(img.evaluate(v) for img in self.images)
+
+
+def compile_reflection(alpha: Sequence) -> ReflectionAction:
+    """The reflection in alpha^perp, classified by the shape of alpha.
+
+    It is a signed coordinate permutation exactly when alpha has one nonzero
+    entry (a sign flip) or two of equal size (a signed transposition); any
+    other root keeps the general linear images.
+    """
+    alpha = [Fraction(a) for a in alpha]
+    dim = len(alpha)
+    support = [i for i, a in enumerate(alpha) if a]
+    signed = [(i, 1) for i in range(dim)]
+    if len(support) == 1:
+        k = support[0]
+        signed[k] = (k, -1)
+    elif len(support) == 2 and abs(alpha[support[0]]) == abs(alpha[support[1]]):
+        j, k = support
+        # alpha ~ e_j + eps e_k swaps x_j and x_k with the sign -eps
+        s = -1 if (alpha[j] > 0) == (alpha[k] > 0) else 1
+        signed[j], signed[k] = (k, s), (j, s)
+    else:
+        return ReflectionAction(dim, None, tuple(reflection_variable_images(alpha, dim)))
+    return ReflectionAction(dim, tuple(signed), None)
+
+
+def compose_reflection(p: Poly, alpha: ReflectionAction | Sequence) -> Poly:
+    """Substitute the reflection in alpha^perp into p; an involution.
+
+    alpha is a root vector or its compiled ReflectionAction (the root
+    system keeps one per positive root, so repeated calls skip the compile).
+    """
+    action = alpha if isinstance(alpha, ReflectionAction) else compile_reflection(alpha)
+    if action.dim != p.dim:
+        raise PolyError("root has wrong dimension")
+    signed = action.signed
     if signed is not None:
         out: dict[Exponent, Fraction] = {}
         for e, c in p.terms.items():
@@ -287,6 +328,7 @@ def compose_reflection(p: Poly, alpha: Sequence) -> Poly:
             out[key] = out.get(key, 0) + sign * c
         return Poly(p.dim, out)
 
+    images = action.images
     result = Poly.zero(p.dim)
     power_cache: list[dict[int, Poly]] = [dict() for _ in range(p.dim)]
 

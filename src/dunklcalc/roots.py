@@ -11,13 +11,19 @@ families; anything else can be supplied as an explicit rational root list.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .poly import ReflectionAction, compile_reflection
 from .util import parse_rational
 
 Vector = tuple[Fraction, ...]
+
+# Largest dimension of a catalog or custom system, checked before any root is
+# built: far above the d <= 5 the suites use, and a:d=N alone has N(N-1)/2
+# roots of N entries each.
+MAX_DIM = 16
 
 
 class RootSystemError(ValueError):
@@ -63,6 +69,9 @@ class RootSystem:
     positive_roots: tuple[Vector, ...]
     orbits: tuple[tuple[int, ...], ...]
     multiplicities: tuple[Fraction, ...]
+    # reflections[i] is the compiled action of positive_roots[i]; it is
+    # derived from the roots, so it takes no part in equality or repr.
+    reflections: tuple[ReflectionAction, ...] = field(compare=False, repr=False)
 
     def kappa_by_root(self) -> tuple[Fraction, ...]:
         """Multiplicity of each positive root, aligned with positive_roots."""
@@ -102,11 +111,14 @@ def _parallel(a: Vector, b: Vector) -> bool:
     return False  # a == 0, rejected elsewhere
 
 
-def _orbit_partition(roots: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
+def _orbit_partition(
+    roots: Sequence[Vector], actions: Sequence[ReflectionAction]
+) -> tuple[tuple[int, ...], ...]:
     """Partition root indices into orbits, checking reflection closure.
 
     Two positive roots are in one orbit when some chain of reflections in
-    roots of the system links them (signs discarded).
+    roots of the system links them (signs discarded); actions[i] is the
+    compiled reflection in roots[i].
     """
     index: dict[Vector, int] = {}
     for i, r in enumerate(roots):
@@ -119,9 +131,9 @@ def _orbit_partition(roots: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
             i = parent[i]
         return i
 
-    for alpha in roots:
+    for alpha, action in zip(roots, actions):
         for j, beta in enumerate(roots):
-            image = reflect(alpha, beta)
+            image = action.reflect_vector(beta)
             k = index.get(image)
             if k is None:
                 k = index.get(tuple(-c for c in image))
@@ -144,6 +156,13 @@ def _fmt_vec(v: Vector) -> str:
     return "(" + ", ".join(str(c) for c in v) + ")"
 
 
+def _check_dim(d: int) -> None:
+    if d < 1:
+        raise RootSystemError("dimension must be positive")
+    if d > MAX_DIM:
+        raise RootSystemError(f"dimension {d} exceeds the limit of {MAX_DIM}")
+
+
 def _catalog_roots(name: str) -> tuple[int, list[Vector]]:
     kind, _, rest = name.partition(":")
     params: dict[str, str] = {}
@@ -155,8 +174,7 @@ def _catalog_roots(name: str) -> tuple[int, list[Vector]]:
         d = int(params["d"])
     except (KeyError, ValueError):
         raise RootSystemError(f"catalog name {name!r} needs an integer d parameter")
-    if d < 1:
-        raise RootSystemError("dimension must be positive")
+    _check_dim(d)
 
     def unit(i: int) -> Vector:
         return tuple(Fraction(1 if j == i else 0) for j in range(d))
@@ -187,6 +205,7 @@ def load_custom_file(path: str) -> tuple[int, list[Vector], list[Fraction]]:
         data = json.load(fh)
     try:
         dim = int(data["dim"])
+        _check_dim(dim)
         roots = [
             tuple(parse_rational(str(c)) for c in row) for row in data["roots"]
         ]
@@ -233,7 +252,8 @@ def build_root_system(
                     "are proportional"
                 )
 
-    orbits = _orbit_partition(roots)
+    actions = tuple(compile_reflection(r) for r in roots)
+    orbits = _orbit_partition(roots, actions)
 
     if multiplicities is None:
         raise RootSystemError("multiplicities are required (one per orbit)")
@@ -261,4 +281,4 @@ def build_root_system(
             f"{len(roots)} (one per root), got {len(mults)}"
         )
 
-    return RootSystem(dim, tuple(roots), orbits, per_orbit)
+    return RootSystem(dim, tuple(roots), orbits, per_orbit, actions)

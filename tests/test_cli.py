@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import dunklcalc.cli
 import dunklcalc.radial
+import dunklcalc.roots
 from dunklcalc.cli import main
 from dunklcalc.poly import parse_poly
 
@@ -156,6 +158,24 @@ def test_hobson_cli_computes_each_side_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_hobson_cli_formats_each_side_once(capsys, monkeypatch):
+    calls = []
+    original = dunklcalc.radial.WeightedFunction.__str__
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(dunklcalc.radial.WeightedFunction, "__str__", counted)
+    code, out, _ = run_cli(
+        capsys, "hobson", "--system", "b:d=2", "--kappa", "1,2",
+        "--poly", "x1^2*x2", "--profile", "r^(-3)*exp(-1/2*r^2)",
+    )
+    assert code == 0
+    assert len(calls) == 2
+    assert out.startswith("lhs = ") and "\nrhs = " in out
+
+
 def test_transform_cli(capsys):
     code, out, _ = run_cli(
         capsys, "transform", "--system", "z2:d=1", "--kappa", "1/2",
@@ -164,6 +184,55 @@ def test_transform_cli(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["hecke_residual"] <= 1e-9
+
+
+def test_transform_past_series_limit_exits_four(capsys):
+    code, out, err = run_cli(
+        capsys, "transform", "--system", "z2:d=1", "--kappa", "1", "--poly", "x1",
+        "--y=40",
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: numeric limit:") and err.count("\n") == 1
+
+
+def test_quadrature_error_exits_four(capsys, monkeypatch):
+    from dunklcalc.transform import QuadratureError
+
+    def broken(*args, **kwargs):
+        raise QuadratureError("adaptive quadrature tolerance not reached")
+
+    monkeypatch.setattr(dunklcalc.cli, "dunkl_transform_gauss_poly", broken)
+    code, _, err = run_cli(
+        capsys, "transform", "--system", "z2:d=1", "--kappa", "1", "--poly", "x1",
+        "--y", "1.0",
+    )
+    assert code == 4
+    assert err == "error: numeric limit: adaptive quadrature tolerance not reached\n"
+
+
+@pytest.mark.parametrize("y", ["nan,1", "inf,0", "1.0,-inf"])
+def test_transform_non_finite_point_exits_two(capsys, y):
+    code, out, err = run_cli(
+        capsys, "transform", "--system", "z2:d=2", "--kappa", "1,1", "--poly", "x1",
+        f"--y={y}",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--y coordinates must be finite" in err
+
+
+def test_oversized_system_exits_two_before_any_root(capsys, monkeypatch):
+    def no_roots(*args):
+        raise AssertionError("a root entry was built past the dimension cap")
+
+    monkeypatch.setattr(dunklcalc.roots, "Fraction", no_roots)
+    code, _, err = run_cli(
+        capsys, "apply", "--system", "a:d=100000", "--kappa", "1", "--xi", "1",
+        "--poly", "x1",
+    )
+    assert code == 2
+    assert "exceeds the limit of 16" in err
 
 
 def test_verify_default_transforms_fails_loud(capsys, monkeypatch):

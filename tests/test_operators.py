@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import dunklcalc.poly
 from dunklcalc.operators import (
     DunklContext,
     adjoint_formula_residual,
@@ -21,6 +22,8 @@ from dunklcalc.poly import (
     ExactDivisionError,
     Poly,
     classical_laplacian,
+    compose_reflection,
+    linear_form,
     norm_sq_poly,
     parse_poly,
     partial_derivative,
@@ -125,6 +128,24 @@ def test_root_scale_invariance():
         p = random_poly(rng, 2, 5)
         xi = (Q(1), Q(-2))
         assert dunkl_apply(base, xi, p) == dunkl_apply(scaled, xi, p)
+
+
+def test_quotient_miss_uses_the_compiled_reflection(monkeypatch):
+    ctx = make_ctx("b:d=3", ["1", "2"])
+    calls = []
+    original = dunklcalc.poly.reflection_variable_images
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dunklcalc.poly, "reflection_variable_images", counted)
+    mono = Poly.monomial(3, (3, 1, 2))
+    for idx, alpha in enumerate(ctx.rs.positive_roots):
+        q = ctx._quotient(idx, (3, 1, 2))
+        assert q * linear_form(alpha) == mono - compose_reflection(mono, alpha)
+    assert len(ctx._quotients) == len(ctx.rs.positive_roots)  # every call missed
+    assert calls == []
 
 
 def test_rotated_system_commutativity():

@@ -7,6 +7,7 @@ from dunklcalc.poly import (
     MAX_DEGREE,
     ExactDivisionError,
     Poly,
+    PolyError,
     PolyParseError,
     classical_laplacian,
     compose_reflection,
@@ -59,6 +60,13 @@ def test_compose_reflection_general_direction():
     q = compose_reflection(p, (3, 4))
     assert q != p
     assert compose_reflection(q, (3, 4)) == p
+
+
+def test_compose_reflection_dimension_mismatch():
+    with pytest.raises(PolyError):
+        compose_reflection(P("x1"), (1, 0, 0))
+    with pytest.raises(PolyError):
+        compose_reflection(P("x1"), (0, 0))  # zero root
 
 
 def test_divide_exact_by_linear_examples():

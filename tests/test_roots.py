@@ -1,9 +1,13 @@
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import dunklcalc.roots
+from dunklcalc.poly import Poly, compose_reflection, reflection_variable_images
 from dunklcalc.roots import (
+    MAX_DIM,
     RootSystemError,
     build_root_system,
     constants,
@@ -190,3 +194,153 @@ def test_custom_file_loading(tmp_path):
     )
     rs = build_root_system(f"custom:{path}")
     assert rs.multiplicities == (Q(1, 2), Q(2))
+
+
+# -- compiled reflection actions ---------------------------------------------
+
+CATALOG = [f"z2:d={d}" for d in range(1, 6)] + [
+    f"{kind}:d={d}" for kind in ("a", "b", "d") for d in range(2, 6)
+]
+# roots whose reflection is not a signed permutation, the last with two
+# nonzero entries of unequal size
+GENERAL_ROOTS = [(3, 4), (1, 2, 2), (1, 1, 1), (1, 1, 1, 1), (0, 1, 0, -2, 0)]
+# roots of catalog shape, but scaled and outside any catalog system
+SCALED_ROOTS = [(0, 0, -3), (2, 0, 2), (0, 5, 0, -5)]
+# a rational rotation of b:d=2 (by the angle with cosine 3/5)
+ROTATED_B2 = [(3, 4), (-4, 3), (-1, 7), (7, 1)]
+
+
+def _catalog_system(name):
+    count = len(dunklcalc.roots._catalog_roots(name)[1])
+    return build_root_system(name, [0] * count)
+
+
+def _actions_by_dim():
+    """dim -> [(root, its compiled action, True if a signed permutation)]."""
+    out = {}
+    for name in CATALOG:
+        rs = _catalog_system(name)
+        for root, action in zip(rs.positive_roots, rs.reflections):
+            out.setdefault(rs.dim, []).append((root, action, True))
+    for roots, signed in [(SCALED_ROOTS, True), (GENERAL_ROOTS, False)]:
+        for root in roots:
+            rs = build_root_system([root], [1])  # one root is a closed system
+            out.setdefault(rs.dim, []).append((rs.positive_roots[0], rs.reflections[0], signed))
+    return out
+
+
+ACTIONS = _actions_by_dim()
+
+
+def _expand_through_images(p, alpha):
+    """The generic substitution: each monomial expanded in the linear images."""
+    images = reflection_variable_images(alpha, p.dim)
+    out = Poly.zero(p.dim)
+    for e, c in p.terms.items():
+        term = Poly.const(p.dim, c)
+        for image, k in zip(images, e):
+            term = term * image**k
+        out = out + term
+    return out
+
+
+def test_action_shape_follows_root_shape():
+    for cases in ACTIONS.values():
+        for root, action, signed in cases:
+            assert (action.signed is not None) is signed, root
+            assert (action.images is None) is signed, root
+
+
+@pytest.mark.parametrize("dim", sorted(ACTIONS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_compiled_action_matches_generic_expansion(dim, data):
+    exponent = st.lists(st.integers(0, 6), min_size=dim, max_size=dim).filter(
+        lambda e: sum(e) <= 6
+    ).map(tuple)
+    terms = data.draw(st.dictionaries(exponent, rational, max_size=5))
+    p = Poly(dim, terms)
+    x = tuple(data.draw(st.lists(rational, min_size=dim, max_size=dim)))
+    for root, action, _ in ACTIONS[dim]:
+        assert compose_reflection(p, action) == _expand_through_images(p, root), root
+        assert compose_reflection(p, root) == compose_reflection(p, action)
+        assert action.reflect_vector(x) == reflect(root, x), root
+
+
+def _reference_partition(roots):
+    """The orbit partition through the generic reflect, as built before."""
+    index = {r: i for i, r in enumerate(roots)}
+    parent = list(range(len(roots)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for alpha in roots:
+        for j, beta in enumerate(roots):
+            image = reflect(alpha, beta)
+            k = index.get(image, index.get(tuple(-c for c in image)))
+            ri, rj = find(j), find(k)
+            parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(roots)):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+
+
+def test_orbits_match_reflect_based_partition(tmp_path):
+    systems = [_catalog_system(name) for name in CATALOG]
+    path = tmp_path / "rotated_b2.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "roots": [[str(c) for c in r] for r in ROTATED_B2],
+        "multiplicities": ["1/2", "3"],
+    }))
+    custom = build_root_system(f"custom:{path}")
+    assert len(custom.orbits) == 2
+    systems.append(custom)
+    for rs in systems:
+        reference = _reference_partition(rs.positive_roots)
+        assert rs.orbits == reference
+        kappas = [Q(k + 1, 2) for k in range(len(reference))]
+        expected = [None] * len(rs.positive_roots)
+        for orbit, kappa in zip(reference, kappas):
+            for i in orbit:
+                expected[i] = kappa
+        rebuilt = build_root_system([list(r) for r in rs.positive_roots], kappas)
+        assert rebuilt.kappa_by_root() == tuple(expected)
+
+
+def test_reflections_leave_equality_and_repr_alone():
+    rs = build_root_system("b:d=2", [1, 2])
+    assert len(rs.reflections) == len(rs.positive_roots)
+    assert "reflections" not in repr(rs)
+    again = build_root_system("b:d=2", [1, 2])
+    assert rs == again and hash(rs) == hash(again)
+
+
+# -- dimension cap -------------------------------------------------------------
+
+
+def _no_roots(*args, **kwargs):
+    raise AssertionError("a root entry was built past the dimension cap")
+
+
+@pytest.mark.parametrize("name", ["z2:d=1000000", "a:d=100000", f"d:d={MAX_DIM + 1}"])
+def test_catalog_dimension_capped_before_any_root(name, monkeypatch):
+    monkeypatch.setattr(dunklcalc.roots, "Fraction", _no_roots)
+    with pytest.raises(RootSystemError, match="exceeds the limit"):
+        build_root_system(name, [1])
+
+
+def test_custom_dimension_capped_before_any_root(tmp_path, monkeypatch):
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 1000000, "roots": [["1"]], "multiplicities": ["1"]}')
+    monkeypatch.setattr(dunklcalc.roots, "parse_rational", _no_roots)
+    with pytest.raises(RootSystemError, match="exceeds the limit"):
+        build_root_system(f"custom:{path}")
+
+
+def test_dimension_cap_is_inclusive():
+    assert build_root_system(f"z2:d={MAX_DIM}", [1] * MAX_DIM).dim == MAX_DIM
