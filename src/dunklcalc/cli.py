@@ -84,8 +84,8 @@ def _cmd_apply(args) -> int:
     xi = _split_rationals(args.xi) if args.xi else None
     if not xi or len(xi) != ctx.dim:
         raise UsageError(f"--xi needs {ctx.dim} comma-separated rationals")
-    result = dunkl_apply(ctx, xi, p)
-    _emit(args, {"system": args.system, "input": str(p), "result": str(result)}, str(result))
+    text = str(dunkl_apply(ctx, xi, p))
+    _emit(args, {"system": args.system, "input": str(p), "result": text}, text)
     return 0
 
 
@@ -97,8 +97,8 @@ def _cmd_laplacian(args) -> int:
         "expr": dunkl_laplacian_expr,
         "invariant": dunkl_laplacian_invariant,
     }[args.route]
-    result = route(ctx, p)
-    _emit(args, {"system": args.system, "route": args.route, "result": str(result)}, str(result))
+    text = str(route(ctx, p))
+    _emit(args, {"system": args.system, "route": args.route, "result": text}, text)
     return 0
 
 
@@ -137,7 +137,8 @@ def _cmd_project(args) -> int:
             result = clebsch_project_maxwell(ctx, p)
         except MaxwellDegenerateError as exc:
             raise UsageError(str(exc)) from exc
-    _emit(args, {"system": args.system, "route": args.route, "result": str(result)}, str(result))
+    text = str(result)
+    _emit(args, {"system": args.system, "route": args.route, "result": text}, text)
     return 0
 
 
@@ -158,8 +159,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_hermite(args) -> int:
     ctx = _context_from_args(args)
     p = _poly_from_args(args, ctx)
-    result = hermite_poly(ctx, p)
-    _emit(args, {"system": args.system, "result": str(result)}, str(result))
+    text = str(hermite_poly(ctx, p))
+    _emit(args, {"system": args.system, "result": text}, text)
     return 0
 
 

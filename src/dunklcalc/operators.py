@@ -174,10 +174,11 @@ def dunkl_laplacian_expr(ctx: DunklContext, p: Poly) -> Poly:
     for idx in ctx._active:
         alpha = ctx.rs.positive_roots[idx]
         norm = sum((a * a for a in alpha), Fraction(0))
-        inner = Poly.zero(ctx.dim)
+        inner: dict[Exponent, Fraction] = {}
         for e, c in p.terms.items():
-            inner = inner + ctx._quotient(idx, e).scale(c)
-        numerator = partial_derivative(p, alpha).scale(2) - inner.scale(norm)
+            for f, w in ctx._quotient(idx, e).terms.items():
+                inner[f] = inner.get(f, 0) + c * w
+        numerator = partial_derivative(p, alpha).scale(2) - Poly(ctx.dim, inner).scale(norm)
         result = result + divide_exact_by_linear(numerator, alpha).scale(ctx._kappa[idx])
     return result
 

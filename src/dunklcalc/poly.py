@@ -218,16 +218,6 @@ def partial_derivative(p: Poly, direction: Sequence) -> Poly:
     return Poly(p.dim, out)
 
 
-def partial_coord(p: Poly, index: int) -> Poly:
-    """Partial derivative in coordinate index (0-based)."""
-    out: dict[Exponent, Fraction] = {}
-    for e, c in p.terms.items():
-        if e[index]:
-            f = tuple(v - 1 if j == index else v for j, v in enumerate(e))
-            out[f] = out.get(f, 0) + c * e[index]
-    return Poly(p.dim, out)
-
-
 def classical_laplacian(p: Poly) -> Poly:
     out: dict[Exponent, Fraction] = {}
     for e, c in p.terms.items():

@@ -11,7 +11,6 @@ against per-case tolerances.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -106,9 +105,6 @@ class VerificationReport:
             out["tolerance"] = self.tolerance
         out["cases"] = [c.to_dict() for c in sorted(self.cases, key=lambda c: c.name)]
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def summary(self) -> str:
         n_pass = sum(c.status == "pass" for c in self.cases)

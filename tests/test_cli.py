@@ -3,6 +3,7 @@ import json
 import pytest
 
 import dunklcalc.cli
+import dunklcalc.poly
 import dunklcalc.radial
 import dunklcalc.roots
 from dunklcalc.cli import main
@@ -174,6 +175,36 @@ def test_hobson_cli_formats_each_side_once(capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 2
     assert out.startswith("lhs = ") and "\nrhs = " in out
+
+
+@pytest.mark.parametrize(
+    "argv, inputs",
+    [
+        (["apply", "--xi", "1,0"], 1),
+        (["laplacian", "--route", "expr"], 0),
+        (["project", "--route", "series"], 0),
+        (["hermite"], 0),
+    ],
+)
+@pytest.mark.parametrize("as_json", [False, True])
+def test_cli_formats_result_once(capsys, monkeypatch, argv, inputs, as_json):
+    calls = []
+    original = dunklcalc.poly.format_poly
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(dunklcalc.poly, "format_poly", counted)
+    extra = ["--json"] if as_json else []
+    code, out, _ = run_cli(
+        capsys, *argv, "--system", "b:d=2", "--kappa", "1,2",
+        "--poly", "x1^3*x2 - x2^4", *extra,
+    )
+    assert code == 0
+    assert len(calls) == inputs + 1
+    result = json.loads(out)["result"] if as_json else out.strip()
+    assert result in [original(p) for p in calls]
 
 
 def test_transform_cli(capsys):

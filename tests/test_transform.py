@@ -7,19 +7,25 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import dunklcalc.transform
+import dunklcalc.verify
 from dunklcalc.harmonic import hermite_poly
 from dunklcalc.integrate import pizzetti_mean, sphere_oracle_z2d
 from dunklcalc.operators import DunklContext
 from dunklcalc.poly import Poly, parse_poly
 from dunklcalc.roots import build_root_system
 from dunklcalc.transform import (
+    _GAUSS_NODES,
+    _GAUSS_WEIGHTS,
     KernelSeries1D,
     QuadratureError,
+    _bessel_error_integral,
     bessel_j,
     dunkl_kernel_z2d,
     dunkl_transform_gauss_poly,
     hankel_identity_residual,
     hankel_numeric,
+    hankel_quadrature,
     hecke_residual,
     hermite_eigen_residual,
     kernel_coefficients,
@@ -31,6 +37,12 @@ from dunklcalc.transform import (
     transform_multiplication_residual,
     truncation_order,
     z2_kappas,
+)
+from dunklcalc.verify import (
+    HANKEL_FIXED_TOL,
+    RADIAL_IDENTITY_TOL,
+    TRANSFORM_DEFAULT_RUNS,
+    transforms_suite,
 )
 
 Q = Fraction
@@ -68,7 +80,7 @@ EPS = sys.float_info.epsilon
 BOUND_ORDERS = (-0.5, -0.25, 0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 2.75, 3.5, 4.0, 5.0)
 BOUND_ARGS = (
     1e-3, 0.1, 0.5, 1.0, 2.0, 3.3, 5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0,
-    22.5, 25.0, 27.5, 29.9, 30.0,
+    22.5, 25.0, 27.5, 29.9, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0, 60.0,
 )
 
 
@@ -84,7 +96,7 @@ def test_normalized_bessel_error_bound():
                 xnu = mpmath.mpf(x) ** _mp(nu)
                 exact = mpmath.besselj(_mp(nu), x) / xnu
                 abs_sum = mpmath.besseli(_mp(nu), x) / xnu
-                err = abs(normalized_bessel(nu, x) - exact)
+                err = abs(normalized_bessel(nu, x, max_arg=60.0) - exact)
                 assert err <= 16 * EPS * abs_sum, (nu, x, float(err / (EPS * abs_sum)))
 
 
@@ -309,6 +321,122 @@ def test_hankel_zero_argument():
 def test_hankel_tail_guard():
     with pytest.raises(QuadratureError):
         hankel_numeric(lambda r: 1.0, 1.0, 1.0, tol=1e-13, rate=1e-9)
+
+
+def test_gauss_legendre_rule():
+    nodes = dict(zip(_GAUSS_NODES, _GAUSS_WEIGHTS))
+    assert len(nodes) == 20
+    for x, w in nodes.items():
+        assert -1.0 < x < 1.0 and x != 0.0
+        assert nodes[-x] == w  # symmetric nodes, equal weights
+    assert abs(math.fsum(_GAUSS_WEIGHTS) - 2.0) <= 4 * EPS
+    for k in range(40):
+        got = math.fsum(w * x**k for x, w in nodes.items())
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(got - want) <= 4 * EPS, k
+    # degree 2n = 40 is the first the rule misses
+    assert abs(math.fsum(w * x**40 for x, w in nodes.items()) - 2.0 / 41) > 1e-12
+
+
+HANKEL_ORDERS = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.5, 3.5)
+HANKEL_ARGS = (0.0, 0.5, 1.0, 2.0, 3.0)
+
+
+def _hankel_exact(nu, s, power):
+    """int r^(2 power) e^(-r^2/2) J_nu(rs)/(rs)^nu r^(2 nu + 1) dr, power <= 1.
+
+    (-d/da)^power of (2a)^-(nu+1) e^(-s^2/(4a)) at a = 1/2.
+    """
+    value = mpmath.exp(-mpmath.mpf(s) ** 2 / 2)
+    return value if power == 0 else value * (2 * (_mp(nu) + 1) - mpmath.mpf(s) ** 2)
+
+
+def _hankel_by_mpmath_quad(nu, s, power):
+    nu = _mp(nu)
+    scale = 2**nu * mpmath.gamma(nu + 1)
+
+    def f(r):
+        bessel = mpmath.hyp0f1(nu + 1, -((r * s) ** 2) / 4) / scale  # J_nu(rs)/(rs)^nu
+        return r ** (2 * power + 2 * nu + 1) * mpmath.exp(-r * r / 2) * bessel
+
+    return mpmath.quad(f, [0, 3, 6, 10, mpmath.inf])
+
+
+def test_hankel_closed_forms_match_mpmath_quadrature():
+    with mpmath.workdps(30):
+        for nu, s, power in ((-0.5, 3.0, 1), (0.5, 2.0, 0), (2.5, 1.0, 1), (1.0, 0.0, 1)):
+            got = _hankel_by_mpmath_quad(nu, s, power)
+            assert abs(got - _hankel_exact(nu, s, power)) <= mpmath.mpf(10) ** -25
+
+
+def test_bessel_error_integral_closed_form():
+    # B = 16 eps amplitude int r^(2 power + 2 nu + 1) e^(-rate r^2) I_nu(rs)/(rs)^nu dr
+    with mpmath.workdps(30):
+        for nu, s, power, rate in (
+            (-0.5, 3.0, 0, 0.5), (0.0, 0.0, 1, 0.5), (1.5, 2.0, 2, 0.5),
+            (0.5, 1.0, 3, 0.75), (2.5, 3.0, 2, 1.0),
+        ):
+            nu_mp = _mp(nu)
+            scale = 2**nu_mp * mpmath.gamma(nu_mp + 1)
+
+            def f(r):
+                abs_series = mpmath.hyp0f1(nu_mp + 1, (r * s) ** 2 / 4) / scale
+                return r ** (2 * power + 2 * nu_mp + 1) * mpmath.exp(-rate * r * r) * abs_series
+
+            want = 16 * EPS * 3.0 * mpmath.quad(f, [0, 3, 6, 10, mpmath.inf])
+            got = _bessel_error_integral(nu, s, 3.0, power, rate)
+            assert abs(got - want) <= 1e-13 * want, (nu, s, power, rate)
+
+
+def test_hankel_error_bound():
+    # |Q8 - exact| <= tail + |Q8 - Q4| + B, the bound hankel_quadrature states
+    with mpmath.workdps(30):
+        for power in (0, 1):
+            for nu in HANKEL_ORDERS:
+                for s in HANKEL_ARGS:
+                    exact = _hankel_exact(nu, s, power)
+                    for tol in (1e-12, 1e-13):
+                        value, bound = hankel_quadrature(
+                            lambda r: r ** (2 * power) * math.exp(-r * r / 2.0),
+                            nu, s, tol=tol, power=power,
+                        )
+                        err = abs(value - exact)
+                        assert err <= bound, (power, nu, s, tol, float(err), bound)
+
+
+def test_hankel_rejects_non_smooth_integrand():
+    # a jump in f0, and a branch point r^(2 nu + 1) = r^(2/3) at the origin
+    for f0, nu in (
+        (lambda r: math.exp(-r * r / 2.0) * (r < 1.3), 0.5),
+        (lambda r: math.exp(-r * r / 2.0), -1.0 / 6.0),
+    ):
+        with pytest.raises(QuadratureError):
+            hankel_numeric(f0, nu, 1.0, tol=1e-13)
+
+
+def test_hankel_bounds_back_the_default_transform_cases(monkeypatch):
+    calls = []
+
+    def recording(f0, nu, s, **kwargs):
+        value, bound = hankel_quadrature(f0, nu, s, **kwargs)
+        calls.append((s, kwargs.get("power", 0), bound))
+        return value
+
+    monkeypatch.setattr(dunklcalc.verify, "hankel_numeric", recording)
+    monkeypatch.setattr(dunklcalc.transform, "hankel_numeric", recording)
+    for system, kappas in TRANSFORM_DEFAULT_RUNS:
+        calls.clear()
+        transforms_suite(system, kappas)
+        # hankel/gauss-fixed/s* and hankel/zero-limit, then the one Hankel
+        # term of hankel/radial-multiplier (p = x1 with weight p(y) = 1)
+        assert [(s, power) for s, power, _ in calls] == [
+            (0.5, 0), (1.0, 0), (2.0, 0), (3.0, 0), (0.0, 0), (1.0, 1)
+        ]
+        for s, power, bound in calls:
+            if power == 0:
+                assert bound <= HANKEL_FIXED_TOL * math.exp(-s * s / 2.0), (system, s)
+            else:
+                assert bound <= RADIAL_IDENTITY_TOL, system
 
 
 def test_hankel_radial_multiplier_identity():
