@@ -8,9 +8,12 @@ The spherical Dirichlet moments factorize over coordinates as well, so the
 sphere pairing rounds each exact coordinate factor once (not each joint
 term) and costs O(d N^2) per monomial at truncation order N rather than
 O(N^d).  Hankel transforms use a fixed composite 20-point Gauss-Legendre
-rule at two panel counts on a window chosen from a Gaussian tail bound; the
-error bound they state adds the tail, the difference of the two rules and
-the Bessel series error integrated in closed form against the envelope.
+rule at two panel counts on a window chosen from a Gaussian tail bound,
+with the first panel graded toward the origin when r^(2 nu + 1) has a
+branch point there; the error bound they state adds the tail, the
+difference of the two rules (an estimate of the rule error), the Bessel
+series error integrated in closed form against the envelope, and the
+rounding of the sum.
 The module confirms, within stated tolerances, the spherical pairing
 formula, the Bochner-Hecke identity for the weighted Gaussian, the Hankel
 picture of transforms of radial multiples, the Hermite eigenfunction
@@ -518,16 +521,31 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 _GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_legendre(20)
 
 
-def _gauss_composite(f: Callable[[float], float], b: float, panels: int) -> float:
-    """Composite 20-point Gauss-Legendre rule on [0, b] with equal panels."""
-    half = 0.5 * b / panels
+def _gauss_composite(
+    f: Callable[[float], float], edges: Sequence[float]
+) -> tuple[float, float]:
+    """Composite 20-point Gauss-Legendre rule on the panels between edges.
+
+    Returns the sum and the sum of the absolute values of its terms, which
+    bounds the rounding of the sum.
+    """
     total = 0.0
-    for k in range(panels):
-        mid = (2 * k + 1) * half
-        total += half * sum(
-            w * f(mid + half * x) for x, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS)
-        )
-    return total
+    magnitude = 0.0
+    for a, b in zip(edges, edges[1:]):
+        half = 0.5 * (b - a)
+        mid = a + half
+        terms = [w * f(mid + half * x) for x, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS)]
+        total += half * sum(terms)
+        magnitude += half * sum(map(abs, terms))
+    return total, magnitude
+
+
+def _bisect(edges: Sequence[float]) -> list[float]:
+    """The edges with the midpoint of every panel added."""
+    out = [edges[0]]
+    for a, b in zip(edges, edges[1:]):
+        out += [0.5 * (a + b), b]
+    return out
 
 
 def _bessel_error_integral(
@@ -580,23 +598,31 @@ def hankel_quadrature(
     Bessel series argument as small as the envelope allows.
 
     On [0, cutoff] the composite 20-point Gauss-Legendre rule is applied
-    with 4 and with 8 equal panels (240 integrand evaluations); the 8-panel
-    value Q8 is returned.  The stated error bound is
+    on 4 equal panels (Q4) and with each panel halved (Q8), 240 integrand
+    evaluations in all; Q8 is returned.  When 2 nu + 1 is not an integer,
+    r^(2 nu + 1) has a branch point at r = 0, and the first panel is first
+    split geometrically toward it (ratio 1/4) until the envelope's mass on
+    the innermost panel is below tol/4; every other panel then keeps the
+    branch point at least a third of its width away, where the rule
+    converges fast.  The stated error bound is
 
-        tail + |Q8 - Q4| + B,
+        tail + |Q8 - Q4| + B + R.
 
-    where B is the Bessel series bound 16 eps I_nu(r s)/(r s)^nu of
-    normalized_bessel integrated against the envelope, which has a closed
-    form (_bessel_error_integral).  The two-rule difference stands for the
-    error of the rule, and assumes an integrand smooth on [0, cutoff]: f0
-    smooth and 2 nu + 1 a non-negative integer.  QuadratureError is raised
-    when |Q8 - Q4| > tol/2, which catches a kink or jump in f0 or a branch
-    point at r = 0.  B is not part of that test: it reflects cancellation
-    in the alternating series, which no second rule can reduce, and grows
-    like e^(s^2/(4 rate)) (3e-13 at s = 3, rate = 1/2).
+    tail bounds the discarded tail.  B bounds the Bessel series error
+    16 eps I_nu(r s)/(r s)^nu of normalized_bessel integrated against the
+    envelope, in closed form (_bessel_error_integral).  R = n eps sum|w f|
+    over the n terms of Q8 bounds the rounding of its sum.  |Q8 - Q4| is an
+    estimate, not a bound, of the rule error: it measures the error of Q4
+    and holds for Q8 when f0 is smooth on the window.  QuadratureError is
+    raised when |Q8 - Q4| > tol/2, which catches a kink or jump in f0.  B is
+    not part of that test: it reflects cancellation in the alternating
+    series, which no second rule can reduce, and grows like
+    e^(s^2/(4 rate)) (3e-13 at s = 3, rate = 1/2).
     """
     if s < 0:
         raise ValueError("transform variable must be non-negative")
+    if nu <= -1.0:
+        raise ValueError("Hankel order must exceed -1")
     j_bound = math.exp(-nu * math.log(2.0) - math.lgamma(nu + 1.0))
     env_power = 2.0 * power + 2.0 * nu + 1.0
     cutoff = 6.0
@@ -608,6 +634,15 @@ def hankel_quadrature(
         if cutoff > 60.0:
             raise QuadratureError("gaussian tail bound cannot reach the tolerance")
     arg_limit = max(BESSEL_SERIES_MAX, cutoff * s + 1.0)
+    edges = [k * cutoff / 4 for k in range(5)]
+    if not (2.0 * nu + 1.0).is_integer():
+        inner = edges[1]
+        # envelope mass on [0, inner] <= amplitude j_bound inner^(e+1) / (e+1)
+        while amplitude * j_bound * inner ** (env_power + 1.0) > (
+            0.25 * tol * (env_power + 1.0)
+        ):
+            inner *= 0.25
+            edges.insert(1, inner)
 
     def integrand(r: float) -> float:
         return (
@@ -616,15 +651,18 @@ def hankel_quadrature(
             * r ** (2.0 * nu + 1.0)
         )
 
-    coarse = _gauss_composite(integrand, cutoff, 4)
-    fine = _gauss_composite(integrand, cutoff, 8)
+    fine_edges = _bisect(edges)
+    coarse, _ = _gauss_composite(integrand, edges)
+    fine, magnitude = _gauss_composite(integrand, fine_edges)
     gap = abs(fine - coarse)
     if gap > 0.5 * tol:
         raise QuadratureError(
-            f"Gauss-Legendre rules with 4 and 8 panels differ by {gap:.3g}, "
-            f"above {0.5 * tol:.3g}"
+            f"Gauss-Legendre rules on {len(edges) - 1} and {len(fine_edges) - 1} "
+            f"panels differ by {gap:.3g}, above {0.5 * tol:.3g}"
         )
-    return fine, tail + gap + _bessel_error_integral(nu, s, amplitude, power, rate)
+    rounding = 20 * (len(fine_edges) - 1) * sys.float_info.epsilon * magnitude
+    bessel = _bessel_error_integral(nu, s, amplitude, power, rate)
+    return fine, tail + gap + bessel + rounding
 
 
 def hankel_numeric(

@@ -231,7 +231,7 @@ def test_quadrature_error_exits_four(capsys, monkeypatch):
     from dunklcalc.transform import QuadratureError
 
     def broken(*args, **kwargs):
-        raise QuadratureError("adaptive quadrature tolerance not reached")
+        raise QuadratureError("Gauss-Legendre rules on 4 and 8 panels differ by 1e-07")
 
     monkeypatch.setattr(dunklcalc.cli, "dunkl_transform_gauss_poly", broken)
     code, _, err = run_cli(
@@ -239,7 +239,9 @@ def test_quadrature_error_exits_four(capsys, monkeypatch):
         "--y", "1.0",
     )
     assert code == 4
-    assert err == "error: numeric limit: adaptive quadrature tolerance not reached\n"
+    assert err == (
+        "error: numeric limit: Gauss-Legendre rules on 4 and 8 panels differ by 1e-07\n"
+    )
 
 
 @pytest.mark.parametrize("y", ["nan,1", "inf,0", "1.0,-inf"])

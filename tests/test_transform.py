@@ -339,6 +339,8 @@ def test_gauss_legendre_rule():
 
 
 HANKEL_ORDERS = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.5, 3.5)
+# 2 nu + 1 not an integer: r^(2 nu + 1) has a branch point at r = 0
+BRANCH_ORDERS = (-0.49, -1.0 / 3.0, -1.0 / 6.0, 1.0 / 6.0, 1.0 / 3.0, 0.75, 4.0 / 3.0, 2.2)
 HANKEL_ARGS = (0.0, 0.5, 1.0, 2.0, 3.0)
 
 
@@ -389,10 +391,10 @@ def test_bessel_error_integral_closed_form():
 
 
 def test_hankel_error_bound():
-    # |Q8 - exact| <= tail + |Q8 - Q4| + B, the bound hankel_quadrature states
+    # |Q8 - exact| <= tail + |Q8 - Q4| + B + R, the bound hankel_quadrature states
     with mpmath.workdps(30):
         for power in (0, 1):
-            for nu in HANKEL_ORDERS:
+            for nu in HANKEL_ORDERS + BRANCH_ORDERS:
                 for s in HANKEL_ARGS:
                     exact = _hankel_exact(nu, s, power)
                     for tol in (1e-12, 1e-13):
@@ -402,16 +404,35 @@ def test_hankel_error_bound():
                         )
                         err = abs(value - exact)
                         assert err <= bound, (power, nu, s, tol, float(err), bound)
+                        assert err <= tol, (power, nu, s, tol, float(err))
+
+
+def test_hankel_order_must_exceed_minus_one():
+    # at nu = -5/4 the integrand is not integrable at 0 and no graded panel
+    # can make the envelope's mass on it small
+    with pytest.raises(ValueError):
+        hankel_numeric(lambda r: math.exp(-r * r / 2.0), -1.25, 1.0)
 
 
 def test_hankel_rejects_non_smooth_integrand():
-    # a jump in f0, and a branch point r^(2 nu + 1) = r^(2/3) at the origin
-    for f0, nu in (
-        (lambda r: math.exp(-r * r / 2.0) * (r < 1.3), 0.5),
-        (lambda r: math.exp(-r * r / 2.0), -1.0 / 6.0),
+    # a jump or a kink in f0, with and without a branch point at the origin
+    for f0 in (
+        lambda r: math.exp(-r * r / 2.0) * (r < 1.3),
+        lambda r: math.exp(-r * r / 2.0) * abs(r - 1.3),
     ):
-        with pytest.raises(QuadratureError):
-            hankel_numeric(f0, nu, 1.0, tol=1e-13)
+        for nu in (0.5, -1.0 / 6.0, 4.0 / 3.0):
+            with pytest.raises(QuadratureError):
+                hankel_numeric(f0, nu, 1.0, tol=1e-13)
+
+
+@pytest.mark.parametrize("kappa", ["2/3", "1/3", "1/4", "1/100"])
+def test_hankel_cases_pass_at_branch_orders(kappa):
+    # z2:d=1 with kappa outside Z/2 gives Hankel orders with 2 nu + 1 not an
+    # integer; every Hankel case must pass (the other cases are not at issue)
+    report = transforms_suite("z2:d=1", (kappa,))
+    hankel = [c for c in report.cases if c.name.startswith("hankel/")]
+    assert len(hankel) == 6
+    assert all(c.status == "pass" for c in hankel), [(c.name, c.residual) for c in hankel]
 
 
 def test_hankel_bounds_back_the_default_transform_cases(monkeypatch):
