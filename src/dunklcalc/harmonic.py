@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .operators import DunklContext, dunkl_laplacian_sq, heat_series, laplacian_powers
-from .poly import Poly, divide_exact_by_norm_sq, norm_sq_poly
+from .poly import Poly, divide_exact_by_norm_sq, linear_combination, norm_sq_poly
 from .radial import RadialProfile, WeightedFunction, weighted_poly_of_dunkl
 from .util import pochhammer
 
@@ -55,12 +55,12 @@ def clebsch_project_series(ctx: DunklContext, p: Poly) -> Poly:
         return p
     m = p.degree()
     r2 = norm_sq_poly(ctx.dim)
-    result = p
+    pairs = [(1, p)]
     r2_power = Poly.const(ctx.dim, 1)
     for j, lap_power in enumerate(laplacian_powers(ctx, p, m // 2)[1:], start=1):
         r2_power = r2_power * r2
-        result = result + (r2_power * lap_power).scale(1 / _series_denominator(ctx, m, j))
-    return result
+        pairs.append((1 / _series_denominator(ctx, m, j), r2_power * lap_power))
+    return linear_combination(ctx.dim, pairs)
 
 
 def clebsch_project_maxwell(ctx: DunklContext, p: Poly) -> Poly:
@@ -113,10 +113,7 @@ class HarmonicDecomposition:
 
     def recompose(self) -> Poly:
         r2 = norm_sq_poly(self.dim)
-        total = Poly.zero(self.dim)
-        for j, h in self.components:
-            total = total + r2**j * h
-        return total
+        return linear_combination(self.dim, ((1, r2**j * h) for j, h in self.components))
 
 
 def harmonic_decompose(ctx: DunklContext, p: Poly) -> HarmonicDecomposition:

@@ -18,6 +18,7 @@ from .poly import (
     classical_laplacian,
     compose_reflection,
     divide_exact_by_linear,
+    linear_combination,
     partial_derivative,
     Exponent,
 )
@@ -67,38 +68,36 @@ class DunklContext:
         key = (j, e)
         cached = self._coord_images.get(key)
         if cached is None:
-            acc: dict[Exponent, Fraction] = {}
+            pairs = []
             if e[j]:
                 f = tuple(v - 1 if i == j else v for i, v in enumerate(e))
-                acc[f] = Fraction(e[j])
+                pairs.append((e[j], Poly.monomial(self.dim, f)))
             for idx in self._active:
                 aj = self.rs.positive_roots[idx][j]
                 if aj:
-                    factor = self._kappa[idx] * aj
-                    for f, c in self._quotient(idx, e).terms.items():
-                        acc[f] = acc.get(f, 0) + factor * c
-            cached = Poly(self.dim, acc)
+                    pairs.append((self._kappa[idx] * aj, self._quotient(idx, e)))
+            cached = linear_combination(self.dim, pairs)
             self._coord_images[key] = cached
         return cached
 
     def _laplacian_image(self, e: Exponent) -> Poly:
         cached = self._laplacian_images.get(e)
         if cached is None:
-            acc = Poly.zero(self.dim)
-            for j in range(self.dim):
-                acc = acc + apply_coord(self, j, self._coord_image(j, e))
-            cached = acc
+            cached = linear_combination(
+                self.dim,
+                ((c, self._coord_image(j, f))
+                 for j in range(self.dim)
+                 for f, c in self._coord_image(j, e).terms.items()),
+            )
             self._laplacian_images[e] = cached
         return cached
 
 
 def apply_coord(ctx: DunklContext, j: int, p: Poly) -> Poly:
     """D_j p via the per-monomial cache."""
-    acc: dict[Exponent, Fraction] = {}
-    for e, c in p.terms.items():
-        for f, w in ctx._coord_image(j, e).terms.items():
-            acc[f] = acc.get(f, 0) + c * w
-    return Poly(ctx.dim, acc)
+    return linear_combination(
+        ctx.dim, ((c, ctx._coord_image(j, e)) for e, c in p.terms.items())
+    )
 
 
 def dunkl_apply(ctx: DunklContext, xi: Sequence, p: Poly) -> Poly:
@@ -112,23 +111,20 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence, p: Poly) -> Poly:
     xi = [Fraction(c) for c in xi]
     if len(xi) != ctx.dim:
         raise ValueError("direction has wrong dimension")
-    acc: dict[Exponent, Fraction] = {}
-    for j, coeff in enumerate(xi):
-        if not coeff:
-            continue
-        for e, c in p.terms.items():
-            for f, w in ctx._coord_image(j, e).terms.items():
-                acc[f] = acc.get(f, 0) + coeff * c * w
-    return Poly(ctx.dim, acc)
+    return linear_combination(
+        ctx.dim,
+        ((coeff * c, ctx._coord_image(j, e))
+         for j, coeff in enumerate(xi)
+         if coeff
+         for e, c in p.terms.items()),
+    )
 
 
 def dunkl_laplacian_sq(ctx: DunklContext, p: Poly) -> Poly:
     """Sum of squared coordinate Dunkl operators (the defining route)."""
-    acc: dict[Exponent, Fraction] = {}
-    for e, c in p.terms.items():
-        for f, w in ctx._laplacian_image(e).terms.items():
-            acc[f] = acc.get(f, 0) + c * w
-    return Poly(ctx.dim, acc)
+    return linear_combination(
+        ctx.dim, ((c, ctx._laplacian_image(e)) for e, c in p.terms.items())
+    )
 
 
 def laplacian_powers(ctx: DunklContext, p: Poly, n: int) -> list[Poly]:
@@ -152,12 +148,11 @@ def heat_series(ctx: DunklContext, p: Poly, t) -> Poly:
     Bochner-Hecke closed form the case t = -1/2.
     """
     t = Fraction(t)
-    acc: dict[Exponent, Fraction] = {}
-    for j, power in enumerate(laplacian_powers(ctx, p, max(p.degree(), 0) // 2)):
-        weight = t**j / factorial(j)
-        for e, c in power.terms.items():
-            acc[e] = acc.get(e, 0) + weight * c
-    return Poly(ctx.dim, acc)
+    return linear_combination(
+        ctx.dim,
+        ((t**j / factorial(j), power)
+         for j, power in enumerate(laplacian_powers(ctx, p, max(p.degree(), 0) // 2))),
+    )
 
 
 def dunkl_laplacian_expr(ctx: DunklContext, p: Poly) -> Poly:
@@ -170,17 +165,17 @@ def dunkl_laplacian_expr(ctx: DunklContext, p: Poly) -> Poly:
     reproduce dunkl_laplacian_sq.  Both routes are kept as cross-checks of
     each other.
     """
-    result = classical_laplacian(p)
+    pairs = [(1, classical_laplacian(p))]
     for idx in ctx._active:
         alpha = ctx.rs.positive_roots[idx]
         norm = sum((a * a for a in alpha), Fraction(0))
-        inner: dict[Exponent, Fraction] = {}
-        for e, c in p.terms.items():
-            for f, w in ctx._quotient(idx, e).terms.items():
-                inner[f] = inner.get(f, 0) + c * w
-        numerator = partial_derivative(p, alpha).scale(2) - Poly(ctx.dim, inner).scale(norm)
-        result = result + divide_exact_by_linear(numerator, alpha).scale(ctx._kappa[idx])
-    return result
+        numerator = linear_combination(
+            ctx.dim,
+            [(2, partial_derivative(p, alpha))]
+            + [(-norm * c, ctx._quotient(idx, e)) for e, c in p.terms.items()],
+        )
+        pairs.append((ctx._kappa[idx], divide_exact_by_linear(numerator, alpha)))
+    return linear_combination(ctx.dim, pairs)
 
 
 def dunkl_laplacian_invariant(ctx: DunklContext, p: Poly) -> Poly:
@@ -191,12 +186,12 @@ def dunkl_laplacian_invariant(ctx: DunklContext, p: Poly) -> Poly:
     terms; the per-root division is exact precisely in that case, so feeding
     a non-invariant polynomial raises ExactDivisionError.
     """
-    result = classical_laplacian(p)
+    pairs = [(1, classical_laplacian(p))]
     for idx in ctx._active:
         alpha = ctx.rs.positive_roots[idx]
         numerator = partial_derivative(p, alpha).scale(2 * ctx._kappa[idx])
-        result = result + divide_exact_by_linear(numerator, alpha)
-    return result
+        pairs.append((1, divide_exact_by_linear(numerator, alpha)))
+    return linear_combination(ctx.dim, pairs)
 
 
 def poly_of_dunkl(ctx: DunklContext, p: Poly, target: Poly) -> Poly:
@@ -208,14 +203,14 @@ def poly_of_dunkl(ctx: DunklContext, p: Poly, target: Poly) -> Poly:
     """
     if p.dim != target.dim:
         raise ValueError("polynomial and target dimensions differ")
-    result = Poly.zero(ctx.dim)
+    pairs = []
     for e, c in p.terms.items():
         w = target
         for j in reversed(range(ctx.dim)):
             for _ in range(e[j]):
                 w = apply_coord(ctx, j, w)
-        result = result + w.scale(c)
-    return result
+        pairs.append((c, w))
+    return linear_combination(ctx.dim, pairs)
 
 
 def commutator_residual(ctx: DunklContext, xi: Sequence, eta: Sequence, p: Poly) -> Poly:
@@ -253,11 +248,10 @@ def adjoint_formula_residual(ctx: DunklContext, p: Poly, target: Poly) -> Poly:
         return Poly.zero(ctx.dim)
     m = p.degree()
     target_powers = laplacian_powers(ctx, target, m)
-    acc = Poly.zero(ctx.dim)
+    pairs = [(1, poly_of_dunkl(ctx, p, target))]
     for i in range(m + 1):
         # (Lap/2)^i (p (Lap/2)^(m-i) target), with the halvings pulled out
         term = laplacian_powers(ctx, p * target_powers[m - i], i)[i]
         sign = -1 if (m - i) % 2 else 1
-        acc = acc + term.scale(Fraction(sign * comb(m, i), 2**m))
-    expansion = acc.scale(Fraction(1, factorial(m)))
-    return poly_of_dunkl(ctx, p, target) - expansion
+        pairs.append((Fraction(-sign * comb(m, i), 2**m * factorial(m)), term))
+    return linear_combination(ctx.dim, pairs)

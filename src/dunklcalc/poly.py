@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -90,11 +90,7 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.dim, other)
-        self._require_same_dim(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Poly(self.dim, out)
+        return linear_combination(self.dim, ((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -104,7 +100,7 @@ class Poly:
     def __sub__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.dim, other)
-        return self + (-other)
+        return linear_combination(self.dim, ((1, self), (-1, other)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -183,6 +179,31 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.dim}, {format_poly(self)!r})"
+
+
+def linear_combination(dim: int, pairs: Iterable[tuple[object, Poly]]) -> Poly:
+    """The sum of c * q over the (c, q) pairs, collected in one dict.
+
+    Every operator of the calculus is linear and extended from monomials,
+    so this is how all of them assemble their output.  Terms keep the order
+    in which their monomials first appear; zero coefficients drop at the end.
+    """
+    out: dict[Exponent, Fraction] = {}
+    get = out.get
+    for c, q in pairs:
+        if q.dim != dim:
+            raise PolyError(f"dimension mismatch: {dim} vs {q.dim}")
+        if not c:
+            continue
+        if c == 1:  # no multiply: Fraction * int allocates
+            for e, v in q.terms.items():
+                old = get(e)
+                out[e] = v if old is None else old + v
+        else:
+            for e, v in q.terms.items():
+                old = get(e)
+                out[e] = c * v if old is None else old + c * v
+    return Poly(dim, out)
 
 
 def linear_form(coeffs: Sequence) -> Poly:
@@ -314,12 +335,11 @@ def compose_reflection(p: Poly, alpha: ReflectionAction | Sequence) -> Poly:
                     f[target] += k
                     if s < 0 and k % 2:
                         sign = -sign
-            key = tuple(f)
-            out[key] = out.get(key, 0) + sign * c
+            out[tuple(f)] = sign * c  # a signed permutation maps monomials one to one
         return Poly(p.dim, out)
 
     images = action.images
-    result = Poly.zero(p.dim)
+    one = Poly.const(p.dim, 1)
     power_cache: list[dict[int, Poly]] = [dict() for _ in range(p.dim)]
 
     def power(i: int, k: int) -> Poly:
@@ -327,13 +347,11 @@ def compose_reflection(p: Poly, alpha: ReflectionAction | Sequence) -> Poly:
             power_cache[i][k] = images[i] ** k
         return power_cache[i][k]
 
-    for e, c in p.terms.items():
-        factor = Poly.const(p.dim, c)
-        for i, k in enumerate(e):
-            if k:
-                factor = factor * power(i, k)
-        result = result + factor
-    return result
+    return linear_combination(
+        p.dim,
+        ((c, prod((power(i, k) for i, k in enumerate(e) if k), start=one))
+         for e, c in p.terms.items()),
+    )
 
 
 def divide_exact_by_linear(p: Poly, alpha: Sequence) -> Poly:

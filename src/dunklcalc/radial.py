@@ -22,7 +22,7 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .operators import DunklContext, apply_coord, laplacian_powers
-from .poly import Exponent, Poly, _Scanner, norm_sq_poly, try_divide_norm_sq
+from .poly import Exponent, Poly, _Scanner, linear_combination, norm_sq_poly, try_divide_norm_sq
 
 ProfileKey = tuple[Fraction, Fraction]  # (base exponent, gaussian rate)
 
@@ -68,9 +68,6 @@ class RadialProfile:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff_map(self) -> dict[int, Fraction]:
-        return dict(self.coeffs)
-
     def scale(self, c) -> "RadialProfile":
         c = Fraction(c)
         return RadialProfile.make(
@@ -84,9 +81,6 @@ class RadialProfile:
         return RadialProfile.make(
             self.base_exponent + Fraction(e), self.gauss_coeff, dict(self.coeffs)
         )
-
-    def exponents(self) -> list[Fraction]:
-        return [self.base_exponent + 2 * j for j, _ in self.coeffs]
 
     def __str__(self) -> str:
         return format_profile(self)
@@ -206,10 +200,6 @@ class WeightedFunction:
     def zero(cls, dim: int) -> "WeightedFunction":
         return cls(dim)
 
-    @classmethod
-    def of_profile(cls, dim: int, profile: RadialProfile) -> "WeightedFunction":
-        return cls(dim, [(Poly.const(dim, 1), profile)])
-
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other: "WeightedFunction") -> "WeightedFunction":
@@ -254,10 +244,11 @@ class WeightedFunction:
         out: dict[ProfileKey, Poly] = {}
         for (a, _), entries in grouped.items():
             base = min(s for s, _ in entries)
-            total = Poly.zero(self.dim)
-            for s, poly in entries:
-                excess = int((s - base) / 2)
-                total = total + poly * r2**excess if excess else total + poly
+            total = linear_combination(
+                self.dim,
+                ((1, poly * r2 ** int((s - base) / 2) if s != base else poly)
+                 for s, poly in entries),
+            )
             while not total.is_zero():
                 quotient = try_divide_norm_sq(total)
                 if quotient is None:
@@ -294,20 +285,17 @@ class WeightedFunction:
         squared norm.
         """
         gauss_coeff = Fraction(gauss_coeff)
-        canon = self.canonical()
-        if not canon.parts:
-            return Poly.zero(self.dim)
-        result = Poly.zero(self.dim)
         r2 = norm_sq_poly(self.dim)
-        for (s, a), poly in canon.parts.items():
+        pairs = []
+        for (s, a), poly in self.canonical().parts.items():
             half, rem = divmod(s, 2)
             if a != gauss_coeff or rem != 0 or half < 0 or half.denominator != 1:
                 raise ArithmeticError(
                     "weighted function is not a polynomial multiple of the "
                     f"requested profile (found exponent {s}, rate {a})"
                 )
-            result = result + poly * r2 ** int(half)
-        return result
+            pairs.append((1, poly * r2 ** int(half)))
+        return linear_combination(self.dim, pairs)
 
     def __str__(self) -> str:
         pieces = []
@@ -421,13 +409,11 @@ def hobson_rhs(ctx: DunklContext, p: Poly, profile: RadialProfile) -> WeightedFu
     derivatives = [profile]
     for _ in range(m):
         derivatives.append(inv_r_ddr(derivatives[-1]))
-    out = WeightedFunction.zero(ctx.dim)
-    for j, lap_power in enumerate(laplacian_powers(ctx, p, m // 2)):
-        coeff = Fraction(1, 2**j * factorial(j))
-        out = out + WeightedFunction(
-            ctx.dim, [(lap_power.scale(coeff), derivatives[m - j])]
-        )
-    return out
+    return WeightedFunction(
+        ctx.dim,
+        [(lap_power.scale(Fraction(1, 2**j * factorial(j))), derivatives[m - j])
+         for j, lap_power in enumerate(laplacian_powers(ctx, p, m // 2))],
+    )
 
 
 def hobson_residual(

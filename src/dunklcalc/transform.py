@@ -7,7 +7,8 @@ reduce to exact rational moments summed with floating-point kernel weights.
 The spherical Dirichlet moments factorize over coordinates as well, so the
 sphere pairing rounds each exact coordinate factor once (not each joint
 term) and costs O(d N^2) per monomial at truncation order N rather than
-O(N^d).  Hankel transforms use a fixed composite 20-point Gauss-Legendre
+O(N^d).  The Gaussian moments are the spherical ones times powers of two,
+so Gaussian transforms read the same cached coefficient rows.  Hankel transforms use a fixed composite 20-point Gauss-Legendre
 rule at two panel counts on a window chosen from a Gaussian tail bound,
 with the first panel graded toward the origin when r^(2 nu + 1) has a
 branch point there; the error bound they state adds the tail, the
@@ -38,7 +39,7 @@ from typing import Callable, Sequence
 
 from .harmonic import hermite_poly
 from .operators import DunklContext, apply_coord, heat_series, laplacian_powers
-from .poly import Poly, homogeneous_components, norm_sq_poly
+from .poly import Poly, homogeneous_components, linear_combination, norm_sq_poly
 from .roots import RootSystem
 from .util import pochhammer
 
@@ -373,25 +374,22 @@ def _gauss_factor(
 ) -> complex:
     """One-coordinate factor sum_n a_n (-i t)^n M(exponent + n).
 
-    M is the normalized one-dimensional Gaussian moment: M(m) = 0 for odd m,
-    M(2b) = 2^b (kappa+1/2)_b, so M(m+2) = (2 kappa + 1 + m) M(m).  The
-    exact product a_n M(exponent + n) is carried as one running factor and
-    each term is rounded once.
+    M is the normalized one-dimensional Gaussian moment: M(m) = 0 for odd m
+    and M(2b) = 2^b (kappa+1/2)_b.  So a_n M(exponent + n) is 2^b times the
+    entry of the cached pairing row (_pairing_row) at b = (exponent + n)/2,
+    and scaling by a power of two keeps each term rounded once.
     """
     z = -1j * t
     acc = 0j
     zpow = 1 + 0j
     biggest = 0.0
     limit = n_terms if n_terms is not None else 400
-    b = (exponent + 1) // 2  # the first even moment index 2b >= exponent
-    weight = 2**b * pochhammer(kappa + Fraction(1, 2), b)
-    step = 2 * kappa + 1 + exponent
+    row = _pairing_row(kappa, exponent, limit)
+    start = (exponent + 1) // 2  # row[0] belongs to b = start
     for n in range(limit + 1):
-        if n:
-            weight /= Fraction(n) + (2 * kappa if n % 2 else 0)
         if (exponent + n) % 2 == 0:
-            term = float(weight) * zpow
-            weight *= step + n
+            b = (exponent + n) // 2
+            term = 2.0**b * row[b - start] * zpow
             acc += term
             biggest = max(biggest, abs(term))
             if n_terms is None and abs(term) < 1e-18 * max(1.0, biggest) and n > abs(t) ** 2:
@@ -432,6 +430,16 @@ def dunkl_transform_gauss_poly(
     return total
 
 
+def _gauss_eigen_defect(
+    ctx: DunklContext, m: int, q: Poly, r: Poly, y: Sequence[float], n_terms: int | None
+) -> float:
+    """|T(q G)(y) - (-i)^m G(y) r(y)| for the unit-rate Gaussian G."""
+    lhs = dunkl_transform_gauss_poly(ctx, q, y, n_terms=n_terms)
+    yf = tuple(float(v) for v in y)
+    rhs = _PHASES[m % 4] * math.exp(-sum(v**2 for v in yf) / 2.0) * float(r.evaluate(yf))
+    return abs(lhs - rhs)
+
+
 def hecke_residual(
     ctx: DunklContext, p: Poly, y: Sequence[float], *, n_terms: int | None = None
 ) -> float:
@@ -445,12 +453,8 @@ def hecke_residual(
         raise ValueError("Bochner-Hecke identity needs homogeneous input")
     if p.is_zero():
         return 0.0
-    m = p.degree()
-    lhs = dunkl_transform_gauss_poly(ctx, p, y, n_terms=n_terms)
-    yf = tuple(float(v) for v in y)
     series = heat_series(ctx, p, Fraction(-1, 2))
-    rhs = _PHASES[m % 4] * math.exp(-sum(v**2 for v in yf) / 2.0) * float(series.evaluate(yf))
-    return abs(lhs - rhs)
+    return _gauss_eigen_defect(ctx, p.degree(), p, series, y, n_terms)
 
 
 def hermite_eigen_residual(
@@ -465,12 +469,8 @@ def hermite_eigen_residual(
         raise ValueError("Hermite eigenfunction check needs homogeneous input")
     if p.is_zero():
         return 0.0
-    m = p.degree()
     h = hermite_poly(ctx, p)
-    lhs = dunkl_transform_gauss_poly(ctx, h, y, n_terms=n_terms)
-    yf = tuple(float(v) for v in y)
-    rhs = _PHASES[m % 4] * math.exp(-sum(v**2 for v in yf) / 2.0) * float(h.evaluate(yf))
-    return abs(lhs - rhs)
+    return _gauss_eigen_defect(ctx, p.degree(), h, h, y, n_terms)
 
 
 # -- Hankel transform by quadrature ----------------------------------------
@@ -743,19 +743,13 @@ def transform_multiplication_residual(
     """
     if ctx.dim != 1:
         raise ValueError("multiplication rule check is one-dimensional")
-    real = Poly.zero(1)
-    imag = Poly.zero(1)
-    for degree, component in homogeneous_components(q):
-        series = heat_series(ctx, component, Fraction(-1, 2))
-        rot = degree % 4
-        if rot == 0:
-            real = real + series
-        elif rot == 1:
-            imag = imag - series
-        elif rot == 2:
-            real = real - series
-        else:
-            imag = imag + series
+    # the transform of a degree-m component times the Gaussian carries (-i)^m
+    series = [
+        (_PHASES[degree % 4], heat_series(ctx, component, Fraction(-1, 2)))
+        for degree, component in homogeneous_components(q)
+    ]
+    real = linear_combination(1, ((int(phase.real), s) for phase, s in series))
+    imag = linear_combination(1, ((int(phase.imag), s) for phase, s in series))
 
     x = Poly.variable(1, 1)
     d_real = apply_coord(ctx, 0, real) - x * real

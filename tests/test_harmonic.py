@@ -222,3 +222,24 @@ def test_projection_series_denominators_never_vanish():
         p = Poly.monomial(1, (m,))
         h = clebsch_project_series(ctx, p)  # must not raise
         assert dunkl_laplacian_sq(ctx, h).is_zero()
+
+
+def test_projection_suite_projects_each_input_once(monkeypatch):
+    # Each of the 12 inputs costs one projection at level 0 of the
+    # decomposition, one per deeper level, one for idempotence and one in
+    # the Maxwell cross-check; the suite must not project p again itself.
+    import dunklcalc.harmonic
+    import dunklcalc.verify
+
+    calls = []
+    original = dunklcalc.harmonic.clebsch_project_series
+
+    def counting(ctx, p):
+        calls.append(p)
+        return original(ctx, p)
+
+    monkeypatch.setattr(dunklcalc.harmonic, "clebsch_project_series", counting)
+    monkeypatch.setattr(dunklcalc.verify, "clebsch_project_series", counting)
+    report = dunklcalc.verify.projection_suite("b:d=2", ("1", "2"), seed=0)
+    assert report.passed
+    assert len(calls) == 48

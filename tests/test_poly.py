@@ -15,6 +15,7 @@ from dunklcalc.poly import (
     divide_exact_by_norm_sq,
     format_poly,
     homogeneous_components,
+    linear_combination,
     norm_sq_poly,
     parse_poly,
     partial_derivative,
@@ -163,6 +164,28 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
+
+
+mixed_coeffs = st.one_of(st.integers(-3, 3), coeffs)
+
+
+@given(st.lists(st.tuples(mixed_coeffs, polys), max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_linear_combination_matches_fold(pairs):
+    # no pairs, c = 0, full cancellation and mixed int/Fraction coefficients
+    folded = Poly.zero(2)
+    for c, q in pairs:
+        folded = folded + q.scale(c)
+    assert linear_combination(2, pairs) == folded
+    if pairs:
+        c, q = pairs[0]
+        assert linear_combination(2, pairs + [(-c, q)]) == folded - q.scale(c)
+        assert linear_combination(2, [(c, q), (-c, q), (0, q)]).is_zero()
+
+
+def test_linear_combination_checks_dimension():
+    with pytest.raises(PolyError):
+        linear_combination(2, [(1, P("x1", 1))])
 
 
 @given(polys)

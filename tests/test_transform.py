@@ -19,7 +19,9 @@ from dunklcalc.transform import (
     _GAUSS_WEIGHTS,
     KernelSeries1D,
     QuadratureError,
+    TruncationError,
     _bessel_error_integral,
+    _gauss_factor,
     bessel_j,
     dunkl_kernel_z2d,
     dunkl_transform_gauss_poly,
@@ -44,6 +46,7 @@ from dunklcalc.verify import (
     TRANSFORM_DEFAULT_RUNS,
     transforms_suite,
 )
+from dunklcalc.util import pochhammer
 
 Q = Fraction
 
@@ -267,6 +270,42 @@ def test_gaussian_transform_fixed_point():
                 got = dunkl_transform_gauss_poly(ctx, Poly.const(d, 1), y)
                 want = math.exp(-sum(v * v for v in y) / 2.0)
                 assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def _gauss_factor_recurrence(kappa, exponent, t, n_terms):
+    """Reference: a_n M(exponent + n) carried as one exact running factor."""
+    z = -1j * t
+    acc = 0j
+    zpow = 1 + 0j
+    biggest = 0.0
+    limit = n_terms if n_terms is not None else 400
+    b = (exponent + 1) // 2
+    weight = 2**b * pochhammer(kappa + Fraction(1, 2), b)
+    step = 2 * kappa + 1 + exponent
+    for n in range(limit + 1):
+        if n:
+            weight /= Fraction(n) + (2 * kappa if n % 2 else 0)
+        if (exponent + n) % 2 == 0:
+            term = float(weight) * zpow
+            weight *= step + n
+            acc += term
+            biggest = max(biggest, abs(term))
+            if n_terms is None and abs(term) < 1e-18 * max(1.0, biggest) and n > abs(t) ** 2:
+                return acc
+        zpow *= z
+    if n_terms is None:
+        raise TruncationError("gaussian transform series did not converge")
+    return acc
+
+
+def test_gauss_factor_matches_exact_recurrence():
+    for kappa in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 2), Fraction(2)):
+        for exponent in range(8):
+            for t in (0.0, 0.5, -1.0, 2.5, 4.0, -6.0):
+                for n_terms in (None, 60, 120):
+                    want = _gauss_factor_recurrence(kappa, exponent, t, n_terms)
+                    got = _gauss_factor(kappa, exponent, t, n_terms)
+                    assert got == want, (kappa, exponent, t, n_terms)
 
 
 def test_hecke_identity_grid():
