@@ -40,7 +40,7 @@ from .transform import (
     z2_kappas,
 )
 from .util import parse_rational
-from .verify import SUITES, default_runs
+from .verify import HECKE_TOL, SUITES, default_runs
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 1
@@ -64,11 +64,10 @@ def _context_from_args(args) -> DunklContext:
     return DunklContext(rs)
 
 
-def _poly_from_args(args, ctx: DunklContext, attr: str = "poly") -> Poly:
-    text = getattr(args, attr, None)
-    if not text:
-        raise UsageError(f"--{attr} is required")
-    return parse_poly(text, ctx.dim)
+def _poly_from_args(args, ctx: DunklContext) -> Poly:
+    if not args.poly:
+        raise UsageError("--poly is required")
+    return parse_poly(args.poly, ctx.dim)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -211,13 +210,15 @@ def _cmd_transform(args) -> int:
         "y": y,
         "value": [value.real, value.imag],
     }
-    if p.is_homogeneous() and not p.is_zero():
-        payload["hecke_residual"] = hecke_residual(ctx, p, y)
     text = f"{value.real:+.15e} {value.imag:+.15e}i"
-    if "hecke_residual" in payload:
-        text += f"\nhecke residual = {payload['hecke_residual']:.3e}"
+    ok = True
+    if p.is_homogeneous() and not p.is_zero():
+        residual = hecke_residual(ctx, p, y)
+        payload["hecke_residual"] = residual
+        text += f"\nhecke residual = {residual:.3e}"
+        ok = residual <= HECKE_TOL
     _emit(args, payload, text)
-    return 0
+    return 0 if ok else FAILURE_EXIT
 
 
 def _cmd_verify(args) -> int:
@@ -268,11 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, poly: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--system", help="catalog name, e.g. z2:d=2, b:d=2, custom:<file>")
         p.add_argument("--kappa", help="comma-separated rational multiplicities, one per orbit")
-        if poly:
-            p.add_argument("--poly", help="polynomial text, e.g. '3/2*x1^2*x2 - x3'")
+        p.add_argument("--poly", help="polynomial text, e.g. '3/2*x1^2*x2 - x3'")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("apply", help="apply a Dunkl operator to a polynomial")

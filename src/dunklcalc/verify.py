@@ -47,7 +47,6 @@ from .poly import (
 from .radial import RadialProfile, WeightedFunction, hobson_residual
 from .roots import build_root_system
 from .transform import (
-    KernelSeries1D,
     dunkl_kernel_z2d,
     dunkl_transform_gauss_poly,
     hankel_identity_residual,
@@ -55,6 +54,7 @@ from .transform import (
     hecke_residual,
     hermite_eigen_residual,
     kernel_eigen_residual,
+    kernel_recursion_residual,
     scaled_normalized_bessel,
     sphere_pairing,
     sphere_pairing_residual,
@@ -222,12 +222,12 @@ def hobson_suite(
     *,
     seed: int = 0,
     degree: int = 6,
-    count_per_profile: int = 8,
 ) -> VerificationReport:
     """Radial expansion of p(D): residual must be exactly zero.
 
-    Runs every supported profile shape against random homogeneous
-    polynomials of each degree up to the bound.
+    Runs every supported profile shape against 8 random homogeneous
+    polynomials: one of each degree up to the bound (at most 7), then
+    random degrees.
     """
     ctx = get_context(system, kappas)
     rng = random.Random(seed)
@@ -243,8 +243,8 @@ def hobson_suite(
     ]
     cases: list[CaseResult] = []
     for pname, profile in profiles:
-        degrees = list(range(min(degree, count_per_profile - 1) + 1))
-        while len(degrees) < count_per_profile:
+        degrees = list(range(min(degree, 7) + 1))
+        while len(degrees) < 8:
             degrees.append(rng.randint(1, degree))
         for i, m in enumerate(degrees):
             p = random_homogeneous(rng, ctx.dim, m)
@@ -264,13 +264,12 @@ def commutativity_suite(
     *,
     seed: int = 0,
     degree: int = 6,
-    count: int = 15,
 ) -> VerificationReport:
-    """Pairwise commutativity of the operators in random directions."""
+    """Pairwise commutativity of the operators in 15 random direction pairs."""
     ctx = get_context(system, kappas)
     rng = random.Random(seed)
     cases = []
-    for i in range(count):
+    for i in range(15):
         xi = random_direction(rng, ctx.dim)
         eta = random_direction(rng, ctx.dim)
         p = random_poly(rng, ctx.dim, degree)
@@ -609,11 +608,10 @@ def transforms_suite(
     cases.append(_numeric_case("kernel/value-at-zero", worst, tol(KERNEL_TOL)))
 
     for j, kappa in enumerate(coordinate_kappas):
-        series = KernelSeries1D.build(kappa, 60)
         cases.append(
             _numeric_case(
                 f"kernel/recursion/coord{j + 1}",
-                series.recursion_residual(),
+                kernel_recursion_residual(kappa, 60),
                 tol(KERNEL_TOL),
                 kind="rel",
             )

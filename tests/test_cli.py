@@ -6,6 +6,7 @@ import dunklcalc.cli
 import dunklcalc.poly
 import dunklcalc.radial
 import dunklcalc.roots
+import dunklcalc.verify
 from dunklcalc.cli import main
 from dunklcalc.poly import parse_poly
 
@@ -215,6 +216,17 @@ def test_transform_cli(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["hecke_residual"] <= 1e-9
+
+
+def test_transform_failed_hecke_check_exits_one(capsys):
+    # from |y| ~ 7 the printed value is rounding noise, and the check says so
+    code, out, _ = run_cli(
+        capsys, "transform", "--system", "z2:d=1", "--kappa", "1", "--poly", "x1",
+        "--y=12",
+    )
+    assert code == 1
+    residual = float(out.splitlines()[-1].split("=")[1])
+    assert residual > dunklcalc.verify.HECKE_TOL
 
 
 def test_transform_past_series_limit_exits_four(capsys):

@@ -17,11 +17,11 @@ from dunklcalc.roots import build_root_system
 from dunklcalc.transform import (
     _GAUSS_NODES,
     _GAUSS_WEIGHTS,
-    KernelSeries1D,
     QuadratureError,
     TruncationError,
     _bessel_error_integral,
     _gauss_factor,
+    _pairing_row,
     bessel_j,
     dunkl_kernel_z2d,
     dunkl_transform_gauss_poly,
@@ -32,6 +32,7 @@ from dunklcalc.transform import (
     hermite_eigen_residual,
     kernel_coefficients,
     kernel_eigen_residual,
+    kernel_recursion_residual,
     normalized_bessel,
     scaled_normalized_bessel,
     sphere_pairing,
@@ -147,7 +148,7 @@ def test_kernel_coefficients_exponential_at_zero_multiplicity():
 
 def test_kernel_series_recursion_residual():
     for kappa in (Q(0), Q(1, 2), Q(3, 2)):
-        assert KernelSeries1D.build(kappa, 80).recursion_residual() <= 1e-12
+        assert kernel_recursion_residual(kappa, 80) <= 1e-12
 
 
 def test_kernel_reduces_to_exponential():
@@ -308,6 +309,21 @@ def test_gauss_factor_matches_exact_recurrence():
                     assert got == want, (kappa, exponent, t, n_terms)
 
 
+def test_default_battery_keeps_one_pairing_row_per_kappa_and_exponent(monkeypatch):
+    monkeypatch.setattr(dunklcalc.transform, "_SPHERE_MEAN_CACHE", {})
+    for system, kappas in TRANSFORM_DEFAULT_RUNS:
+        transforms_suite(system, kappas)
+    cache = dunklcalc.transform._SPHERE_MEAN_CACHE
+    # kappa in {0, 1/2, 1, 3/2} and exponents 0..4 (degree 4)
+    assert sorted(cache) == sorted(
+        (Q(k, 2), e) for k in range(4) for e in range(5)
+    )
+    for (kappa, exponent), row in cache.items():
+        order_400 = _pairing_row(kappa, exponent, 400)
+        assert len(row) < len(order_400), (kappa, exponent, len(row))
+        assert order_400[: len(row)] == row
+
+
 def test_hecke_identity_grid():
     for d, runs in KAPPA_RUNS.items():
         for kappas in runs:
@@ -411,7 +427,7 @@ def test_hankel_closed_forms_match_mpmath_quadrature():
 
 
 def test_bessel_error_integral_closed_form():
-    # B = 16 eps amplitude int r^(2 power + 2 nu + 1) e^(-rate r^2) I_nu(rs)/(rs)^nu dr
+    # B = 16 eps int r^(2 power + 2 nu + 1) e^(-rate r^2) I_nu(rs)/(rs)^nu dr
     with mpmath.workdps(30):
         for nu, s, power, rate in (
             (-0.5, 3.0, 0, 0.5), (0.0, 0.0, 1, 0.5), (1.5, 2.0, 2, 0.5),
@@ -424,8 +440,8 @@ def test_bessel_error_integral_closed_form():
                 abs_series = mpmath.hyp0f1(nu_mp + 1, (r * s) ** 2 / 4) / scale
                 return r ** (2 * power + 2 * nu_mp + 1) * mpmath.exp(-rate * r * r) * abs_series
 
-            want = 16 * EPS * 3.0 * mpmath.quad(f, [0, 3, 6, 10, mpmath.inf])
-            got = _bessel_error_integral(nu, s, 3.0, power, rate)
+            want = 16 * EPS * mpmath.quad(f, [0, 3, 6, 10, mpmath.inf])
+            got = _bessel_error_integral(nu, s, power, rate)
             assert abs(got - want) <= 1e-13 * want, (nu, s, power, rate)
 
 
