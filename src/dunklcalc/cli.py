@@ -213,7 +213,7 @@ def _cmd_transform(args) -> int:
     text = f"{value.real:+.15e} {value.imag:+.15e}i"
     ok = True
     if p.is_homogeneous() and not p.is_zero():
-        residual = hecke_residual(ctx, p, y)
+        residual = hecke_residual(ctx, p, [y])[0]
         payload["hecke_residual"] = residual
         text += f"\nhecke residual = {residual:.3e}"
         ok = residual <= HECKE_TOL

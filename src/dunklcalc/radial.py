@@ -172,13 +172,13 @@ class WeightedFunction:
 
     def __init__(self, dim: int, terms: Iterable[tuple[Poly, RadialProfile]] = ()):
         self.dim = dim
-        self.parts: dict[ProfileKey, Poly] = {}
+        items = []
         for poly, profile in terms:
             if poly.dim != dim:
                 raise ValueError("polynomial factor has wrong dimension")
             for j, c in profile.coeffs:
-                key = (profile.base_exponent + 2 * j, profile.gauss_coeff)
-                self._add_part(key, poly.scale(c))
+                items.append(((profile.base_exponent + 2 * j, profile.gauss_coeff), c, poly))
+        self.parts: dict[ProfileKey, Poly] = _combine_parts(dim, items)
 
     @classmethod
     def from_parts(cls, dim: int, parts: Mapping[ProfileKey, Poly]) -> "WeightedFunction":
@@ -187,14 +187,6 @@ class WeightedFunction:
             if not poly.is_zero():
                 out.parts[key] = poly
         return out
-
-    def _add_part(self, key: ProfileKey, poly: Poly) -> None:
-        current = self.parts.get(key)
-        total = poly if current is None else current + poly
-        if total.is_zero():
-            self.parts.pop(key, None)
-        else:
-            self.parts[key] = total
 
     @classmethod
     def zero(cls, dim: int) -> "WeightedFunction":
@@ -205,10 +197,8 @@ class WeightedFunction:
     def __add__(self, other: "WeightedFunction") -> "WeightedFunction":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        out = WeightedFunction.from_parts(self.dim, self.parts)
-        for key, poly in other.parts.items():
-            out._add_part(key, poly)
-        return out
+        items = [(key, 1, poly) for w in (self, other) for key, poly in w.parts.items()]
+        return WeightedFunction.from_parts(self.dim, _combine_parts(self.dim, items))
 
     def __neg__(self) -> "WeightedFunction":
         return WeightedFunction.from_parts(
@@ -318,12 +308,27 @@ def weighted_dunkl_apply(
     xi = [Fraction(c) for c in xi]
     if len(xi) != ctx.dim:
         raise ValueError("direction has wrong dimension")
-    out = WeightedFunction.zero(w.dim)
+    items = []
     for j, coeff in enumerate(xi):
         if coeff:
-            for key, poly in _apply_coord_weighted(ctx, j, w.parts).items():
-                out._add_part(key, poly.scale(coeff))
-    return out
+            image = _apply_coord_weighted(ctx, j, w.parts)
+            items.extend((key, coeff, poly) for key, poly in image.items())
+    return WeightedFunction.from_parts(w.dim, _combine_parts(w.dim, items))
+
+
+def _combine_parts(
+    dim: int, items: Iterable[tuple[ProfileKey, object, Poly]]
+) -> dict[ProfileKey, Poly]:
+    """The sum of c * q per profile key over (key, c, q) items, zero sums dropped."""
+    grouped: dict[ProfileKey, list[tuple[object, Poly]]] = {}
+    for key, c, q in items:
+        grouped.setdefault(key, []).append((c, q))
+    parts = {}
+    for key, pairs in grouped.items():
+        total = linear_combination(dim, pairs)
+        if not total.is_zero():
+            parts[key] = total
+    return parts
 
 
 def _times_var(poly: Poly, j: int) -> Poly:
@@ -338,15 +343,15 @@ def _apply_coord_weighted(
     ctx: DunklContext, j: int, parts: Mapping[ProfileKey, Poly]
 ) -> dict[ProfileKey, Poly]:
     """D_j on the summands P r^s exp(a r^2) given as parts."""
-    out = WeightedFunction.zero(ctx.dim)
+    items = []
     for (s, a), poly in parts.items():
-        out._add_part((s, a), apply_coord(ctx, j, poly))
+        items.append(((s, a), 1, apply_coord(ctx, j, poly)))
         shifted = _times_var(poly, j)
         if s:
-            out._add_part((s - 2, a), shifted.scale(s))
+            items.append(((s - 2, a), s, shifted))
         if a:
-            out._add_part((s, a), shifted.scale(2 * a))
-    return out.parts
+            items.append(((s, a), 2 * a, shifted))
+    return _combine_parts(ctx.dim, items)
 
 
 def _monomial_node(
@@ -379,15 +384,16 @@ def weighted_poly_of_dunkl(
     ctx: DunklContext, p: Poly, profile: RadialProfile
 ) -> WeightedFunction:
     """p(D) applied to the radial function with the given profile."""
-    out = WeightedFunction.zero(ctx.dim)
+    items = []
     for offset, pc in profile.coeffs:
         key = (profile.base_exponent + 2 * offset, profile.gauss_coeff)
         for e, c in p.terms.items():
-            node = _monomial_node(ctx, key, e)
             weight = pc * c
-            for part_key, poly in node.items():
-                out._add_part(part_key, poly.scale(weight))
-    return out
+            items.extend(
+                (part_key, weight, poly)
+                for part_key, poly in _monomial_node(ctx, key, e).items()
+            )
+    return WeightedFunction.from_parts(ctx.dim, _combine_parts(ctx.dim, items))
 
 
 def hobson_lhs(ctx: DunklContext, p: Poly, profile: RadialProfile) -> WeightedFunction:

@@ -47,6 +47,8 @@ from .util import pochhammer
 
 _PHASES = (1 + 0j, -1j, -1 + 0j, 1j)  # (-i)^m for m mod 4
 
+Points = Sequence[Sequence[float]]
+
 BESSEL_SERIES_MAX = 30.0
 
 
@@ -327,37 +329,42 @@ def sphere_pairing(
 
 
 def _laplacian_bessel_sum(
-    ctx: DunklContext, p: Poly, y: Sequence[float], g: Callable[[int, float], float]
+    powers: Sequence[Poly], y: Sequence[float], g: Callable[[int, float], float]
 ) -> complex:
     """(-i)^m sum_j (-1)^j / (2^j j!) g(m - j, |y|) (Lap^j p)(y) for p of degree m.
 
-    The right side shared by the spherical pairing and Hankel identities;
-    g(k, t) is the radial factor at Bessel order lam + k.
+    powers is laplacian_powers(ctx, p, m // 2).  The right side shared by
+    the spherical pairing and Hankel identities; g(k, t) is the radial
+    factor at Bessel order lam + k.
     """
-    m = p.degree()
+    m = powers[0].degree()
     yf = tuple(float(v) for v in y)
     t = math.sqrt(sum(v**2 for v in yf))
     acc = 0.0
-    for j, lap_power in enumerate(laplacian_powers(ctx, p, m // 2)):
+    for j, lap_power in enumerate(powers):
         coeff = (-1.0 if j % 2 else 1.0) / (2**j * factorial(j))
         acc += coeff * g(m - j, t) * float(lap_power.evaluate(yf))
     return _PHASES[m % 4] * acc
 
 
-def sphere_pairing_rhs(ctx: DunklContext, p: Poly, y: Sequence[float]) -> complex:
-    """Bessel-series side of the spherical pairing identity."""
+def sphere_pairing_residual(ctx: DunklContext, p: Poly, ys: Points) -> list[float]:
+    """Spherical pairing of homogeneous p against its Bessel-series side, per point of ys.
+
+    The Laplacian powers of p are computed once for all points.
+    """
     if not p.is_homogeneous():
         raise ValueError("spherical pairing identity needs homogeneous input")
     if p.is_zero():
-        return 0j
+        return [0.0] * len(ys)
     lam = ctx.constants.bessel_index
-    return _laplacian_bessel_sum(
-        ctx, p, y, lambda k, t: scaled_normalized_bessel(lam, k, t)
-    )
+    powers = laplacian_powers(ctx, p, p.degree() // 2)
 
+    def bessel(k: int, t: float) -> float:
+        return scaled_normalized_bessel(lam, k, t)
 
-def sphere_pairing_residual(ctx: DunklContext, p: Poly, y: Sequence[float]) -> float:
-    return abs(sphere_pairing(ctx, p, y) - sphere_pairing_rhs(ctx, p, y))
+    return [
+        abs(sphere_pairing(ctx, p, y) - _laplacian_bessel_sum(powers, y, bessel)) for y in ys
+    ]
 
 
 # -- Gaussian transforms ----------------------------------------------------
@@ -428,43 +435,46 @@ def dunkl_transform_gauss_poly(
     return total
 
 
-def _gauss_eigen_defect(
-    ctx: DunklContext, m: int, q: Poly, r: Poly, y: Sequence[float]
-) -> float:
-    """|T(q G)(y) - (-i)^m G(y) r(y)| for the unit-rate Gaussian G."""
-    lhs = dunkl_transform_gauss_poly(ctx, q, y)
-    yf = tuple(float(v) for v in y)
-    rhs = _PHASES[m % 4] * math.exp(-sum(v**2 for v in yf) / 2.0) * float(r.evaluate(yf))
-    return abs(lhs - rhs)
+def _gauss_eigen_defects(ctx: DunklContext, m: int, q: Poly, r: Poly, ys: Points) -> list[float]:
+    """|T(q G)(y) - (-i)^m G(y) r(y)| at each y of ys, for the unit-rate Gaussian G."""
+    out = []
+    for y in ys:
+        lhs = dunkl_transform_gauss_poly(ctx, q, y)
+        yf = tuple(float(v) for v in y)
+        rhs = _PHASES[m % 4] * math.exp(-sum(v**2 for v in yf) / 2.0) * float(r.evaluate(yf))
+        out.append(abs(lhs - rhs))
+    return out
 
 
-def hecke_residual(ctx: DunklContext, p: Poly, y: Sequence[float]) -> float:
-    """Bochner-Hecke defect for homogeneous p at the point y.
+def hecke_residual(ctx: DunklContext, p: Poly, ys: Points) -> list[float]:
+    """Bochner-Hecke defect for homogeneous p at each point of ys.
 
     Compares the kernel-expansion transform of p times the Gaussian with
     the closed form: the phase (-i)^m times the Gaussian at y times the
-    alternating Laplacian series exp(-Lap/2) p evaluated at y.
+    alternating Laplacian series exp(-Lap/2) p evaluated at y.  The series
+    is computed once for all points.
     """
     if not p.is_homogeneous():
         raise ValueError("Bochner-Hecke identity needs homogeneous input")
     if p.is_zero():
-        return 0.0
+        return [0.0] * len(ys)
     series = heat_series(ctx, p, Fraction(-1, 2))
-    return _gauss_eigen_defect(ctx, p.degree(), p, series, y)
+    return _gauss_eigen_defects(ctx, p.degree(), p, series, ys)
 
 
-def hermite_eigen_residual(ctx: DunklContext, p: Poly, y: Sequence[float]) -> float:
-    """Transform eigenvalue defect of the Hermite function built from p.
+def hermite_eigen_residual(ctx: DunklContext, p: Poly, ys: Points) -> list[float]:
+    """Transform eigenvalue defect of the Hermite function built from p, per point of ys.
 
     The Hermite function (Hermite polynomial times the Gaussian) must be an
-    eigenfunction of the transform with eigenvalue (-i)^deg(p).
+    eigenfunction of the transform with eigenvalue (-i)^deg(p).  The
+    Hermite polynomial is computed once for all points.
     """
     if not p.is_homogeneous():
         raise ValueError("Hermite eigenfunction check needs homogeneous input")
     if p.is_zero():
-        return 0.0
+        return [0.0] * len(ys)
     h = hermite_poly(ctx, p)
-    return _gauss_eigen_defect(ctx, p.degree(), h, h, y)
+    return _gauss_eigen_defects(ctx, p.degree(), h, h, ys)
 
 
 # -- Hankel transform by quadrature ----------------------------------------
@@ -690,7 +700,7 @@ def hankel_identity_residual(
         return r ** (2 * radial_power) * math.exp(-r * r / 2.0)
 
     rhs = _laplacian_bessel_sum(
-        ctx, p, y,
+        laplacian_powers(ctx, p, p.degree() // 2), y,
         lambda k, t: hankel_numeric(f0, lam + k, t, power=radial_power, rate=0.5),
     )
     return abs(lhs - rhs)

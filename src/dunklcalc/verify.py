@@ -2,10 +2,14 @@
 
 Each suite checks one family of identities of the calculus on randomized
 inputs drawn from a seeded generator, so identical arguments produce byte
-identical reports.  Exact suites report the literal residual "0" on
-success and the canonical form of the offending residual on failure;
-numeric suites report values together with absolute and relative defects
-against per-case tolerances.
+identical reports.  A suite is written as a generator of cases,
+gen(ctx, rng, **options), and registered with @_suite(name, default_runs);
+the one runner it is wrapped in builds the operator context and
+random.Random(seed), collects the cases into a VerificationReport, and
+raises ValueError on a negative degree or on a run that checks nothing.
+Exact suites report the literal residual "0" on success and the canonical
+form of the offending residual on failure; numeric suites report values
+together with absolute and relative defects against per-case tolerances.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .harmonic import (
     MaxwellDegenerateError,
@@ -120,7 +124,11 @@ class VerificationReport:
 
 # -- shared helpers ----------------------------------------------------------
 
+# Operator contexts by (system, kappas), shared by the runs of a process;
+# cleared when full, so it stays bounded.  The default runs of all suites
+# use 20 contexts.
 _CONTEXTS: dict[tuple[str, tuple[str, ...]], DunklContext] = {}
+_CONTEXTS_MAX = 256
 
 
 def get_context(system: str, kappas: Sequence) -> DunklContext:
@@ -130,6 +138,8 @@ def get_context(system: str, kappas: Sequence) -> DunklContext:
     if ctx is None:
         values = [parse_rational(str(k)) for k in kappas]
         ctx = DunklContext(build_root_system(system, values))
+        if len(_CONTEXTS) >= _CONTEXTS_MAX:
+            _CONTEXTS.clear()
         _CONTEXTS[key] = ctx
     return ctx
 
@@ -213,24 +223,98 @@ def _numeric_case(
     return CaseResult(name, status, residual, detail, extras)
 
 
+# -- registry ----------------------------------------------------------------
+
+Run = tuple[str, tuple[str, ...]]
+Cases = Iterator[CaseResult]
+SuiteFn = Callable[..., VerificationReport]
+
+# Suites by name in definition order, and their default runs.
+SUITES: dict[str, SuiteFn] = {}
+_DEFAULT_RUNS: dict[str, list[Run]] = {}
+
+# Default runs per suite when no system is requested on the command line.
+EXACT_DEFAULT_RUNS: list[Run] = [
+    ("z2:d=1", ("1/2",)),
+    ("z2:d=2", ("1", "3/2")),
+    ("z2:d=2", ("0", "0")),
+    ("z2:d=3", ("1/2", "0", "2")),
+    ("a:d=3", ("1",)),
+    ("b:d=2", ("1", "2")),
+    ("b:d=3", ("3/2", "1/2")),
+    ("d:d=4", ("1/2",)),
+]
+
+TRANSFORM_DEFAULT_RUNS: list[Run] = [
+    ("z2:d=1", ("0",)),
+    ("z2:d=1", ("1/2",)),
+    ("z2:d=1", ("1",)),
+    ("z2:d=1", ("3/2",)),
+    ("z2:d=2", ("0", "0")),
+    ("z2:d=2", ("1/2", "1",)),
+    ("z2:d=2", ("3/2", "0",)),
+    ("z2:d=2", ("1", "3/2",)),
+]
+
+PIZZETTI_DEFAULT_RUNS: list[Run] = [
+    ("z2:d=1", ("0",)),
+    ("z2:d=1", ("1/2",)),
+    ("z2:d=1", ("2",)),
+    ("z2:d=2", ("1", "0")),
+    ("z2:d=2", ("1/2", "3/2")),
+    ("z2:d=3", ("1", "1/2", "0")),
+    ("z2:d=3", ("2", "3/2", "1")),
+    ("z2:d=4", ("1/2", "0", "1", "3/2")),
+    ("z2:d=4", ("2", "1/2", "0", "1")),
+]
+
+
+def _suite(name: str, runs: list[Run]) -> Callable[[Callable[..., Cases]], SuiteFn]:
+    """Register the case generator gen(ctx, rng, **options) as suite name.
+
+    The registered function is called as (system, kappas, *, seed=0,
+    **options).  It builds the context and random.Random(seed), collects
+    the cases that gen yields and returns their report, on which a
+    tolerance option is recorded.  A negative degree, or a run that yields
+    no case, raises ValueError: a run that checks nothing must not pass.
+    """
+
+    def register(gen: Callable[..., Cases]) -> SuiteFn:
+        def run(system: str, kappas: Sequence, *, seed: int = 0, **options) -> VerificationReport:
+            if options.get("degree", 0) < 0:
+                raise ValueError(f"degree must be non-negative, got {options['degree']}")
+            ctx = get_context(system, kappas)
+            cases = list(gen(ctx, random.Random(seed), **options))
+            if not cases:
+                raise ValueError(f"suite {name} checked no case")
+            return VerificationReport(
+                name, system, seed, cases, tolerance=options.get("tolerance")
+            )
+
+        run.__name__ = run.__qualname__ = gen.__name__
+        run.__doc__ = gen.__doc__
+        SUITES[name] = run
+        _DEFAULT_RUNS[name] = runs
+        return run
+
+    return register
+
+
+def default_runs(suite: str) -> list[Run]:
+    return _DEFAULT_RUNS[suite]
+
+
 # -- exact suites ------------------------------------------------------------
 
 
-def hobson_suite(
-    system: str,
-    kappas: Sequence,
-    *,
-    seed: int = 0,
-    degree: int = 6,
-) -> VerificationReport:
+@_suite("hobson", EXACT_DEFAULT_RUNS)
+def hobson_suite(ctx: DunklContext, rng: random.Random, degree: int = 6) -> Cases:
     """Radial expansion of p(D): residual must be exactly zero.
 
     Runs every supported profile shape against 8 random homogeneous
     polynomials: one of each degree up to the bound (at most 7), then
     random degrees.
     """
-    ctx = get_context(system, kappas)
-    rng = random.Random(seed)
     lam = ctx.constants.bessel_index
     profiles = [
         ("r^2", RadialProfile.power(2)),
@@ -241,136 +325,82 @@ def hobson_suite(
         ("gauss-one", RadialProfile.gaussian(-1)),
         ("r^3*gauss-one", RadialProfile.power_gauss(3, -1)),
     ]
-    cases: list[CaseResult] = []
     for pname, profile in profiles:
         degrees = list(range(min(degree, 7) + 1))
         while len(degrees) < 8:
-            degrees.append(rng.randint(1, degree))
+            degrees.append(rng.randint(min(1, degree), degree))
         for i, m in enumerate(degrees):
             p = random_homogeneous(rng, ctx.dim, m)
             res = hobson_residual(ctx, p, profile)
-            cases.append(
-                _zero_case(
-                    f"{pname}/{i:02d}-deg{m}", res, detail=f"p={p}, profile={profile}"
-                )
-            )
+            yield _zero_case(f"{pname}/{i:02d}-deg{m}", res, detail=f"p={p}, profile={profile}")
         ctx.clear_radial_cache()
-    return VerificationReport("hobson", system, seed, cases)
 
 
-def commutativity_suite(
-    system: str,
-    kappas: Sequence,
-    *,
-    seed: int = 0,
-    degree: int = 6,
-) -> VerificationReport:
+@_suite("commutativity", EXACT_DEFAULT_RUNS)
+def commutativity_suite(ctx: DunklContext, rng: random.Random, degree: int = 6) -> Cases:
     """Pairwise commutativity of the operators in 15 random direction pairs."""
-    ctx = get_context(system, kappas)
-    rng = random.Random(seed)
-    cases = []
     for i in range(15):
         xi = random_direction(rng, ctx.dim)
         eta = random_direction(rng, ctx.dim)
         p = random_poly(rng, ctx.dim, degree)
         res = commutator_residual(ctx, xi, eta, p)
-        cases.append(_zero_case(f"pair/{i:02d}", res, detail=f"xi={xi}, eta={eta}"))
+        yield _zero_case(f"pair/{i:02d}", res, detail=f"xi={xi}, eta={eta}")
     p = random_poly(rng, ctx.dim, degree)
     xi = random_direction(rng, ctx.dim)
-    cases.append(
-        _zero_case("equal-directions", commutator_residual(ctx, xi, xi, p))
-    )
-    return VerificationReport("commutativity", system, seed, cases)
+    yield _zero_case("equal-directions", commutator_residual(ctx, xi, xi, p))
 
 
+@_suite("laplacian-routes", EXACT_DEFAULT_RUNS)
 def laplacian_routes_suite(
-    system: str,
-    kappas: Sequence,
-    *,
-    seed: int = 0,
-    degree: int = 6,
-    count: int = 100,
-) -> VerificationReport:
+    ctx: DunklContext, rng: random.Random, degree: int = 6, count: int = 100
+) -> Cases:
     """Squared-operator route against the explicit second-order expression."""
-    ctx = get_context(system, kappas)
-    rng = random.Random(seed)
-    cases = []
     for i in range(count):
         p = random_poly(rng, ctx.dim, degree)
         res = dunkl_laplacian_sq(ctx, p) - dunkl_laplacian_expr(ctx, p)
-        cases.append(_zero_case(f"routes/{i:03d}", res))
+        yield _zero_case(f"routes/{i:03d}", res)
     zero_ctx = _zero_kappa_context(ctx)
     for i in range(5):
         p = random_poly(rng, ctx.dim, degree)
         res = dunkl_laplacian_sq(zero_ctx, p) - classical_laplacian(p)
-        cases.append(_zero_case(f"classical-limit/{i}", res))
+        yield _zero_case(f"classical-limit/{i}", res)
     r2 = norm_sq_poly(ctx.dim)
     invariant = Poly.const(ctx.dim, 1)
     for j in range(1, 4):
         invariant = invariant * r2
-        res = dunkl_laplacian_sq(ctx, invariant) - dunkl_laplacian_invariant(
-            ctx, invariant
-        )
-        cases.append(_zero_case(f"invariant-restriction/r^{2 * j}", res))
-    return VerificationReport("laplacian-routes", system, seed, cases)
+        res = dunkl_laplacian_sq(ctx, invariant) - dunkl_laplacian_invariant(ctx, invariant)
+        yield _zero_case(f"invariant-restriction/r^{2 * j}", res)
 
 
+@_suite("laplacian-commutator", EXACT_DEFAULT_RUNS)
 def laplacian_commutator_suite(
-    system: str,
-    kappas: Sequence,
-    *,
-    seed: int = 0,
-    degree: int = 4,
-) -> VerificationReport:
+    ctx: DunklContext, rng: random.Random, degree: int = 4
+) -> Cases:
     """[Lap^j, x_l .] = 2 j D_l Lap^(j-1) on random polynomials, j <= 3."""
-    ctx = get_context(system, kappas)
-    rng = random.Random(seed)
-    cases = []
     for power in (1, 2, 3):
         for coord in range(ctx.dim):
             p = random_poly(rng, ctx.dim, degree)
             res = mult_commutator_residual(ctx, power, coord, p)
-            cases.append(
-                _zero_case(f"power{power}/x{coord + 1}", res, detail=f"p={p}")
-            )
-    return VerificationReport("laplacian-commutator", system, seed, cases)
+            yield _zero_case(f"power{power}/x{coord + 1}", res, detail=f"p={p}")
 
 
+@_suite("adjoint-formula", EXACT_DEFAULT_RUNS)
 def adjoint_formula_suite(
-    system: str,
-    kappas: Sequence,
-    *,
-    seed: int = 0,
-    degree: int = 4,
-) -> VerificationReport:
+    ctx: DunklContext, rng: random.Random, degree: int = 4
+) -> Cases:
     """p(D) against the iterated half-Laplacian commutator form, m <= 4."""
-    ctx = get_context(system, kappas)
-    rng = random.Random(seed)
-    cases = []
     for m in range(degree + 1):
         p = random_homogeneous(rng, ctx.dim, m, max_terms=3)
         target = random_poly(rng, ctx.dim, 4)
-        res = adjoint_formula_residual(ctx, p, target)
-        cases.append(_zero_case(f"deg{m}", res, detail=f"p={p}"))
-    res = adjoint_formula_residual(
-        ctx, norm_sq_poly(ctx.dim), random_poly(rng, ctx.dim, 4)
-    )
-    cases.append(_zero_case("norm-square", res))
-    return VerificationReport("adjoint-formula", system, seed, cases)
+        yield _zero_case(f"deg{m}", adjoint_formula_residual(ctx, p, target), detail=f"p={p}")
+    res = adjoint_formula_residual(ctx, norm_sq_poly(ctx.dim), random_poly(rng, ctx.dim, 4))
+    yield _zero_case("norm-square", res)
 
 
-def projection_suite(
-    system: str,
-    kappas: Sequence,
-    *,
-    seed: int = 0,
-    degree: int = 5,
-) -> VerificationReport:
+@_suite("projection", EXACT_DEFAULT_RUNS)
+def projection_suite(ctx: DunklContext, rng: random.Random, degree: int = 5) -> Cases:
     """Harmonicity, idempotence, route agreement, and decomposition."""
-    ctx = get_context(system, kappas)
-    rng = random.Random(seed)
     lam = ctx.constants.bessel_index
-    cases = []
     for m in range(degree + 1):
         for i in range(2):
             p = random_homogeneous(rng, ctx.dim, m, max_terms=3)
@@ -378,57 +408,35 @@ def projection_suite(
             decomposition = harmonic_decompose(ctx, p)
             # level 0 of the decomposition is the projection of p itself
             h = dict(decomposition.components).get(0, Poly.zero(ctx.dim))
-            cases.append(
-                _zero_case(f"{name}/harmonic", dunkl_laplacian_sq(ctx, h))
-            )
-            cases.append(
-                _zero_case(f"{name}/idempotent", clebsch_project_series(ctx, h) - h)
-            )
+            yield _zero_case(f"{name}/harmonic", dunkl_laplacian_sq(ctx, h))
+            yield _zero_case(f"{name}/idempotent", clebsch_project_series(ctx, h) - h)
             if lam == 0 and m >= 1:
-                cases.append(
-                    CaseResult(
-                        f"{name}/maxwell",
-                        "skipped",
-                        "0",
-                        "Maxwell route degenerates at Bessel index 0; series "
-                        "route is normative",
-                    )
+                yield CaseResult(
+                    f"{name}/maxwell",
+                    "skipped",
+                    "0",
+                    "Maxwell route degenerates at Bessel index 0; series "
+                    "route is normative",
                 )
             else:
                 try:
-                    maxwell = clebsch_project_maxwell(ctx, p)
-                    cases.append(_zero_case(f"{name}/maxwell", maxwell - h))
+                    case = _zero_case(f"{name}/maxwell", clebsch_project_maxwell(ctx, p) - h)
                 except (ArithmeticError, MaxwellDegenerateError) as exc:
-                    cases.append(
-                        CaseResult(f"{name}/maxwell", "fail", str(exc), f"p={p}")
-                    )
-            cases.append(
-                _zero_case(
-                    f"{name}/recompose", decomposition.recompose() - p,
-                    detail=f"{len(decomposition.components)} components",
-                )
+                    case = CaseResult(f"{name}/maxwell", "fail", str(exc), f"p={p}")
+                yield case
+            yield _zero_case(
+                f"{name}/recompose", decomposition.recompose() - p,
+                detail=f"{len(decomposition.components)} components",
             )
             for j, component in decomposition.components:
-                cases.append(
-                    _zero_case(
-                        f"{name}/component{j}-harmonic",
-                        dunkl_laplacian_sq(ctx, component),
-                    )
+                yield _zero_case(
+                    f"{name}/component{j}-harmonic", dunkl_laplacian_sq(ctx, component)
                 )
-    return VerificationReport("projection", system, seed, cases)
 
 
-def pizzetti_suite(
-    system: str,
-    kappas: Sequence,
-    *,
-    seed: int = 0,
-    degree: int = 8,
-) -> VerificationReport:
+@_suite("pizzetti", PIZZETTI_DEFAULT_RUNS)
+def pizzetti_suite(ctx: DunklContext, rng: random.Random, degree: int = 8) -> Cases:
     """Spherical-mean series against the Dirichlet oracle and invariances."""
-    ctx = get_context(system, kappas)
-    rng = random.Random(seed)
-    cases = []
     try:
         coordinate_kappas = z2_kappas(ctx.rs)
     except ValueError:
@@ -443,15 +451,13 @@ def pizzetti_suite(
             mean = pizzetti_mean(ctx, Poly.monomial(ctx.dim, exponents))
             oracle = sphere_oracle_z2d(coordinate_kappas, exponents)
             label = "x^(" + ",".join(str(e) for e in exponents) + ")"
-            cases.append(
-                _equal_case(f"oracle/{label}", mean, oracle, detail=f"mean={mean}")
-            )
+            yield _equal_case(f"oracle/{label}", mean, oracle, detail=f"mean={mean}")
         for i in range(3):
             exponents = [rng.choice([0, 1, 2, 3]) for _ in range(ctx.dim)]
             if all(e % 2 == 0 for e in exponents):
                 exponents[0] += 1
             mean = pizzetti_mean(ctx, Poly.monomial(ctx.dim, tuple(exponents)))
-            cases.append(_equal_case(f"odd/{i}", mean, Fraction(0)))
+            yield _equal_case(f"odd/{i}", mean, Fraction(0))
 
     zero_ctx = _zero_kappa_context(ctx)
     for a in range(degree // 2 + 1):
@@ -459,14 +465,14 @@ def pizzetti_suite(
         e[0] = 2 * a
         mean = pizzetti_mean(zero_ctx, Poly.monomial(ctx.dim, tuple(e)))
         classical = pochhammer(Fraction(1, 2), a) / pochhammer(Fraction(ctx.dim, 2), a)
-        cases.append(_equal_case(f"classical/x1^{2 * a}", mean, classical))
+        yield _equal_case(f"classical/x1^{2 * a}", mean, classical)
 
     for i in range(4):
         p = random_poly(rng, ctx.dim, min(degree, 6))
         mean = pizzetti_mean(ctx, p)
         for k, action in enumerate(ctx.rs.reflections):
             reflected = pizzetti_mean(ctx, compose_reflection(p, action))
-            cases.append(_equal_case(f"invariance/{i}/root{k}", reflected, mean))
+            yield _equal_case(f"invariance/{i}/root{k}", reflected, mean)
 
     lam = ctx.constants.bessel_index
     for i in range(4):
@@ -477,76 +483,43 @@ def pizzetti_suite(
             if d_part % 2 == 0:
                 l = d_part // 2
                 rhs += pizzetti_mean(ctx, component) * 2**l * pochhammer(lam + 1, l)
-        cases.append(_equal_case(f"gaussian-consistency/{i}", lhs, rhs))
+        yield _equal_case(f"gaussian-consistency/{i}", lhs, rhs)
 
-    cases.append(
-        CaseResult(
-            "sign-convention",
-            "pass",
-            "0",
-            "series implemented with positive coefficients 1/(4^l l! (lam+1)_l); "
-            "forced by the exact Dirichlet oracle and by positivity of means of "
-            "even monomials, and matches the classical unweighted limit",
-        )
+    yield CaseResult(
+        "sign-convention",
+        "pass",
+        "0",
+        "series implemented with positive coefficients 1/(4^l l! (lam+1)_l); "
+        "forced by the exact Dirichlet oracle and by positivity of means of "
+        "even monomials, and matches the classical unweighted limit",
     )
-    return VerificationReport("pizzetti", system, seed, cases)
 
 
-def hermite_suite(
-    system: str,
-    kappas: Sequence,
-    *,
-    seed: int = 0,
-    degree: int = 5,
-) -> VerificationReport:
+@_suite("hermite", EXACT_DEFAULT_RUNS)
+def hermite_suite(ctx: DunklContext, rng: random.Random, degree: int = 5) -> Cases:
     """Rodrigues form, Gaussian expansion, and fixed points on harmonics."""
-    ctx = get_context(system, kappas)
-    rng = random.Random(seed)
-    cases = []
     for m in range(degree + 1):
         p = random_homogeneous(rng, ctx.dim, m, max_terms=3)
-        cases.append(
-            _zero_case(f"rodrigues/deg{m}", rodrigues_residual(ctx, p), f"p={p}")
-        )
-        cases.append(
-            _zero_case(
-                f"gauss-series/deg{m}", gaussian_series_residual(ctx, p), f"p={p}"
-            )
-        )
+        yield _zero_case(f"rodrigues/deg{m}", rodrigues_residual(ctx, p), f"p={p}")
+        yield _zero_case(f"gauss-series/deg{m}", gaussian_series_residual(ctx, p), f"p={p}")
         h = clebsch_project_series(ctx, p)
         if not h.is_zero():
-            cases.append(
-                _zero_case(f"fixed-on-harmonic/deg{m}", hermite_poly(ctx, h) - h)
-            )
-    return VerificationReport("hermite", system, seed, cases)
+            yield _zero_case(f"fixed-on-harmonic/deg{m}", hermite_poly(ctx, h) - h)
 
 
-def mean_value_suite(
-    system: str,
-    kappas: Sequence,
-    *,
-    seed: int = 0,
-    degree: int = 4,
-) -> VerificationReport:
+@_suite("mean-value", EXACT_DEFAULT_RUNS)
+def mean_value_suite(ctx: DunklContext, rng: random.Random, degree: int = 4) -> Cases:
     """Spherical mean of projected harmonics equals the value at the origin."""
-    ctx = get_context(system, kappas)
-    rng = random.Random(seed)
-    cases = []
     for m in range(degree + 1):
         for i in range(2):
             p = random_homogeneous(rng, ctx.dim, m, max_terms=3)
             h = clebsch_project_series(ctx, p)
             name = f"deg{m}/{i}"
             if h.is_zero():
-                cases.append(
-                    CaseResult(name, "skipped", "0", "projection is zero")
-                )
-                continue
-            mean = pizzetti_mean(ctx, h)
-            cases.append(
-                _equal_case(name, mean, h.constant_term(), detail=f"h={h}")
-            )
-    return VerificationReport("mean-value", system, seed, cases)
+                yield CaseResult(name, "skipped", "0", "projection is zero")
+            else:
+                mean = pizzetti_mean(ctx, h)
+                yield _equal_case(name, mean, h.constant_term(), detail=f"h={h}")
 
 
 # -- numeric transform suite -------------------------------------------------
@@ -566,23 +539,16 @@ _GRIDS = {
 }
 
 
+@_suite("transforms", TRANSFORM_DEFAULT_RUNS)
 def transforms_suite(
-    system: str,
-    kappas: Sequence,
-    *,
-    seed: int = 0,
-    degree: int = 4,
-    tolerance: float | None = None,
-) -> VerificationReport:
+    ctx: DunklContext, rng: random.Random, degree: int = 4, tolerance: float | None = None
+) -> Cases:
     """Numeric verification battery for sign-flip systems (d = 1 or 2)."""
-    ctx = get_context(system, kappas)
     coordinate_kappas = z2_kappas(ctx.rs)
     if ctx.dim not in _GRIDS:
         raise ValueError("transform suite supports dimensions 1 and 2")
-    rng = random.Random(seed)
     lam = ctx.constants.bessel_index
     grid = _GRIDS[ctx.dim]
-    cases: list[CaseResult] = []
 
     def tol(default: float) -> float:
         return tolerance if tolerance is not None else default
@@ -597,35 +563,28 @@ def transforms_suite(
             kernel = dunkl_kernel_z2d(zero_kappas, x, y)
             exact = math.exp(sum(a * b for a, b in zip(x, y)))
             worst = max(worst, abs(kernel - exact) / max(abs(exact), 1e-300))
-    cases.append(
-        _numeric_case("kernel/exponential-limit", worst, tol(KERNEL_TOL), kind="rel")
-    )
+    yield _numeric_case("kernel/exponential-limit", worst, tol(KERNEL_TOL), kind="rel")
 
     worst = max(
         abs(dunkl_kernel_z2d(coordinate_kappas, (0.0,) * ctx.dim, y) - 1.0)
         for y in grid
     )
-    cases.append(_numeric_case("kernel/value-at-zero", worst, tol(KERNEL_TOL)))
+    yield _numeric_case("kernel/value-at-zero", worst, tol(KERNEL_TOL))
 
     for j, kappa in enumerate(coordinate_kappas):
-        cases.append(
-            _numeric_case(
-                f"kernel/recursion/coord{j + 1}",
-                kernel_recursion_residual(kappa, 60),
-                tol(KERNEL_TOL),
-                kind="rel",
-            )
+        yield _numeric_case(
+            f"kernel/recursion/coord{j + 1}",
+            kernel_recursion_residual(kappa, 60),
+            tol(KERNEL_TOL),
+            kind="rel",
         )
         worst = max(
             kernel_eigen_residual(kappa, xv, yv)
             for xv in (0.5, 1.0, 2.0)
             for yv in (0.5, 1.5)
         )
-        cases.append(
-            _numeric_case(
-                f"kernel/eigen-property/coord{j + 1}", worst, tol(KERNEL_TOL),
-                kind="rel",
-            )
+        yield _numeric_case(
+            f"kernel/eigen-property/coord{j + 1}", worst, tol(KERNEL_TOL), kind="rel"
         )
 
     # Spherical pairing identity.
@@ -636,12 +595,9 @@ def transforms_suite(
         else:
             test_polys.append((m, random_homogeneous(rng, ctx.dim, m, max_terms=3)))
     for m, p in test_polys:
-        for i, y in enumerate(grid):
-            res = sphere_pairing_residual(ctx, p, y)
-            cases.append(
-                _numeric_case(
-                    f"sphere/deg{m}/y{i}", res, tol(SPHERE_TOL), detail=f"p={p}, y={y}"
-                )
+        for i, (y, res) in enumerate(zip(grid, sphere_pairing_residual(ctx, p, grid))):
+            yield _numeric_case(
+                f"sphere/deg{m}/y{i}", res, tol(SPHERE_TOL), detail=f"p={p}, y={y}"
             )
 
     one = Poly.const(ctx.dim, 1)
@@ -649,13 +605,11 @@ def transforms_suite(
         t = math.sqrt(sum(v * v for v in y))
         lhs = sphere_pairing(ctx, one, y)
         rhs = scaled_normalized_bessel(lam, 0, t)
-        cases.append(
-            _numeric_case(
-                f"sphere/bessel-profile/y{i}",
-                abs(lhs - rhs),
-                tol(SPHERE_TOL),
-                extras={"lhs": [lhs.real, lhs.imag], "rhs": [rhs, 0.0]},
-            )
+        yield _numeric_case(
+            f"sphere/bessel-profile/y{i}",
+            abs(lhs - rhs),
+            tol(SPHERE_TOL),
+            extras={"lhs": [lhs.real, lhs.imag], "rhs": [rhs, 0.0]},
         )
 
     harmonic = Poly.variable(ctx.dim, 1)
@@ -668,13 +622,11 @@ def transforms_suite(
         rhs = scaled_normalized_bessel(lam, m, t) * harmonic.evaluate(
             tuple(-1j * v for v in y)
         )
-        cases.append(
-            _numeric_case(
-                f"sphere/harmonic-profile/y{i}",
-                abs(lhs - rhs),
-                tol(SPHERE_TOL),
-                detail=f"p={harmonic}",
-            )
+        yield _numeric_case(
+            f"sphere/harmonic-profile/y{i}",
+            abs(lhs - rhs),
+            tol(SPHERE_TOL),
+            detail=f"p={harmonic}",
         )
 
     # Pizzetti by substituting the origin.
@@ -682,7 +634,7 @@ def transforms_suite(
     res = abs(
         sphere_pairing(ctx, even, (0.0,) * ctx.dim) - float(pizzetti_mean(ctx, even))
     )
-    cases.append(_numeric_case("sphere/origin-mean", res, tol(SPHERE_TOL)))
+    yield _numeric_case("sphere/origin-mean", res, tol(SPHERE_TOL))
 
     # Gaussian transform: fixed point and Bochner-Hecke.  The relative-error
     # form of the fixed point is checked where double precision can support
@@ -695,31 +647,21 @@ def transforms_suite(
         lhs = dunkl_transform_gauss_poly(ctx, one, y)
         rhs = math.exp(-sum(v * v for v in y) / 2.0)
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        cases.append(
-            _numeric_case(
-                f"gauss/fixed-point/y{i}",
-                rel,
-                tol(1e-10),
-                extras={"lhs": [lhs.real, lhs.imag], "rhs": [rhs, 0.0]},
-                kind="rel",
-            )
+        yield _numeric_case(
+            f"gauss/fixed-point/y{i}",
+            rel,
+            tol(1e-10),
+            extras={"lhs": [lhs.real, lhs.imag], "rhs": [rhs, 0.0]},
+            kind="rel",
         )
     for m, p in test_polys:
-        for i, y in enumerate(grid):
-            res = hecke_residual(ctx, p, y)
-            cases.append(
-                _numeric_case(
-                    f"hecke/deg{m}/y{i}", res, tol(HECKE_TOL), detail=f"p={p}, y={y}"
-                )
+        for i, (y, res) in enumerate(zip(grid, hecke_residual(ctx, p, grid))):
+            yield _numeric_case(
+                f"hecke/deg{m}/y{i}", res, tol(HECKE_TOL), detail=f"p={p}, y={y}"
             )
-            res = hermite_eigen_residual(ctx, p, y)
-            cases.append(
-                _numeric_case(
-                    f"hermite-eigen/deg{m}/y{i}",
-                    res,
-                    tol(HERMITE_TOL),
-                    detail=f"p={p}, y={y}",
-                )
+        for i, (y, res) in enumerate(zip(grid, hermite_eigen_residual(ctx, p, grid))):
+            yield _numeric_case(
+                f"hermite-eigen/deg{m}/y{i}", res, tol(HERMITE_TOL), detail=f"p={p}, y={y}"
             )
 
     # Hankel transform: Gaussian fixed point and the radial multiplier form.
@@ -728,26 +670,20 @@ def transforms_suite(
         value = hankel_numeric(lambda r: math.exp(-r * r / 2.0), nu, s, tol=1e-13)
         expected = math.exp(-s * s / 2.0)
         rel = abs(value - expected) / abs(expected)
-        cases.append(
-            _numeric_case(
-                f"hankel/gauss-fixed/s{s}",
-                rel,
-                tol(HANKEL_FIXED_TOL),
-                extras={"lhs": [value, 0.0], "rhs": [expected, 0.0]},
-                kind="rel",
-            )
+        yield _numeric_case(
+            f"hankel/gauss-fixed/s{s}",
+            rel,
+            tol(HANKEL_FIXED_TOL),
+            extras={"lhs": [value, 0.0], "rhs": [expected, 0.0]},
+            kind="rel",
         )
     value = hankel_numeric(lambda r: math.exp(-r * r / 2.0), nu, 0.0, tol=1e-13)
-    cases.append(
-        _numeric_case("hankel/zero-limit", abs(value - 1.0), tol(HANKEL_FIXED_TOL))
-    )
+    yield _numeric_case("hankel/zero-limit", abs(value - 1.0), tol(HANKEL_FIXED_TOL))
     p = Poly.variable(ctx.dim, 1)
     y_point = (1.0,) + (0.0,) * (ctx.dim - 1)
     res = hankel_identity_residual(ctx, p, 1, y_point)
-    cases.append(
-        _numeric_case(
-            "hankel/radial-multiplier", res, tol(RADIAL_IDENTITY_TOL), detail="p=x1"
-        )
+    yield _numeric_case(
+        "hankel/radial-multiplier", res, tol(RADIAL_IDENTITY_TOL), detail="p=x1"
     )
 
     # Multiplication rule (one-dimensional statement).
@@ -760,15 +696,9 @@ def transforms_suite(
         ):
             small_ctx = get_context("z2:d=1", (kap,))
             res = transform_multiplication_residual(small_ctx, q, mult_grid)
-            cases.append(
-                _numeric_case(
-                    f"multiplication/{label}", res, tol(MULTIPLICATION_TOL)
-                )
-            )
+            yield _numeric_case(f"multiplication/{label}", res, tol(MULTIPLICATION_TOL))
         res = transform_multiplication_residual(ctx, Poly.monomial(1, (1,)), mult_grid)
-        cases.append(
-            _numeric_case("multiplication/run-kappa", res, tol(MULTIPLICATION_TOL))
-        )
+        yield _numeric_case("multiplication/run-kappa", res, tol(MULTIPLICATION_TOL))
 
     # Truncation-doubling stability, probed on values that stay away from
     # zero (the constant and the first coordinate) so relative comparison
@@ -778,85 +708,16 @@ def transforms_suite(
         v1 = dunkl_transform_gauss_poly(ctx, p_stab, y_small, n_terms=60)
         v2 = dunkl_transform_gauss_poly(ctx, p_stab, y_small, n_terms=120)
         rel = abs(v1 - v2) / max(abs(v2), 1e-300)
-        cases.append(
-            _numeric_case(
-                f"stability/gauss-doubling/{label}", rel, tol(DOUBLING_TOL), kind="rel"
-            )
+        yield _numeric_case(
+            f"stability/gauss-doubling/{label}", rel, tol(DOUBLING_TOL), kind="rel"
         )
         s1 = sphere_pairing(ctx, p_stab, y_small, n_terms=40)
         s2 = sphere_pairing(ctx, p_stab, y_small, n_terms=80)
         rel = abs(s1 - s2) / max(abs(s2), 1e-300)
-        cases.append(
-            _numeric_case(
-                f"stability/sphere-doubling/{label}", rel, tol(DOUBLING_TOL), kind="rel"
-            )
+        yield _numeric_case(
+            f"stability/sphere-doubling/{label}", rel, tol(DOUBLING_TOL), kind="rel"
         )
     k1 = dunkl_kernel_z2d(coordinate_kappas, (1.0,) * ctx.dim, y_small, n_terms=40)
     k2 = dunkl_kernel_z2d(coordinate_kappas, (1.0,) * ctx.dim, y_small, n_terms=80)
     rel = abs(k1 - k2) / max(abs(k2), 1e-300)
-    cases.append(
-        _numeric_case("stability/kernel-doubling", rel, tol(DOUBLING_TOL), kind="rel")
-    )
-
-    return VerificationReport("transforms", system, seed, cases, tolerance=tolerance)
-
-
-# -- registry ----------------------------------------------------------------
-
-SuiteFn = Callable[..., VerificationReport]
-
-SUITES: dict[str, SuiteFn] = {
-    "hobson": hobson_suite,
-    "commutativity": commutativity_suite,
-    "laplacian-routes": laplacian_routes_suite,
-    "laplacian-commutator": laplacian_commutator_suite,
-    "adjoint-formula": adjoint_formula_suite,
-    "projection": projection_suite,
-    "pizzetti": pizzetti_suite,
-    "hermite": hermite_suite,
-    "mean-value": mean_value_suite,
-    "transforms": transforms_suite,
-}
-
-# Default runs per suite when no system is requested on the command line.
-EXACT_DEFAULT_RUNS: list[tuple[str, tuple[str, ...]]] = [
-    ("z2:d=1", ("1/2",)),
-    ("z2:d=2", ("1", "3/2")),
-    ("z2:d=2", ("0", "0")),
-    ("z2:d=3", ("1/2", "0", "2")),
-    ("a:d=3", ("1",)),
-    ("b:d=2", ("1", "2")),
-    ("b:d=3", ("3/2", "1/2")),
-    ("d:d=4", ("1/2",)),
-]
-
-TRANSFORM_DEFAULT_RUNS: list[tuple[str, tuple[str, ...]]] = [
-    ("z2:d=1", ("0",)),
-    ("z2:d=1", ("1/2",)),
-    ("z2:d=1", ("1",)),
-    ("z2:d=1", ("3/2",)),
-    ("z2:d=2", ("0", "0")),
-    ("z2:d=2", ("1/2", "1",)),
-    ("z2:d=2", ("3/2", "0",)),
-    ("z2:d=2", ("1", "3/2",)),
-]
-
-PIZZETTI_DEFAULT_RUNS: list[tuple[str, tuple[str, ...]]] = [
-    ("z2:d=1", ("0",)),
-    ("z2:d=1", ("1/2",)),
-    ("z2:d=1", ("2",)),
-    ("z2:d=2", ("1", "0")),
-    ("z2:d=2", ("1/2", "3/2")),
-    ("z2:d=3", ("1", "1/2", "0")),
-    ("z2:d=3", ("2", "3/2", "1")),
-    ("z2:d=4", ("1/2", "0", "1", "3/2")),
-    ("z2:d=4", ("2", "1/2", "0", "1")),
-]
-
-
-def default_runs(suite: str) -> list[tuple[str, tuple[str, ...]]]:
-    if suite == "transforms":
-        return TRANSFORM_DEFAULT_RUNS
-    if suite == "pizzetti":
-        return PIZZETTI_DEFAULT_RUNS
-    return EXACT_DEFAULT_RUNS
+    yield _numeric_case("stability/kernel-doubling", rel, tol(DOUBLING_TOL), kind="rel")

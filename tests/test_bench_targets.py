@@ -8,7 +8,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from dunklcalc import transform
+from dunklcalc import transform, verify
 from dunklcalc.operators import DunklContext
 from dunklcalc.roots import build_root_system
 
@@ -34,3 +34,18 @@ def test_tracer_targets_resolve():
         assert span in tracer.LAYERS
         assert isinstance(getattr(ctx, table), dict), table
     assert isinstance(transform._SPHERE_MEAN_CACHE, dict)
+
+
+def test_suite_registry_matches_tracer():
+    """The tracer names every suite, in registry order, by the registered function."""
+    tracer = _load_tracer()
+    assert tuple(verify.SUITES) == tracer.SUITES
+    for name, fn in verify.SUITES.items():
+        assert getattr(verify, name.replace("-", "_") + "_suite") is fn, name
+        runs = verify.default_runs(name)
+        if name == "transforms":
+            assert runs is verify.TRANSFORM_DEFAULT_RUNS
+        elif name == "pizzetti":
+            assert runs is verify.PIZZETTI_DEFAULT_RUNS
+        else:
+            assert runs is verify.EXACT_DEFAULT_RUNS

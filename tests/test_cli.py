@@ -309,3 +309,53 @@ def test_verify_tolerance_is_only_for_transforms(capsys):
     tolerances = {r["suite"]: r.get("tolerance") for r in json.loads(out)}
     assert tolerances.pop("transforms") == 1e-3
     assert set(tolerances.values()) == {None}
+
+
+def test_verify_hobson_degree_zero_runs(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "hobson", "--system", "z2:d=2", "--kappa", "1,1/2",
+        "--deg", "0", "--json",
+    )
+    assert code == 0, err
+    cases = json.loads(out)[0]["cases"]
+    assert len(cases) == 7 * 8
+    assert all(c["status"] == "pass" and c["name"].endswith("-deg0") for c in cases)
+
+
+@pytest.mark.parametrize("suite", sorted(dunklcalc.verify.SUITES))
+def test_verify_negative_degree_exits_two(capsys, suite):
+    code, out, err = run_cli(
+        capsys, "verify", suite, "--system", "z2:d=2", "--kappa", "1,1/2", "--deg", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "degree must be non-negative" in err
+
+
+def test_verify_run_without_cases_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(dunklcalc.verify, "SUITES", dict(dunklcalc.verify.SUITES))
+    monkeypatch.setattr(dunklcalc.verify, "_DEFAULT_RUNS", {})
+
+    @dunklcalc.verify._suite("mean-value", [])
+    def empty_suite(ctx, rng, degree=4):
+        yield from ()
+
+    monkeypatch.setattr(dunklcalc.cli, "SUITES", dunklcalc.verify.SUITES)
+    code, out, err = run_cli(
+        capsys, "verify", "mean-value", "--system", "z2:d=1", "--kappa", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "checked no case" in err
+
+
+def test_verify_contexts_stay_bounded(monkeypatch):
+    monkeypatch.setattr(dunklcalc.verify, "_CONTEXTS", {})
+    cap = dunklcalc.verify._CONTEXTS_MAX
+    first = dunklcalc.verify.get_context("z2:d=1", ("0",))
+    assert dunklcalc.verify.get_context("z2:d=1", ("0",)) is first
+    for k in range(1, cap + 1):
+        dunklcalc.verify.get_context("z2:d=1", (str(k),))
+        assert len(dunklcalc.verify._CONTEXTS) <= cap
+    assert len(dunklcalc.verify._CONTEXTS) == 1
+    assert dunklcalc.verify.get_context("z2:d=1", ("0",)) is not first

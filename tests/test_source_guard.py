@@ -1,9 +1,11 @@
-"""Source guard: linear combinations of polynomials go through one helper.
+"""Source guards: jobs that have one place in the package stay there.
 
 Every operator of the calculus sums c * q over (c, q) pairs, and
 poly.linear_combination is the one place that does it.  This test parses
 the package and fails on a new hand-written accumulate statement of the
 form acc[k] = acc.get(k, ...) + ... outside the functions listed below.
+Likewise every verification suite is a case generator, and the one runner
+in verify._suite builds the seeded generator, the case list and the report.
 """
 
 import ast
@@ -67,3 +69,34 @@ def test_no_new_hand_written_accumulate_loops():
     # the list stays tight: every allowed site still accumulates by hand
     assert ALLOWED.keys() - sites == set()
 
+
+
+def _runner_jobs(node: ast.AST) -> list[str]:
+    """What node does that only the suite runner may do."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name in ("Random", "VerificationReport"):
+            return [name]
+    targets = []
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:  # not a field
+        targets = [node.target]
+    return ["cases list" for t in targets if isinstance(t, ast.Name) and t.id == "cases"]
+
+
+def test_only_the_suite_runner_builds_rng_cases_and_report():
+    found = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+            else:
+                for job in _runner_jobs(child):
+                    found.setdefault(".".join(scope), set()).add(job)
+                visit(child, scope)
+
+    visit(ast.parse((SRC / "verify.py").read_text()), [])
+    assert found == {"_suite.register.run": {"Random", "VerificationReport", "cases list"}}
