@@ -40,6 +40,7 @@ from .operators import (
 )
 from .poly import (
     ExactDivisionError,
+    InvariantError,
     Poly,
     PolyError,
     PolyParseError,
@@ -47,6 +48,7 @@ from .poly import (
     compose_reflection,
     divide_exact_by_linear,
     divide_exact_by_norm_sq,
+    divided_difference,
     format_poly,
     homogeneous_components,
     linear_form,

@@ -1,9 +1,10 @@
 """Command-line surface for the calculus and its verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
-3 internal invariant violation (an exact identity the implementation
-guarantees was found broken), 4 numeric limit (a series or a quadrature
-could not reach its bound at the requested point).
+3 internal invariant violation (an InvariantError: an exact identity the
+implementation guarantees was found broken), 4 numeric limit (a series or a
+quadrature could not reach its bound at the requested point, or a value
+overflowed a float).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .operators import (
     dunkl_laplacian_invariant,
     dunkl_laplacian_sq,
 )
-from .poly import ExactDivisionError, Poly, PolyError, parse_poly
+from .poly import InvariantError, Poly, PolyError, parse_poly
 from .radial import hobson_lhs, hobson_rhs, parse_profile
 from .roots import RootSystemError, build_root_system
 from .transform import (
@@ -223,8 +224,11 @@ def _cmd_transform(args) -> int:
 
 def _cmd_verify(args) -> int:
     requested = args.suite
-    if args.tolerance is not None and requested not in ("all", "transforms"):
-        raise UsageError(f"--tolerance applies only to transforms, not to {requested}")
+    if args.tolerance is not None:
+        if requested not in ("all", "transforms"):
+            raise UsageError(f"--tolerance applies only to transforms, not to {requested}")
+        if not 0 < args.tolerance < math.inf:  # also false for nan
+            raise UsageError("--tolerance must be finite and positive")
     names = list(SUITES) if requested == "all" else [requested]
     if args.system:
         kappas = tuple(args.kappa.split(",")) if args.kappa else ()
@@ -335,10 +339,10 @@ def main(argv=None) -> int:
     except (UsageError, RootSystemError, PolyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ExactDivisionError, ArithmeticError) as exc:
+    except InvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
-    except (TruncationError, QuadratureError) as exc:
+    except (TruncationError, QuadratureError, OverflowError) as exc:
         print(f"error: numeric limit: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
 

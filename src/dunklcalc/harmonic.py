@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .operators import DunklContext, dunkl_laplacian_sq, heat_series, laplacian_powers
-from .poly import Poly, divide_exact_by_norm_sq, linear_combination, norm_sq_poly
+from .poly import InvariantError, Poly, divide_exact_by_norm_sq, linear_combination, norm_sq_poly
 from .radial import RadialProfile, WeightedFunction, weighted_poly_of_dunkl
 from .util import pochhammer
 
@@ -35,7 +35,7 @@ def _series_denominator(ctx: DunklContext, m: int, j: int) -> Fraction:
     lam = ctx.constants.bessel_index
     poch = pochhammer(-lam - m + 1, j)
     if poch == 0:
-        raise ArithmeticError(
+        raise InvariantError(
             "projection series denominator vanished; the Bessel index "
             f"{lam} is outside the admissible range"
         )
@@ -94,7 +94,7 @@ def clebsch_project_maxwell(ctx: DunklContext, p: Poly) -> Poly:
     )
     series = clebsch_project_series(ctx, p)
     if result != series:
-        raise ArithmeticError(
+        raise InvariantError(
             "Maxwell projection disagrees with the series projection"
         )
     return result

@@ -17,7 +17,7 @@ from math import factorial
 from typing import Callable, Sequence
 
 from .operators import DunklContext, dunkl_laplacian_sq, laplacian_powers
-from .poly import Poly
+from .poly import InvariantError, Poly
 from .util import pochhammer
 
 
@@ -88,7 +88,7 @@ def gaussian_moment(ctx: DunklContext, p: Poly) -> Fraction:
 def mean_value_check(ctx: DunklContext, p: Poly) -> Fraction:
     """Spherical mean of a harmonic polynomial; must equal its value at 0.
 
-    Raises ValueError for non-harmonic input and ArithmeticError if the
+    Raises ValueError for non-harmonic input and InvariantError if the
     mean-value property itself fails, which would indicate a broken
     Laplacian or series.
     """
@@ -97,7 +97,7 @@ def mean_value_check(ctx: DunklContext, p: Poly) -> Fraction:
     mean = pizzetti_mean(ctx, p)
     at_origin = p.constant_term()
     if mean != at_origin:
-        raise ArithmeticError(
+        raise InvariantError(
             f"mean value {mean} differs from value at the origin {at_origin}"
         )
     return mean

@@ -5,6 +5,13 @@ the memo tables that make repeated applications cheap: the reflection
 difference quotient of a monomial and the image of a monomial under each
 coordinate operator are both pure functions of the exponent vector, so they
 are computed once per context.
+
+A root whose reflection is a signed coordinate permutation (one nonzero
+entry, or two of equal size: every root of the z2, a, b and d catalogs)
+gets its difference quotient in closed form from poly.divided_difference,
+with no substitution and no division.  Any other root expands the
+reflection with compose_reflection and divides by <alpha, x> with
+divide_exact_by_linear.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from .poly import (
     classical_laplacian,
     compose_reflection,
     divide_exact_by_linear,
+    divided_difference,
     linear_combination,
     partial_derivative,
     Exponent,
@@ -53,13 +61,20 @@ class DunklContext:
     # -- monomial-level building blocks ------------------------------------
 
     def _quotient(self, root_index: int, e: Exponent) -> Poly:
-        """(x^e - x^e composed with r_alpha) / <alpha, x>, exact."""
+        """(x^e - x^e composed with r_alpha) / <alpha, x>, exact.
+
+        Closed form for signed-permutation roots, exact division otherwise.
+        """
         key = (root_index, e)
         cached = self._quotients.get(key)
         if cached is None:
-            mono = Poly.monomial(self.dim, e)
-            diff = mono - compose_reflection(mono, self.rs.reflections[root_index])
-            cached = divide_exact_by_linear(diff, self.rs.positive_roots[root_index])
+            action = self.rs.reflections[root_index]
+            if action.signed is not None:
+                cached = divided_difference(e, action)
+            else:
+                mono = Poly.monomial(self.dim, e)
+                diff = mono - compose_reflection(mono, action)
+                cached = divide_exact_by_linear(diff, self.rs.positive_roots[root_index])
             self._quotients[key] = cached
         return cached
 

@@ -2,10 +2,12 @@
 
 Terms live in a dict keyed by exponent tuples with nonzero Fraction
 coefficients, so equality is exact structural equality of canonical forms.
-Besides ring arithmetic the module provides the two primitives the Dunkl
+Besides ring arithmetic the module provides the primitives the Dunkl
 calculus leans on: substitution of a reflection (compiled once per root into
-a ReflectionAction) and exact division by the linear form <a, x> of a root
-(and by the squared norm, which the harmonic decomposition needs).
+a ReflectionAction), the closed-form difference quotient of a monomial for a
+root whose reflection is a signed coordinate permutation, and exact division
+by the linear form <a, x> of a root (and by the squared norm, which the
+harmonic decomposition needs).
 """
 
 from __future__ import annotations
@@ -30,11 +32,18 @@ class PolyParseError(PolyError):
         self.position = position
 
 
-class ExactDivisionError(ArithmeticError):
+class InvariantError(ArithmeticError):
+    """An exact identity that the implementation guarantees was found broken.
+
+    It signals a bug, not bad input; the CLI reports it with exit code 3.
+    """
+
+
+class ExactDivisionError(InvariantError):
     """A division that must be exact left a remainder.
 
     Raised when a caller-side invariant is broken (a numerator that should
-    vanish on a hyperplane does not), so it signals a bug, not bad input.
+    vanish on a hyperplane does not).
     """
 
 
@@ -277,11 +286,20 @@ class ReflectionAction:
     pair (t, s) with (r_alpha x)_i = s * x_t, and a monomial maps to one
     signed monomial.  Otherwise images[i] is the linear polynomial
     (r_alpha x)_i, and substitution expands products of them.
+
+    A signed action also keeps what divided_difference needs: support holds
+    the indices of the root's nonzero entries, (k,) for a sign flip
+    alpha = scale * e_k or (j, k) with j < k for a transposition, and scale
+    is the root's entry at support[0].  The sign s of signed[support[0]]
+    completes the root: alpha = scale * (e_j - s * e_k).  General actions
+    keep support () and scale None.
     """
 
     dim: int
     signed: tuple[tuple[int, int], ...] | None
     images: tuple[Poly, ...] | None
+    support: tuple[int, ...]
+    scale: Fraction | None
 
     def reflect_vector(self, v: Sequence) -> tuple:
         """r_alpha v; exact for Fraction entries."""
@@ -294,12 +312,14 @@ def compile_reflection(alpha: Sequence) -> ReflectionAction:
     """The reflection in alpha^perp, classified by the shape of alpha.
 
     It is a signed coordinate permutation exactly when alpha has one nonzero
-    entry (a sign flip) or two of equal size (a signed transposition); any
-    other root keeps the general linear images.
+    entry (a sign flip) or two of equal size (a signed transposition); those
+    roots get the closed-form difference quotient of divided_difference.
+    Any other root keeps the general linear images, and its quotient needs
+    compose_reflection and divide_exact_by_linear.
     """
     alpha = [Fraction(a) for a in alpha]
     dim = len(alpha)
-    support = [i for i, a in enumerate(alpha) if a]
+    support = tuple(i for i, a in enumerate(alpha) if a)
     signed = [(i, 1) for i in range(dim)]
     if len(support) == 1:
         k = support[0]
@@ -310,8 +330,9 @@ def compile_reflection(alpha: Sequence) -> ReflectionAction:
         s = -1 if (alpha[j] > 0) == (alpha[k] > 0) else 1
         signed[j], signed[k] = (k, s), (j, s)
     else:
-        return ReflectionAction(dim, None, tuple(reflection_variable_images(alpha, dim)))
-    return ReflectionAction(dim, tuple(signed), None)
+        images = tuple(reflection_variable_images(alpha, dim))
+        return ReflectionAction(dim, None, images, (), None)
+    return ReflectionAction(dim, tuple(signed), None, support, alpha[support[0]])
 
 
 def compose_reflection(p: Poly, alpha: ReflectionAction | Sequence) -> Poly:
@@ -352,6 +373,47 @@ def compose_reflection(p: Poly, alpha: ReflectionAction | Sequence) -> Poly:
         ((c, prod((power(i, k) for i, k in enumerate(e) if k), start=one))
          for e, c in p.terms.items()),
     )
+
+
+def divided_difference(e: Exponent, action: ReflectionAction) -> Poly:
+    """(x^e - x^e composed with r_alpha) / <alpha, x> for a signed action.
+
+    The Bernstein-Gelfand-Gelfand / Demazure divided difference, built term
+    by term with no division.  Write x^e = m * x_j^a * x_k^b with m the
+    other coordinates and c = action.scale.  A sign flip alpha = c e_k
+    gives (2/c) x^(e - e_k) for odd a and 0 for even a.  A transposition
+    alpha = c (e_j - e_k) gives sign(a - b) (m/c) (x_j x_k)^min(a, b) times
+    h_(|a-b|-1)(x_j, x_k), the complete homogeneous polynomial with every
+    coefficient 1, and 0 for a = b; alpha = c (e_j + e_k) is the same with
+    x_k replaced by -x_k.  The terms come in descending powers of x_j, the
+    order in which divide_exact_by_linear finds them.
+    """
+    if action.signed is None:
+        raise PolyError("the closed-form quotient needs a signed-permutation root")
+    dim = action.dim
+    if len(e) != dim:
+        raise PolyError("exponent has wrong dimension")
+    if len(action.support) == 1:
+        k = action.support[0]
+        if e[k] % 2 == 0:
+            return Poly(dim)
+        f = list(e)
+        f[k] -= 1
+        return Poly(dim, {tuple(f): 2 / action.scale})
+    j, k = action.support
+    a, b = e[j], e[k]
+    if a == b:
+        return Poly(dim)
+    low = min(a, b)
+    unit = 1 / action.scale if a > b else -1 / action.scale
+    # alpha = c (e_j + e_k): x_k^t brings (-1)^t relative to c (e_j - e_k)
+    flip = action.signed[j][1] < 0
+    terms: dict[Exponent, Fraction] = {}
+    f = list(e)
+    for t in range(low, max(a, b)):
+        f[j], f[k] = a + b - 1 - t, t
+        terms[tuple(f)] = -unit if flip and (b + t) % 2 else unit
+    return Poly(dim, terms)
 
 
 def divide_exact_by_linear(p: Poly, alpha: Sequence) -> Poly:

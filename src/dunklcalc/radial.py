@@ -22,7 +22,15 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .operators import DunklContext, apply_coord, laplacian_powers
-from .poly import Exponent, Poly, _Scanner, linear_combination, norm_sq_poly, try_divide_norm_sq
+from .poly import (
+    Exponent,
+    InvariantError,
+    Poly,
+    _Scanner,
+    linear_combination,
+    norm_sq_poly,
+    try_divide_norm_sq,
+)
 
 ProfileKey = tuple[Fraction, Fraction]  # (base exponent, gaussian rate)
 
@@ -270,7 +278,7 @@ class WeightedFunction:
     def as_polynomial(self, gauss_coeff=0) -> Poly:
         """Extract P when the function is P(x) times exp(gauss_coeff r^2).
 
-        Raises ArithmeticError when the canonical form has any other
+        Raises InvariantError when the canonical form has any other
         profile content; even powers of r fold back into P through the
         squared norm.
         """
@@ -280,7 +288,7 @@ class WeightedFunction:
         for (s, a), poly in self.canonical().parts.items():
             half, rem = divmod(s, 2)
             if a != gauss_coeff or rem != 0 or half < 0 or half.denominator != 1:
-                raise ArithmeticError(
+                raise InvariantError(
                     "weighted function is not a polynomial multiple of the "
                     f"requested profile (found exponent {s}, rate {a})"
                 )

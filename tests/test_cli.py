@@ -256,6 +256,32 @@ def test_quadrature_error_exits_four(capsys, monkeypatch):
     )
 
 
+def test_float_overflow_exits_four(capsys):
+    # the exact transform is fine; its conversion to a float is not
+    code, out, err = run_cli(
+        capsys, "transform", "--system", "z2:d=1", "--kappa", "1",
+        "--poly=1" + "0" * 400 + "*x1", "--y=1",
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "error: numeric limit: integer division result too large for a float\n"
+
+
+def test_invariant_error_exits_three(capsys, monkeypatch):
+    from dunklcalc.poly import ExactDivisionError
+
+    def broken(*args):
+        raise ExactDivisionError("x1 is not divisible by the linear form of (1, -1)")
+
+    monkeypatch.setattr(dunklcalc.cli, "dunkl_laplacian_sq", broken)
+    code, out, err = run_cli(
+        capsys, "laplacian", "--system", "a:d=2", "--kappa", "1", "--poly", "x1",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal invariant violation: x1 is not divisible")
+
+
 @pytest.mark.parametrize("y", ["nan,1", "inf,0", "1.0,-inf"])
 def test_transform_non_finite_point_exits_two(capsys, y):
     code, out, err = run_cli(
@@ -309,6 +335,21 @@ def test_verify_tolerance_is_only_for_transforms(capsys):
     tolerances = {r["suite"]: r.get("tolerance") for r in json.loads(out)}
     assert tolerances.pop("transforms") == 1e-3
     assert set(tolerances.values()) == {None}
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+def test_verify_tolerance_must_be_finite_and_positive(capsys, monkeypatch, tolerance):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a suite ran with a bad tolerance")
+
+    monkeypatch.setattr(dunklcalc.cli, "SUITES", {**dunklcalc.verify.SUITES, "transforms": no_run})
+    code, out, err = run_cli(
+        capsys, "verify", "transforms", "--system", "z2:d=1", "--kappa", "1",
+        f"--tolerance={tolerance}",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--tolerance must be finite and positive" in err
 
 
 def test_verify_hobson_degree_zero_runs(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import dunklcalc.operators
 import dunklcalc.poly
 from dunklcalc.operators import (
     DunklContext,
@@ -130,6 +131,18 @@ def test_root_scale_invariance():
         assert dunkl_apply(base, xi, p) == dunkl_apply(scaled, xi, p)
 
 
+def count_divisions(monkeypatch):
+    calls = []
+    original = dunklcalc.operators.divide_exact_by_linear
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dunklcalc.operators, "divide_exact_by_linear", counted)
+    return calls
+
+
 def test_quotient_miss_uses_the_compiled_reflection(monkeypatch):
     ctx = make_ctx("b:d=3", ["1", "2"])
     calls = []
@@ -140,12 +153,23 @@ def test_quotient_miss_uses_the_compiled_reflection(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(dunklcalc.poly, "reflection_variable_images", counted)
+    divisions = count_divisions(monkeypatch)
     mono = Poly.monomial(3, (3, 1, 2))
     for idx, alpha in enumerate(ctx.rs.positive_roots):
         q = ctx._quotient(idx, (3, 1, 2))
         assert q * linear_form(alpha) == mono - compose_reflection(mono, alpha)
     assert len(ctx._quotients) == len(ctx.rs.positive_roots)  # every call missed
     assert calls == []
+    assert divisions == []  # signed roots take the closed form
+
+
+def test_quotient_misses_on_general_roots_divide(monkeypatch):
+    calls = count_divisions(monkeypatch)
+    ctx = DunklContext(build_root_system([(3, 4), (-4, 3)], ["1/2", "1"]))
+    ctx._quotient(0, (2, 1))
+    ctx._quotient(1, (0, 3))
+    ctx._quotient(0, (2, 1))  # a hit
+    assert len(calls) == 2
 
 
 def test_rotated_system_commutativity():

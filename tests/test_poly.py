@@ -10,9 +10,11 @@ from dunklcalc.poly import (
     PolyError,
     PolyParseError,
     classical_laplacian,
+    compile_reflection,
     compose_reflection,
     divide_exact_by_linear,
     divide_exact_by_norm_sq,
+    divided_difference,
     format_poly,
     homogeneous_components,
     linear_combination,
@@ -21,6 +23,7 @@ from dunklcalc.poly import (
     partial_derivative,
     try_divide_norm_sq,
 )
+from dunklcalc.roots import _catalog_roots
 
 Q = Fraction
 
@@ -226,6 +229,52 @@ def test_reflection_difference_divisible(p):
         q = divide_exact_by_linear(diff, alpha)  # must not raise
         lin = Poly(2, {(1, 0): Q(alpha[0]), (0, 1): Q(alpha[1])})
         assert q * lin == diff
+
+
+# every root of the z2, a, b and d catalogs with d <= 5, and custom roots of
+# the same shapes with other signs and sizes
+SIGNED_ROOTS = sorted(
+    {root for family in ("z2", "a", "b", "d") for d in range(1 if family == "z2" else 2, 6)
+     for root in _catalog_roots(f"{family}:d={d}")[1]}
+    | {(Q(2), Q(-2)), (Q(0), Q(-3), Q(0)), (Q(-1), Q(1)), (Q(0), Q(5, 2), Q(0), Q(5, 2))}
+)
+
+
+def quotient_by_division(e, alpha):
+    mono = Poly.monomial(len(e), e)
+    return divide_exact_by_linear(mono - compose_reflection(mono, alpha), alpha)
+
+
+@given(st.sampled_from(SIGNED_ROOTS), st.sampled_from([1, 2, Q(1, 2), -3]), st.data())
+@settings(max_examples=400, deadline=None)
+def test_divided_difference_matches_division(root, scale, data):
+    alpha = [scale * a for a in root]
+    e = data.draw(st.tuples(*[st.integers(0, 8)] * len(alpha)))
+    action = compile_reflection(alpha)
+    assert action.signed is not None
+    closed = divided_difference(e, action)
+    oracle = quotient_by_division(e, alpha)
+    assert closed == oracle
+    # the same term order too, so sums over the memo tables keep theirs
+    assert list(closed.terms) == list(oracle.terms)
+
+
+@pytest.mark.parametrize("alpha, e", [
+    ((1, 0), (4, 3)),        # sign flip, even e_k
+    ((0, 0, -2), (1, 5, 0)),
+    ((1, -1), (3, 3)),       # transposition, a = b
+    ((0, 2, 2), (7, 2, 2)),  # signed transposition, a = b
+])
+def test_divided_difference_zero_cases(alpha, e):
+    assert divided_difference(e, compile_reflection(alpha)).is_zero()
+    assert quotient_by_division(e, alpha).is_zero()
+
+
+def test_divided_difference_needs_a_signed_root():
+    with pytest.raises(PolyError):
+        divided_difference((1, 2), compile_reflection((3, 4)))
+    with pytest.raises(PolyError):
+        divided_difference((1, 2, 0), compile_reflection((1, -1)))
 
 
 def test_norm_sq_division():
