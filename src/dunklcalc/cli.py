@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 
 from .harmonic import (
-    MaxwellDegenerateError,
     clebsch_project_maxwell,
     clebsch_project_series,
     harmonic_decompose,
@@ -30,9 +29,9 @@ from .operators import (
     dunkl_laplacian_invariant,
     dunkl_laplacian_sq,
 )
-from .poly import InvariantError, Poly, PolyError, parse_poly
+from .poly import InvariantError, Poly, parse_poly
 from .radial import hobson_lhs, hobson_rhs, parse_profile
-from .roots import RootSystemError, build_root_system
+from .roots import build_root_system
 from .transform import (
     QuadratureError,
     TruncationError,
@@ -110,9 +109,9 @@ def _cmd_hobson(args) -> int:
         raise UsageError("--profile is required")
     lhs = hobson_lhs(ctx, p, profile)
     rhs = hobson_rhs(ctx, p, profile)
-    residual = (lhs - rhs).canonical()
+    residual = lhs - rhs
     ok = residual.is_zero()
-    # each str() of a WeightedFunction canonicalizes it, so format once
+    # each str() of a WeightedFunction computes its canonical form, so format once
     lhs_text, rhs_text = str(lhs), str(rhs)
     payload = {
         "system": args.system,
@@ -130,13 +129,8 @@ def _cmd_hobson(args) -> int:
 def _cmd_project(args) -> int:
     ctx = _context_from_args(args)
     p = _poly_from_args(args, ctx)
-    if args.route == "series":
-        result = clebsch_project_series(ctx, p)
-    else:
-        try:
-            result = clebsch_project_maxwell(ctx, p)
-        except MaxwellDegenerateError as exc:
-            raise UsageError(str(exc)) from exc
+    route = clebsch_project_series if args.route == "series" else clebsch_project_maxwell
+    result = route(ctx, p)
     text = str(result)
     _emit(args, {"system": args.system, "route": args.route, "result": text}, text)
     return 0
@@ -336,7 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, RootSystemError, PolyError, ValueError) as exc:
+    except ValueError as exc:  # every input error of the package is one
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except InvariantError as exc:

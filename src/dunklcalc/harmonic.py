@@ -155,18 +155,18 @@ def rodrigues_residual(ctx: DunklContext, p: Poly) -> WeightedFunction:
     """Rodrigues form against the Laplacian series for the Hermite polynomial.
 
     Applies p(D) to exp(-r^2), scales by (-1/2)^deg, and subtracts the
-    series Hermite polynomial carried on the same gaussian; the canonical
-    residual is zero exactly when the two constructions agree.
+    series Hermite polynomial carried on the same gaussian; the residual,
+    canonical only when printed, is zero exactly when the two agree.
     """
     if not p.is_homogeneous():
         raise ValueError("Rodrigues check needs homogeneous input")
     if p.is_zero():
-        return WeightedFunction.zero(ctx.dim)
+        return WeightedFunction(ctx.dim)
     m = p.degree()
     gauss = RadialProfile.gaussian(-1)
     image = weighted_poly_of_dunkl(ctx, p, gauss).scale(Fraction(-1, 2) ** m)
     expected = WeightedFunction(ctx.dim, [(hermite_poly(ctx, p), gauss)])
-    return (image - expected).canonical()
+    return image - expected
 
 
 def gaussian_series_residual(ctx: DunklContext, p: Poly) -> WeightedFunction:
@@ -175,15 +175,15 @@ def gaussian_series_residual(ctx: DunklContext, p: Poly) -> WeightedFunction:
     Checks p(D) exp(-r^2/2) = sum_j (-1)^(m-j)/(2^j j!) exp(-r^2/2) Lap^j p
     for homogeneous p of degree m, a direct specialization of the radial
     expansion that the Hermite transform theory relies on; the sum is
-    (-1)^m exp(-Lap/2) p.
+    (-1)^m exp(-Lap/2) p.  The residual is canonical only when printed.
     """
     if not p.is_homogeneous():
         raise ValueError("gaussian expansion check needs homogeneous input")
     if p.is_zero():
-        return WeightedFunction.zero(ctx.dim)
+        return WeightedFunction(ctx.dim)
     m = p.degree()
     gauss = RadialProfile.gaussian(Fraction(-1, 2))
     image = weighted_poly_of_dunkl(ctx, p, gauss)
     series = heat_series(ctx, p, Fraction(-1, 2)).scale(-1 if m % 2 else 1)
     expected = WeightedFunction(ctx.dim, [(series, gauss)])
-    return (image - expected).canonical()
+    return image - expected

@@ -48,15 +48,10 @@ class DunklContext:
         self._quotients: dict[tuple[int, Exponent], Poly] = {}
         self._coord_images: dict[tuple[int, Exponent], Poly] = {}
         self._laplacian_images: dict[Exponent, Poly] = {}
-        self._radial_cache: dict = {}
 
     @property
     def dim(self) -> int:
         return self.rs.dim
-
-    def clear_radial_cache(self) -> None:
-        """Drop memoized weighted-calculus nodes (they are per profile)."""
-        self._radial_cache.clear()
 
     # -- monomial-level building blocks ------------------------------------
 
@@ -196,14 +191,21 @@ def dunkl_laplacian_expr(ctx: DunklContext, p: Poly) -> Poly:
 def dunkl_laplacian_invariant(ctx: DunklContext, p: Poly) -> Poly:
     """Second-order restriction of the Laplacian, valid for invariant p.
 
-    For polynomials fixed by the reflection group the difference terms drop
-    and the Laplacian reduces to the classical one plus first-order root
-    terms; the per-root division is exact precisely in that case, so feeding
-    a non-invariant polynomial raises ExactDivisionError.
+    For polynomials fixed by the reflections of the active roots the
+    difference terms drop and the Laplacian reduces to the classical one
+    plus first-order root terms.  Any other input raises ValueError: the
+    restriction does not apply to it, and the per-root division may even be
+    exact while giving a wrong answer.
     """
     pairs = [(1, classical_laplacian(p))]
     for idx in ctx._active:
         alpha = ctx.rs.positive_roots[idx]
+        if p != compose_reflection(p, ctx.rs.reflections[idx]):
+            root = ", ".join(str(c) for c in alpha)
+            raise ValueError(
+                "the invariant restriction needs a polynomial fixed by the "
+                f"reflection in the root ({root})"
+            )
         numerator = partial_derivative(p, alpha).scale(2 * ctx._kappa[idx])
         pairs.append((1, divide_exact_by_linear(numerator, alpha)))
     return linear_combination(ctx.dim, pairs)

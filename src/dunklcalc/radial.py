@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .operators import DunklContext, apply_coord, laplacian_powers
 from .poly import (
@@ -28,7 +28,6 @@ from .poly import (
     Poly,
     _Scanner,
     linear_combination,
-    norm_sq_poly,
     try_divide_norm_sq,
 )
 
@@ -80,14 +79,6 @@ class RadialProfile:
         c = Fraction(c)
         return RadialProfile.make(
             self.base_exponent, self.gauss_coeff, {j: c * v for j, v in self.coeffs}
-        )
-
-    def shift_r_power(self, e) -> "RadialProfile":
-        """Multiply by r^e."""
-        if self.is_zero():
-            return self
-        return RadialProfile.make(
-            self.base_exponent + Fraction(e), self.gauss_coeff, dict(self.coeffs)
         )
 
     def __str__(self) -> str:
@@ -169,11 +160,13 @@ class WeightedFunction:
 
     Internally each summand is flattened to a single power: the parts map
     sends (exponent s, gaussian rate a) to the polynomial factor of
-    P(x) r^s exp(a r^2).  Canonicalization folds every even power excess
-    into the polynomial through the squared norm and then pulls squared-norm
-    factors back out, so each (rate, exponent parity) family keeps exactly
-    one representative with the smallest exponent actually present.  Two
-    weighted functions are equal exactly when their canonical parts match.
+    P(x) r^s exp(a r^2).  Since P r^s equals P |x|^2 r^(s-2), the parts
+    are kept as built and the canonical form is computed only at output,
+    by terms(), str() and as_polynomial(): each (rate, exponent parity)
+    family is folded into one polynomial at its lowest exponent, and
+    squared-norm factors are pulled back out of it.  Two weighted functions
+    are equal exactly when every fold of their difference is zero, and
+    WeightedFunction(dim) is the zero function.
     """
 
     __slots__ = ("dim", "parts")
@@ -188,92 +181,83 @@ class WeightedFunction:
                 items.append(((profile.base_exponent + 2 * j, profile.gauss_coeff), c, poly))
         self.parts: dict[ProfileKey, Poly] = _combine_parts(dim, items)
 
-    @classmethod
-    def from_parts(cls, dim: int, parts: Mapping[ProfileKey, Poly]) -> "WeightedFunction":
-        out = cls(dim)
-        for key, poly in parts.items():
-            if not poly.is_zero():
-                out.parts[key] = poly
+    @staticmethod
+    def _sum(dim: int, items: Iterable[tuple[ProfileKey, object, Poly]]) -> "WeightedFunction":
+        """The sum of c * P(x) r^s exp(a r^2) over ((s, a), c, P) items."""
+        out = WeightedFunction(dim)
+        out.parts = _combine_parts(dim, items)
         return out
-
-    @classmethod
-    def zero(cls, dim: int) -> "WeightedFunction":
-        return cls(dim)
 
     # -- linear structure ---------------------------------------------------
 
-    def __add__(self, other: "WeightedFunction") -> "WeightedFunction":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        items = [(key, 1, poly) for w in (self, other) for key, poly in w.parts.items()]
-        return WeightedFunction.from_parts(self.dim, _combine_parts(self.dim, items))
+    def _items(self, c=1) -> list[tuple[ProfileKey, object, Poly]]:
+        return [(key, c, poly) for key, poly in self.parts.items()]
 
-    def __neg__(self) -> "WeightedFunction":
-        return WeightedFunction.from_parts(
-            self.dim, {k: -p for k, p in self.parts.items()}
-        )
+    # a dimension mismatch raises PolyError in linear_combination
+    def __add__(self, other: "WeightedFunction") -> "WeightedFunction":
+        return WeightedFunction._sum(self.dim, self._items() + other._items())
 
     def __sub__(self, other: "WeightedFunction") -> "WeightedFunction":
-        return self + (-other)
+        return WeightedFunction._sum(self.dim, self._items() + other._items(-1))
+
+    def __neg__(self) -> "WeightedFunction":
+        return self.scale(-1)
 
     def scale(self, c) -> "WeightedFunction":
-        c = Fraction(c)
-        if not c:
-            return WeightedFunction.zero(self.dim)
-        return WeightedFunction.from_parts(
-            self.dim, {k: p.scale(c) for k, p in self.parts.items()}
-        )
+        return WeightedFunction._sum(self.dim, self._items(Fraction(c)))
 
     def shift_r_power(self, e) -> "WeightedFunction":
         e = Fraction(e)
-        return WeightedFunction.from_parts(
-            self.dim, {(s + e, a): p for (s, a), p in self.parts.items()}
+        return WeightedFunction._sum(
+            self.dim, (((s + e, a), 1, p) for (s, a), p in self.parts.items())
         )
 
-    # -- canonical form -----------------------------------------------------
+    # -- canonical form, computed at output ----------------------------------
 
-    def canonical(self) -> "WeightedFunction":
-        grouped: dict[tuple[Fraction, Fraction], list[tuple[Fraction, Poly]]] = {}
+    def _folds(self) -> Iterator[tuple[Fraction, Fraction, Poly]]:
+        """(lowest exponent s, rate a, P) per (rate, exponent parity) family.
+
+        P is the sum of P_t |x|^(t - s) over the family's parts P_t r^t, by
+        Horner in |x|^2 from the top exponent down: each step multiplies the
+        running sum by |x|^2 and adds the part at the next exponent.  A
+        family whose parts cancel gives the zero polynomial.
+        """
+        families: dict[tuple[Fraction, Fraction], dict[Fraction, Poly]] = {}
         for (s, a), poly in self.parts.items():
-            if poly.is_zero():
-                continue
-            grouped.setdefault((a, s % 2), []).append((s, poly))
-        r2 = norm_sq_poly(self.dim)
-        out: dict[ProfileKey, Poly] = {}
-        for (a, _), entries in grouped.items():
-            base = min(s for s, _ in entries)
-            total = linear_combination(
-                self.dim,
-                ((1, poly * r2 ** int((s - base) / 2) if s != base else poly)
-                 for s, poly in entries),
-            )
-            while not total.is_zero():
-                quotient = try_divide_norm_sq(total)
-                if quotient is None:
-                    break
-                total = quotient
-                base += 2
-            if not total.is_zero():
-                out[(base, a)] = total
-        return WeightedFunction.from_parts(self.dim, out)
+            families.setdefault((a, s % 2), {})[s] = poly
+        for (a, _), family in families.items():
+            s = max(family)
+            total = family.pop(s)
+            while family:
+                s -= 2
+                pairs = _norm_sq_shifts(total)
+                if s in family:
+                    pairs.append((1, family.pop(s)))
+                total = linear_combination(self.dim, pairs)
+            yield s, a, total
 
     def is_zero(self) -> bool:
-        return not self.canonical().parts
+        return all(total.is_zero() for _, _, total in self._folds())
 
     def __eq__(self, other):
         if not isinstance(other, WeightedFunction):
             return NotImplemented
-        return self.dim == other.dim and self.canonical().parts == other.canonical().parts
+        return self.dim == other.dim and (self - other).is_zero()
 
     __hash__ = None
 
     def terms(self) -> tuple[tuple[Poly, RadialProfile], ...]:
-        """Canonical (polynomial, single-power profile) presentation."""
-        canon = self.canonical()
-        ordered = sorted(canon.parts.items(), key=lambda item: (item[0][1], item[0][0]))
-        return tuple(
-            (poly, RadialProfile.power_gauss(s, a)) for (s, a), poly in ordered
+        """Canonical (polynomial, single-power profile) presentation.
+
+        Each nonzero fold with every squared-norm factor moved into r^s,
+        ordered by rate, then exponent.
+        """
+        canon = sorted(
+            ((a, *_strip_norm_sq(s, total)) for s, a, total in self._folds()
+             if not total.is_zero()),
+            key=lambda part: part[:2],
         )
+        return tuple((poly, RadialProfile.power_gauss(s, a)) for a, s, poly in canon)
 
     def as_polynomial(self, gauss_coeff=0) -> Poly:
         """Extract P when the function is P(x) times exp(gauss_coeff r^2).
@@ -283,16 +267,20 @@ class WeightedFunction:
         squared norm.
         """
         gauss_coeff = Fraction(gauss_coeff)
-        r2 = norm_sq_poly(self.dim)
         pairs = []
-        for (s, a), poly in self.canonical().parts.items():
+        for s, a, total in self._folds():
+            if total.is_zero():
+                continue
+            s, total = _strip_norm_sq(s, total)
             half, rem = divmod(s, 2)
             if a != gauss_coeff or rem != 0 or half < 0 or half.denominator != 1:
                 raise InvariantError(
                     "weighted function is not a polynomial multiple of the "
                     f"requested profile (found exponent {s}, rate {a})"
                 )
-            pairs.append((1, poly * r2 ** int(half)))
+            for _ in range(int(half)):
+                total = linear_combination(self.dim, _norm_sq_shifts(total))
+            pairs.append((1, total))
         return linear_combination(self.dim, pairs)
 
     def __str__(self) -> str:
@@ -321,7 +309,7 @@ def weighted_dunkl_apply(
         if coeff:
             image = _apply_coord_weighted(ctx, j, w.parts)
             items.extend((key, coeff, poly) for key, poly in image.items())
-    return WeightedFunction.from_parts(w.dim, _combine_parts(w.dim, items))
+    return WeightedFunction._sum(w.dim, items)
 
 
 def _combine_parts(
@@ -339,12 +327,21 @@ def _combine_parts(
     return parts
 
 
-def _times_var(poly: Poly, j: int) -> Poly:
-    return Poly(
-        poly.dim,
-        {tuple(v + 1 if i == j else v for i, v in enumerate(e)): c
-         for e, c in poly.terms.items()},
-    )
+def _times_var(poly: Poly, j: int, k: int = 1) -> Poly:
+    """poly * x_j^k, a shift of exponents."""
+    return Poly(poly.dim, {e[:j] + (e[j] + k,) + e[j + 1:]: c for e, c in poly.terms.items()})
+
+
+def _norm_sq_shifts(poly: Poly) -> list[tuple[int, Poly]]:
+    """poly * |x|^2 as linear_combination pairs, with no coefficient products."""
+    return [(1, _times_var(poly, j, 2)) for j in range(poly.dim)]
+
+
+def _strip_norm_sq(s: Fraction, total: Poly) -> tuple[Fraction, Poly]:
+    """(s + 2k, total / |x|^(2k)) for the largest k; total must be nonzero."""
+    while (quotient := try_divide_norm_sq(total)) is not None:
+        total, s = quotient, s + 2
+    return s, total
 
 
 def _apply_coord_weighted(
@@ -363,35 +360,35 @@ def _apply_coord_weighted(
 
 
 def _monomial_node(
-    ctx: DunklContext, key: ProfileKey, e: Exponent
+    ctx: DunklContext, memo: dict, key: ProfileKey, e: Exponent
 ) -> dict[ProfileKey, Poly]:
     """D^e applied to r^s exp(a r^2), memoized on (profile key, exponent).
 
     The operator word for the monomial exponent e is applied right to left
     in coordinate order, matching poly_of_dunkl; nodes are shared between
-    monomials through their suffixes, which keeps the verification suites
+    the monomials of one call through their suffixes, which keeps the work
     near-linear in the size of the exponent lattice.
     """
-    cache = ctx._radial_cache
     memo_key = (key, e)
-    cached = cache.get(memo_key)
+    cached = memo.get(memo_key)
     if cached is None:
         if not any(e):
             cached = {key: Poly.const(ctx.dim, 1)}
         else:
             j = next(i for i, v in enumerate(e) if v)
             prev = _monomial_node(
-                ctx, key, tuple(v - 1 if i == j else v for i, v in enumerate(e))
+                ctx, memo, key, tuple(v - 1 if i == j else v for i, v in enumerate(e))
             )
             cached = _apply_coord_weighted(ctx, j, prev)
-        cache[memo_key] = cached
+        memo[memo_key] = cached
     return cached
 
 
 def weighted_poly_of_dunkl(
     ctx: DunklContext, p: Poly, profile: RadialProfile
 ) -> WeightedFunction:
-    """p(D) applied to the radial function with the given profile."""
+    """p(D) applied to the radial function; the node memo lives for this call."""
+    memo: dict = {}
     items = []
     for offset, pc in profile.coeffs:
         key = (profile.base_exponent + 2 * offset, profile.gauss_coeff)
@@ -399,9 +396,9 @@ def weighted_poly_of_dunkl(
             weight = pc * c
             items.extend(
                 (part_key, weight, poly)
-                for part_key, poly in _monomial_node(ctx, key, e).items()
+                for part_key, poly in _monomial_node(ctx, memo, key, e).items()
             )
-    return WeightedFunction.from_parts(ctx.dim, _combine_parts(ctx.dim, items))
+    return WeightedFunction._sum(ctx.dim, items)
 
 
 def hobson_lhs(ctx: DunklContext, p: Poly, profile: RadialProfile) -> WeightedFunction:
@@ -418,7 +415,7 @@ def hobson_rhs(ctx: DunklContext, p: Poly, profile: RadialProfile) -> WeightedFu
     if not p.is_homogeneous():
         raise ValueError("Hobson expansion needs homogeneous input")
     if p.is_zero():
-        return WeightedFunction.zero(ctx.dim)
+        return WeightedFunction(ctx.dim)
     m = p.degree()
     derivatives = [profile]
     for _ in range(m):
@@ -433,8 +430,8 @@ def hobson_rhs(ctx: DunklContext, p: Poly, profile: RadialProfile) -> WeightedFu
 def hobson_residual(
     ctx: DunklContext, p: Poly, profile: RadialProfile
 ) -> WeightedFunction:
-    """hobson_lhs minus hobson_rhs in canonical form; zero when correct."""
-    return (hobson_lhs(ctx, p, profile) - hobson_rhs(ctx, p, profile)).canonical()
+    """hobson_lhs minus hobson_rhs, zero when correct; canonical only when printed."""
+    return hobson_lhs(ctx, p, profile) - hobson_rhs(ctx, p, profile)
 
 
 def parse_profile(text: str) -> RadialProfile:

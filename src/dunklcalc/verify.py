@@ -333,7 +333,6 @@ def hobson_suite(ctx: DunklContext, rng: random.Random, degree: int = 6) -> Case
             p = random_homogeneous(rng, ctx.dim, m)
             res = hobson_residual(ctx, p, profile)
             yield _zero_case(f"{pname}/{i:02d}-deg{m}", res, detail=f"p={p}, profile={profile}")
-        ctx.clear_radial_cache()
 
 
 @_suite("commutativity", EXACT_DEFAULT_RUNS)

@@ -282,6 +282,46 @@ def test_invariant_error_exits_three(capsys, monkeypatch):
     assert err.startswith("internal invariant violation: x1 is not divisible")
 
 
+@pytest.mark.parametrize(
+    "system, kappa, poly",
+    [
+        ("z2:d=1", "1/2", "x1^3"),  # exact division, wrong answer (9*x1, not 8*x1)
+        ("z2:d=1", "1/2", "x1"),
+        ("a:d=3", "1", "x1^2*x2"),
+    ],
+)
+def test_invariant_route_rejects_non_invariant_input(capsys, system, kappa, poly):
+    code, out, err = run_cli(
+        capsys, "laplacian", "--system", system, "--kappa", kappa,
+        "--route", "invariant", "--poly", poly,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the invariant restriction needs a polynomial fixed")
+
+
+def test_invariant_route_checks_only_active_roots(capsys):
+    code, out, _ = run_cli(
+        capsys, "laplacian", "--system", "z2:d=2", "--kappa", "1,0",
+        "--route", "invariant", "--poly", "x2",
+    )
+    assert code == 0
+    assert out == "0\n"
+
+
+def test_degenerate_maxwell_route_exits_two(capsys):
+    code, out, err = run_cli(
+        capsys, "project", "--system", "z2:d=2", "--kappa", "0,0",
+        "--route", "maxwell", "--poly", "x1*x2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: Maxwell projection route is degenerate at Bessel index 0; "
+        "use the series route\n"
+    )
+
+
 @pytest.mark.parametrize("y", ["nan,1", "inf,0", "1.0,-inf"])
 def test_transform_non_finite_point_exits_two(capsys, y):
     code, out, err = run_cli(

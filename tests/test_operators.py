@@ -20,7 +20,6 @@ from dunklcalc.operators import (
     poly_of_dunkl,
 )
 from dunklcalc.poly import (
-    ExactDivisionError,
     Poly,
     classical_laplacian,
     compose_reflection,
@@ -111,9 +110,13 @@ def test_invariant_restriction_on_radial_polynomials():
 
 
 def test_invariant_restriction_rejects_non_invariant():
-    ctx = make_ctx("z2:d=1", ["1/2"])
-    with pytest.raises(ExactDivisionError):
-        dunkl_laplacian_invariant(ctx, parse_poly("x1", 1))
+    for system, kappas, text in [
+        ("z2:d=1", ["1/2"], "x1"),  # the per-root division fails
+        ("z2:d=1", ["1/2"], "x1^3"),  # the division is exact, the answer wrong
+    ]:
+        ctx = make_ctx(system, kappas)
+        with pytest.raises(ValueError, match="fixed by the reflection"):
+            dunkl_laplacian_invariant(ctx, parse_poly(text, ctx.dim))
 
 
 def test_root_scale_invariance():

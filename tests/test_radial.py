@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dunklcalc.operators import DunklContext, poly_of_dunkl
-from dunklcalc.poly import Poly, PolyParseError, norm_sq_poly, parse_poly
+from dunklcalc.poly import (
+    InvariantError,
+    Poly,
+    PolyParseError,
+    linear_combination,
+    norm_sq_poly,
+    parse_poly,
+    try_divide_norm_sq,
+)
 from dunklcalc.radial import (
     RadialProfile,
     WeightedFunction,
@@ -122,6 +130,130 @@ def test_hobson_degree_one_power_profile():
     assert lhs == WeightedFunction(2, [(p.scale(2), RadialProfile.power(0))])
 
 
+# -- the canonical form against the fold-then-strip form it replaced ----------
+
+
+def oracle_canonical(dim, parts):
+    """Canonical parts as computed before the form moved to output.
+
+    Every part of a (rate, exponent parity) family is multiplied by a power
+    of |x|^2 down to the lowest exponent present, the family is summed, and
+    squared-norm factors are divided back out.
+    """
+    grouped = {}
+    for (s, a), poly in parts.items():
+        if poly.is_zero():
+            continue
+        grouped.setdefault((a, s % 2), []).append((s, poly))
+    r2 = norm_sq_poly(dim)
+    out = {}
+    for (a, _), entries in grouped.items():
+        base = min(s for s, _ in entries)
+        total = linear_combination(
+            dim,
+            ((1, poly * r2 ** int((s - base) / 2) if s != base else poly)
+             for s, poly in entries),
+        )
+        while not total.is_zero():
+            quotient = try_divide_norm_sq(total)
+            if quotient is None:
+                break
+            total = quotient
+            base += 2
+        if not total.is_zero():
+            out[(base, a)] = total
+    return out
+
+
+def oracle_str(canon):
+    pieces = []
+    for (s, a), poly in sorted(canon.items(), key=lambda item: (item[0][1], item[0][0])):
+        text = format_profile(RadialProfile.power_gauss(s, a))
+        pieces.append(str(poly) if text == "1" else f"[{poly}] * {text}")
+    return " + ".join(pieces) if pieces else "0"
+
+
+def oracle_as_polynomial(dim, canon, gauss_coeff):
+    r2 = norm_sq_poly(dim)
+    pairs = []
+    for (s, a), poly in canon.items():
+        half, rem = divmod(s, 2)
+        if a != gauss_coeff or rem != 0 or half < 0 or half.denominator != 1:
+            raise InvariantError(
+                "weighted function is not a polynomial multiple of the "
+                f"requested profile (found exponent {s}, rate {a})"
+            )
+        pairs.append((1, poly * r2 ** int(half)))
+    return linear_combination(dim, pairs)
+
+
+@st.composite
+def weighted_pairs(draw):
+    """(dim, w, v): v is w with some parts moved across r^2, plus extra parts.
+
+    A part P r^s of w appears in v as P |x|^2 r^(s-2) when it is moved, so
+    w == v exactly when the extra parts sum to zero.
+    """
+    dim = draw(st.integers(1, 3))
+    r2 = norm_sq_poly(dim)
+    polys = st.builds(
+        lambda terms, k: Poly(dim, terms) * r2**k,
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * dim), st.integers(-2, 2), max_size=3
+        ),
+        st.integers(0, 2),
+    )
+    parts = st.tuples(
+        polys,
+        st.integers(-4, 4),
+        st.sampled_from([Q(0), Q(1, 3)]),
+        st.sampled_from([Q(0), Q(-1, 2)]),
+        st.booleans(),
+    )
+    w_terms, v_terms = [], []
+    for poly, s, offset, rate, moved in draw(st.lists(parts, max_size=5)):
+        s += offset
+        w_terms.append((poly, RadialProfile.power_gauss(s, rate)))
+        v_terms.append(
+            (poly * r2, RadialProfile.power_gauss(s - 2, rate))
+            if moved else (poly, RadialProfile.power_gauss(s, rate))
+        )
+    for poly, s, offset, rate, _ in draw(st.lists(parts, max_size=2)):
+        v_terms.append((poly, RadialProfile.power_gauss(s + offset, rate)))
+    return dim, WeightedFunction(dim, w_terms), WeightedFunction(dim, v_terms)
+
+
+@given(weighted_pairs())
+@settings(max_examples=300, deadline=None)
+def test_canonical_form_matches_oracle(case):
+    dim, w, v = case
+    for f in (w, v, w - v, w + v):
+        canon = oracle_canonical(dim, f.parts)
+        assert str(f) == oracle_str(canon)
+        assert f.is_zero() == (not canon)
+        for rate in (Q(0), Q(-1, 2)):
+            try:
+                expected = oracle_as_polynomial(dim, canon, rate)
+            except InvariantError as exc:
+                with pytest.raises(InvariantError) as err:
+                    f.as_polynomial(rate)
+                assert str(err.value) == str(exc)
+            else:
+                assert f.as_polynomial(rate) == expected
+    assert (w == v) == (oracle_canonical(dim, w.parts) == oracle_canonical(dim, v.parts))
+
+
+def test_context_holds_no_radial_state():
+    ctx = make_ctx("b:d=2", ["1", "2"])
+    names = set(vars(ctx))
+    p = parse_poly("x1^2*x2", 2)
+    assert hobson_residual(ctx, p, RadialProfile.power_gauss(-3, Q(-1, 2))).is_zero()
+    assert set(vars(ctx)) == names
+    for table in vars(ctx).values():
+        if isinstance(table, dict):  # the operator memo tables hold polynomials only
+            assert all(isinstance(value, Poly) for value in table.values())
+
+
 def test_hobson_constant():
     ctx = make_ctx("a:d=3", ["1"])
     phi = RadialProfile.power_gauss(3, -1)
@@ -171,7 +303,6 @@ def test_hobson_residual_zero_across_profiles():
             for m in (0, 1, 2, 3, 4, 5):
                 p = random_homogeneous(rng, ctx.dim, m)
                 assert hobson_residual(ctx, p, profile).is_zero(), (system, str(profile), str(p))
-        ctx.clear_radial_cache()
 
 
 def test_hobson_linearity():
