@@ -1,10 +1,11 @@
 """Command-line surface for the calculus and its verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error,
-3 internal invariant violation (an InvariantError: an exact identity the
-implementation guarantees was found broken), 4 numeric limit (a series or a
-quadrature could not reach its bound at the requested point, or a value
-overflowed a float).
+Exit codes: 0 success, 1 verification failure, 2 usage or input error
+(including a file that cannot be read or written), 3 internal invariant
+violation (an InvariantError: an exact identity the implementation
+guarantees was found broken), 4 numeric limit (a series or a quadrature
+could not reach its bound at the requested point, or a value overflowed a
+float).
 """
 
 from __future__ import annotations
@@ -330,7 +331,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:  # every input error of the package is one
+    except (ValueError, OSError) as exc:  # bad input, or a file it names is unusable
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except InvariantError as exc:

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .poly import (
+    MAX_WORK,
     Poly,
     classical_laplacian,
     compose_reflection,
@@ -103,6 +104,22 @@ class DunklContext:
         return cached
 
 
+def check_budget(ctx: DunklContext, p: Poly, repeats: int = 1) -> None:
+    """ValueError, before any expansion, when expanding p may cost too much.
+
+    Polynomials reached from p have degree at most m = deg p, so at most
+    C(m + d, d) monomials, and each monomial image takes one quotient per
+    active root; repeats counts independent expansions of that size.
+    """
+    m = max(p.degree(), 0)
+    work = comb(m + ctx.dim, ctx.dim) * max(len(ctx._active), 1) * repeats
+    if work > MAX_WORK:
+        raise ValueError(
+            f"input too large: degree {m} in {ctx.dim} variables needs about "
+            f"{work} monomial images, above the budget of {MAX_WORK}"
+        )
+
+
 def apply_coord(ctx: DunklContext, j: int, p: Poly) -> Poly:
     """D_j p via the per-monomial cache."""
     return linear_combination(
@@ -144,6 +161,7 @@ def laplacian_powers(ctx: DunklContext, p: Poly, n: int) -> list[Poly]:
     Clebsch projection, the Pizzetti mean, Bochner-Hecke, the Hankel and
     spherical pairings) is a weighted sum over this list.
     """
+    check_budget(ctx, p)
     powers = [p]
     for _ in range(n):
         powers.append(dunkl_laplacian_sq(ctx, powers[-1]))
@@ -211,23 +229,37 @@ def dunkl_laplacian_invariant(ctx: DunklContext, p: Poly) -> Poly:
     return linear_combination(ctx.dim, pairs)
 
 
-def poly_of_dunkl(ctx: DunklContext, p: Poly, target: Poly) -> Poly:
-    """Substitute the coordinate Dunkl operators into p and apply to target.
+def operator_words(p: Poly, start, step: Callable) -> list[tuple[Fraction, object]]:
+    """(c, D^e start) for each term c x^e of p, where step(j, w) is D_j w.
 
-    Monomial by monomial, the operator factors are applied right to left in
-    coordinate order; since the operators commute the order is a convention,
-    which the test suite permutes on small cases.
+    The word D^e is applied right to left in coordinate order: x_d's factors
+    act first and x_1's last.  Since the operators commute the order is a
+    convention, which the test suite permutes on small cases.  Words are
+    memoized on their exponent for this call, so the terms of p share their
+    suffixes and step runs once per distinct nonzero suffix.
     """
+    words = {(0,) * p.dim: start}
+    out = []
+    for e, c in p.terms.items():
+        chain = []
+        while e not in words:
+            j = next(i for i, v in enumerate(e) if v)
+            chain.append((j, e))
+            e = e[:j] + (e[j] - 1,) + e[j + 1:]
+        w = words[e]
+        for j, f in reversed(chain):
+            w = words[f] = step(j, w)
+        out.append((c, w))
+    return out
+
+
+def poly_of_dunkl(ctx: DunklContext, p: Poly, target: Poly) -> Poly:
+    """Substitute the coordinate Dunkl operators into p and apply to target."""
     if p.dim != target.dim:
         raise ValueError("polynomial and target dimensions differ")
-    pairs = []
-    for e, c in p.terms.items():
-        w = target
-        for j in reversed(range(ctx.dim)):
-            for _ in range(e[j]):
-                w = apply_coord(ctx, j, w)
-        pairs.append((c, w))
-    return linear_combination(ctx.dim, pairs)
+    return linear_combination(
+        ctx.dim, operator_words(p, target, lambda j, w: apply_coord(ctx, j, w))
+    )
 
 
 def commutator_residual(ctx: DunklContext, xi: Sequence, eta: Sequence, p: Poly) -> Poly:

@@ -335,13 +335,12 @@ def compile_reflection(alpha: Sequence) -> ReflectionAction:
     return ReflectionAction(dim, tuple(signed), None, support, alpha[support[0]])
 
 
-def compose_reflection(p: Poly, alpha: ReflectionAction | Sequence) -> Poly:
-    """Substitute the reflection in alpha^perp into p; an involution.
+def compose_reflection(p: Poly, action: ReflectionAction) -> Poly:
+    """Substitute a compiled reflection into p; an involution.
 
-    alpha is a root vector or its compiled ReflectionAction (the root
-    system keeps one per positive root, so repeated calls skip the compile).
+    The root system keeps one ReflectionAction per positive root
+    (RootSystem.reflections); compile_reflection builds one for any root.
     """
-    action = alpha if isinstance(alpha, ReflectionAction) else compile_reflection(alpha)
     if action.dim != p.dim:
         raise PolyError("root has wrong dimension")
     signed = action.signed
@@ -416,73 +415,59 @@ def divided_difference(e: Exponent, action: ReflectionAction) -> Poly:
     return Poly(dim, terms)
 
 
-def divide_exact_by_linear(p: Poly, alpha: Sequence) -> Poly:
-    """Quotient q with q * <alpha, x> == p, else ExactDivisionError.
+def _divide_monic(p: Poly, divisor: Poly, pivot: int) -> tuple[dict, dict]:
+    """Quotient and remainder terms of p divided by divisor in x_pivot.
 
-    Works by synthetic division along the pivot coordinate where alpha has
-    its largest entry; the loop strips the top pivot degree each pass, so a
-    nonzero remainder surfaces as a leftover of pivot degree zero.
+    The divisor's highest power k of x_pivot must sit in one term
+    c * x_pivot^k.  p is cleared level by level in pivot degree from the top
+    down, each level's terms in the order they entered it; what is left
+    below degree k is the remainder, empty exactly when the division is exact.
     """
+    k = max(e[pivot] for e in divisor.terms)
+    lead = tuple(k if i == pivot else 0 for i in range(p.dim))
+    inv = 1 / divisor.terms[lead]
+    rest = [(e, -c) for e, c in divisor.terms.items() if e != lead]
+    levels: dict[int, dict[Exponent, Fraction]] = {}
+    for e, c in p.terms.items():
+        levels.setdefault(e[pivot], {})[e] = c
+    quot: dict[Exponent, Fraction] = {}
+    while levels and (top := max(levels)) >= k:
+        for e, c in levels.pop(top).items():
+            qe = e[:pivot] + (top - k,) + e[pivot + 1:]
+            qc = quot[qe] = c * inv
+            for shift, w in rest:
+                f = tuple(a + b for a, b in zip(qe, shift))
+                level = levels.setdefault(f[pivot], {})
+                level[f] = level.get(f, 0) + qc * w
+                if not level[f]:
+                    del level[f]
+    return quot, {e: c for level in levels.values() for e, c in level.items()}
+
+
+def divide_exact_by_linear(p: Poly, alpha: Sequence) -> Poly:
+    """Quotient q with q * <alpha, x> == p, else ExactDivisionError."""
     alpha = [Fraction(a) for a in alpha]
     if len(alpha) != p.dim:
         raise PolyError("root has wrong dimension")
     if all(a == 0 for a in alpha):
         raise PolyError("cannot divide by a zero form")
     pivot = max(range(p.dim), key=lambda i: abs(alpha[i]))
-    ak = alpha[pivot]
-
-    rem = dict(p.terms)
-    quot: dict[Exponent, Fraction] = {}
-    while rem:
-        top = max(e[pivot] for e in rem)
-        if top == 0:
-            raise ExactDivisionError(
-                f"{format_poly(p)} is not divisible by the linear form of "
-                f"({', '.join(str(a) for a in alpha)}); remainder "
-                f"{format_poly(Poly(p.dim, rem))}"
-            )
-        level = [(e, c) for e, c in rem.items() if e[pivot] == top]
-        for e, c in level:
-            qe = tuple(v - 1 if j == pivot else v for j, v in enumerate(e))
-            qc = c / ak
-            quot[qe] = quot.get(qe, 0) + qc
-            for i, ai in enumerate(alpha):
-                if ai:
-                    f = tuple(v + 1 if j == i else v for j, v in enumerate(qe))
-                    s = rem.get(f, 0) - qc * ai
-                    if s:
-                        rem[f] = s
-                    else:
-                        rem.pop(f, None)
-    return Poly(p.dim, {e: c for e, c in quot.items() if c})
+    quot, rem = _divide_monic(p, linear_form(alpha), pivot)
+    if rem:
+        raise ExactDivisionError(
+            f"{format_poly(p)} is not divisible by the linear form of "
+            f"({', '.join(str(a) for a in alpha)}); remainder "
+            f"{format_poly(Poly(p.dim, rem))}"
+        )
+    return Poly(p.dim, quot)
 
 
 def try_divide_norm_sq(p: Poly) -> Poly | None:
-    """Quotient of p by x_1^2+...+x_d^2, or None when not divisible.
-
-    Solves the coefficient equations in lexicographic order: the leading
-    unknown of each equation is the quotient coefficient under the x_1^2
-    shift, so the triangular sweep below is the exact linear solve.
-    """
-    if p.is_zero():
-        return p
-    rem = dict(p.terms)
-    quot: dict[Exponent, Fraction] = {}
-    while rem:
-        e = max(rem)
-        if e[0] < 2:
-            return None
-        c = rem[e]
-        qe = (e[0] - 2,) + e[1:]
-        quot[qe] = c
-        for i in range(p.dim):
-            f = tuple(v + 2 if j == i else v for j, v in enumerate(qe))
-            s = rem.get(f, 0) - c
-            if s:
-                rem[f] = s
-            else:
-                rem.pop(f, None)
-    return Poly(p.dim, quot)
+    """Quotient of p by x_1^2+...+x_d^2 (terms in descending lex order), or None."""
+    quot, rem = _divide_monic(p, norm_sq_poly(p.dim), 0)
+    if rem:
+        return None
+    return Poly(p.dim, dict(sorted(quot.items(), reverse=True)))
 
 
 def divide_exact_by_norm_sq(p: Poly) -> Poly:
@@ -513,8 +498,12 @@ def homogeneous_components(p: Poly) -> list[tuple[int, Poly]]:
 # (`x12`, `123`), and U+2212 reads as '-'.
 
 # Largest total degree of a parsed polynomial term: far above the degrees the
-# suites use, far below where the per-monomial operator recursion overflows.
+# suites use.
 MAX_DEGREE = 256
+
+# Largest estimated count of monomial images of one expansion (check_budget
+# in operators); every input of the tests, suites and benchmark stays below.
+MAX_WORK = 100_000
 
 
 class _Scanner:

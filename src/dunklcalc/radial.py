@@ -21,9 +21,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .operators import DunklContext, apply_coord, laplacian_powers
+from .operators import DunklContext, apply_coord, check_budget, laplacian_powers, operator_words
 from .poly import (
-    Exponent,
     InvariantError,
     Poly,
     _Scanner,
@@ -359,46 +358,21 @@ def _apply_coord_weighted(
     return _combine_parts(ctx.dim, items)
 
 
-def _monomial_node(
-    ctx: DunklContext, memo: dict, key: ProfileKey, e: Exponent
-) -> dict[ProfileKey, Poly]:
-    """D^e applied to r^s exp(a r^2), memoized on (profile key, exponent).
-
-    The operator word for the monomial exponent e is applied right to left
-    in coordinate order, matching poly_of_dunkl; nodes are shared between
-    the monomials of one call through their suffixes, which keeps the work
-    near-linear in the size of the exponent lattice.
-    """
-    memo_key = (key, e)
-    cached = memo.get(memo_key)
-    if cached is None:
-        if not any(e):
-            cached = {key: Poly.const(ctx.dim, 1)}
-        else:
-            j = next(i for i, v in enumerate(e) if v)
-            prev = _monomial_node(
-                ctx, memo, key, tuple(v - 1 if i == j else v for i, v in enumerate(e))
-            )
-            cached = _apply_coord_weighted(ctx, j, prev)
-        memo[memo_key] = cached
-    return cached
-
-
 def weighted_poly_of_dunkl(
     ctx: DunklContext, p: Poly, profile: RadialProfile
 ) -> WeightedFunction:
-    """p(D) applied to the radial function; the node memo lives for this call."""
-    memo: dict = {}
-    items = []
-    for offset, pc in profile.coeffs:
-        key = (profile.base_exponent + 2 * offset, profile.gauss_coeff)
-        for e, c in p.terms.items():
-            weight = pc * c
-            items.extend(
-                (part_key, weight, poly)
-                for part_key, poly in _monomial_node(ctx, memo, key, e).items()
-            )
-    return WeightedFunction._sum(ctx.dim, items)
+    """p(D) applied to the radial function, one operator word per term of p.
+
+    A gaussian rate lets a word of length m spread over m + 1 exponents of
+    r, each with its own polynomial; the work budget counts them.
+    """
+    spread = max(p.degree(), 0) + 1 if profile.gauss_coeff else 1
+    check_budget(ctx, p, len(profile.coeffs) * spread)
+    start = WeightedFunction(ctx.dim, [(Poly.const(ctx.dim, 1), profile)]).parts
+    words = operator_words(p, start, lambda j, parts: _apply_coord_weighted(ctx, j, parts))
+    return WeightedFunction._sum(
+        ctx.dim, ((key, c, poly) for c, parts in words for key, poly in parts.items())
+    )
 
 
 def hobson_lhs(ctx: DunklContext, p: Poly, profile: RadialProfile) -> WeightedFunction:

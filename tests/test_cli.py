@@ -3,6 +3,7 @@ import json
 import pytest
 
 import dunklcalc.cli
+import dunklcalc.operators
 import dunklcalc.poly
 import dunklcalc.radial
 import dunklcalc.roots
@@ -141,6 +142,53 @@ def test_hobson_degree_above_cap_exits_two(capsys):
     )
     assert code == 2
     assert "exceeds" in err
+
+
+def test_hobson_at_the_degree_cap_runs(capsys):
+    code, out, _ = run_cli(
+        capsys, "hobson", "--system", "z2:d=1", "--kappa", "1",
+        "--poly", "x1^256", "--profile", "r^2",
+    )
+    assert code == 0
+    assert "residual = 0" in out
+
+
+@pytest.mark.parametrize("command", [["hobson", "--profile", "r^2"], ["hermite"], ["project"]])
+def test_work_budget_exits_two_before_expanding(capsys, monkeypatch, command):
+    def expand(*args):
+        raise AssertionError("expanded before the work budget was checked")
+
+    monkeypatch.setattr(dunklcalc.operators.DunklContext, "_coord_image", expand)
+    code, out, err = run_cli(
+        capsys, *command, "--system", "a:d=3", "--kappa", "1",
+        "--poly", "x1^100*x2^100*x3^56",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input too large")
+
+
+def test_unreadable_system_file_exits_two(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(
+        capsys, "apply", "--system", f"custom:{missing}", "--kappa", "1",
+        "--poly", "x1", "--xi", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(missing) in err
+    assert err.count("\n") == 1
+
+
+def test_unwritable_report_exits_two(capsys, tmp_path):
+    report = tmp_path / "no-such-dir" / "out.json"
+    code, _, err = run_cli(
+        capsys, "verify", "hobson", "--system", "z2:d=1", "--kappa", "1",
+        "--report", str(report),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and str(report) in err
+    assert err.count("\n") == 1
 
 
 def test_hobson_cli_computes_each_side_once(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -9,6 +10,7 @@ from dunklcalc.operators import (
     DunklContext,
     adjoint_formula_residual,
     apply_coord,
+    check_budget,
     commutator_residual,
     dunkl_apply,
     dunkl_laplacian_expr,
@@ -20,14 +22,18 @@ from dunklcalc.operators import (
     poly_of_dunkl,
 )
 from dunklcalc.poly import (
+    MAX_WORK,
     Poly,
     classical_laplacian,
+    compile_reflection,
     compose_reflection,
+    linear_combination,
     linear_form,
     norm_sq_poly,
     parse_poly,
     partial_derivative,
 )
+from dunklcalc.radial import RadialProfile, parse_profile, weighted_poly_of_dunkl
 from dunklcalc.roots import build_root_system
 from dunklcalc.verify import random_homogeneous, random_poly
 
@@ -160,7 +166,7 @@ def test_quotient_miss_uses_the_compiled_reflection(monkeypatch):
     mono = Poly.monomial(3, (3, 1, 2))
     for idx, alpha in enumerate(ctx.rs.positive_roots):
         q = ctx._quotient(idx, (3, 1, 2))
-        assert q * linear_form(alpha) == mono - compose_reflection(mono, alpha)
+        assert q * linear_form(alpha) == mono - compose_reflection(mono, compile_reflection(alpha))
     assert len(ctx._quotients) == len(ctx.rs.positive_roots)  # every call missed
     assert calls == []
     assert divisions == []  # signed roots take the closed form
@@ -202,6 +208,64 @@ def test_poly_of_dunkl_order_permutation():
     swapped = apply_coord(ctx, 1, apply_coord(ctx, 0, target))
     direct = apply_coord(ctx, 0, apply_coord(ctx, 1, target))
     assert via_poly == swapped == direct
+
+
+def test_poly_of_dunkl_applies_each_suffix_once(monkeypatch):
+    ctx = make_ctx("b:d=2", ["1", "2"])
+    target = parse_poly("x1^4*x2^3 - 2*x2^5 + x1", 2)
+    p = parse_poly("x1^2*x2 + 3*x1*x2 - x2 + 5", 2)
+    expected = linear_combination(2, [
+        (1, apply_coord(ctx, 0, apply_coord(ctx, 0, apply_coord(ctx, 1, target)))),
+        (3, apply_coord(ctx, 0, apply_coord(ctx, 1, target))),
+        (-1, apply_coord(ctx, 1, target)),
+        (5, target),
+    ])
+    calls = []
+    original = dunklcalc.operators.apply_coord
+
+    def counted(ctx, j, w):
+        calls.append(j)
+        return original(ctx, j, w)
+
+    monkeypatch.setattr(dunklcalc.operators, "apply_coord", counted)
+    assert poly_of_dunkl(ctx, p, target) == expected
+    # the suffixes x1^2*x2, x1*x2 and x2, one application each
+    assert len(calls) == 3
+
+
+def forbid_expansion(monkeypatch):
+    def expand(*args):
+        raise AssertionError("expanded before the work budget was checked")
+
+    monkeypatch.setattr(DunklContext, "_coord_image", expand)
+
+
+def test_work_budget_rejects_before_expanding(monkeypatch):
+    ctx = make_ctx("a:d=3", ["1"])
+    hostile = parse_poly("x1^100*x2^100*x3^56", 3)
+    forbid_expansion(monkeypatch)
+    with pytest.raises(ValueError, match="budget"):
+        laplacian_powers(ctx, hostile, 1)
+    with pytest.raises(ValueError, match="budget"):
+        weighted_poly_of_dunkl(ctx, hostile, RadialProfile.power(2))
+
+
+def test_work_budget_counts_profile_terms_and_spread(monkeypatch):
+    # C(m + d, d) * roots alone is under the budget for these inputs; times
+    # three profile terms, or times the m + 1 exponents a gaussian word
+    # spreads over, it is above
+    ctx = make_ctx("a:d=3", ["1"])
+    forbid_expansion(monkeypatch)
+    p = parse_poly("x1^20*x2^20*x3^15", 3)
+    assert comb(55 + 3, 3) * 3 <= MAX_WORK < comb(55 + 3, 3) * 3 * 3
+    check_budget(ctx, p)
+    with pytest.raises(ValueError, match="budget"):
+        weighted_poly_of_dunkl(ctx, p, parse_profile("r^2 + r^4 + r^6"))
+    q = parse_poly("x1^8*x2^8*x3^8", 3)
+    assert comb(24 + 3, 3) * 3 * 25 > MAX_WORK
+    check_budget(ctx, q)
+    with pytest.raises(ValueError, match="budget"):
+        weighted_poly_of_dunkl(ctx, q, RadialProfile.gaussian(-1))
 
 
 def test_commutator_zero():

@@ -18,6 +18,7 @@ from dunklcalc.poly import (
     format_poly,
     homogeneous_components,
     linear_combination,
+    linear_form,
     norm_sq_poly,
     parse_poly,
     partial_derivative,
@@ -50,27 +51,31 @@ def test_partial_derivative_examples():
     assert partial_derivative(P("5"), [1, 1]).is_zero()
 
 
+def reflect(p, alpha):
+    return compose_reflection(p, compile_reflection(alpha))
+
+
 def test_compose_reflection_examples():
-    assert compose_reflection(P("x1^2"), (1, 0)) == P("x1^2")
-    assert compose_reflection(P("x1"), (1, -1)) == P("x2")
+    assert reflect(P("x1^2"), (1, 0)) == P("x1^2")
+    assert reflect(P("x1"), (1, -1)) == P("x2")
     p = P("x1^3*x2 - 2*x1*x2^2 + 7")
-    assert compose_reflection(compose_reflection(p, (1, -1)), (1, -1)) == p
+    assert reflect(reflect(p, (1, -1)), (1, -1)) == p
 
 
 def test_compose_reflection_general_direction():
     # (3,4) is not a signed-permutation reflection; check involution and that
     # the substituted linear forms square back to the variables.
     p = P("x1^2 - x1*x2 + 4*x2^3")
-    q = compose_reflection(p, (3, 4))
+    q = reflect(p, (3, 4))
     assert q != p
-    assert compose_reflection(q, (3, 4)) == p
+    assert reflect(q, (3, 4)) == p
 
 
 def test_compose_reflection_dimension_mismatch():
     with pytest.raises(PolyError):
-        compose_reflection(P("x1"), (1, 0, 0))
+        reflect(P("x1"), (1, 0, 0))
     with pytest.raises(PolyError):
-        compose_reflection(P("x1"), (0, 0))  # zero root
+        reflect(P("x1"), (0, 0))  # zero root
 
 
 def test_divide_exact_by_linear_examples():
@@ -225,7 +230,7 @@ def test_linear_division_round_trip(q):
 @settings(max_examples=30, deadline=None)
 def test_reflection_difference_divisible(p):
     for alpha in [(1, 0), (0, 1), (1, -1), (1, 1), (3, 4)]:
-        diff = p - compose_reflection(p, alpha)
+        diff = p - reflect(p, alpha)
         q = divide_exact_by_linear(diff, alpha)  # must not raise
         lin = Poly(2, {(1, 0): Q(alpha[0]), (0, 1): Q(alpha[1])})
         assert q * lin == diff
@@ -242,7 +247,7 @@ SIGNED_ROOTS = sorted(
 
 def quotient_by_division(e, alpha):
     mono = Poly.monomial(len(e), e)
-    return divide_exact_by_linear(mono - compose_reflection(mono, alpha), alpha)
+    return divide_exact_by_linear(mono - reflect(mono, alpha), alpha)
 
 
 @given(st.sampled_from(SIGNED_ROOTS), st.sampled_from([1, 2, Q(1, 2), -3]), st.data())
@@ -298,3 +303,104 @@ def test_power():
     assert p**3 == p * p * p
     with pytest.raises(Exception):
         p ** (-1)
+
+
+# The two division loops that poly._divide_monic replaced, kept as oracles.
+def old_divide_exact_by_linear(p, alpha):
+    alpha = [Q(a) for a in alpha]
+    pivot = max(range(p.dim), key=lambda i: abs(alpha[i]))
+    ak = alpha[pivot]
+    rem = dict(p.terms)
+    quot = {}
+    while rem:
+        top = max(e[pivot] for e in rem)
+        if top == 0:
+            raise ExactDivisionError(
+                f"{format_poly(p)} is not divisible by the linear form of "
+                f"({', '.join(str(a) for a in alpha)}); remainder "
+                f"{format_poly(Poly(p.dim, rem))}"
+            )
+        level = [(e, c) for e, c in rem.items() if e[pivot] == top]
+        for e, c in level:
+            qe = tuple(v - 1 if j == pivot else v for j, v in enumerate(e))
+            qc = c / ak
+            quot[qe] = quot.get(qe, 0) + qc
+            for i, ai in enumerate(alpha):
+                if ai:
+                    f = tuple(v + 1 if j == i else v for j, v in enumerate(qe))
+                    s = rem.get(f, 0) - qc * ai
+                    if s:
+                        rem[f] = s
+                    else:
+                        rem.pop(f, None)
+    return Poly(p.dim, {e: c for e, c in quot.items() if c})
+
+
+def old_try_divide_norm_sq(p):
+    if p.is_zero():
+        return p
+    rem = dict(p.terms)
+    quot = {}
+    while rem:
+        e = max(rem)
+        if e[0] < 2:
+            return None
+        c = rem[e]
+        qe = (e[0] - 2,) + e[1:]
+        quot[qe] = c
+        for i in range(p.dim):
+            f = tuple(v + 2 if j == i else v for j, v in enumerate(qe))
+            s = rem.get(f, 0) - c
+            if s:
+                rem[f] = s
+            else:
+                rem.pop(f, None)
+    return Poly(p.dim, quot)
+
+
+def outcome(fn, *args):
+    """A quotient with its term order, None, or the ExactDivisionError text."""
+    try:
+        q = fn(*args)
+    except ExactDivisionError as exc:
+        return "error", str(exc)
+    return None if q is None else (q, list(q.terms))
+
+
+@st.composite
+def dividends(draw, divisor_of):
+    """(p, divisor data): a multiple of the divisor, with or without a remainder."""
+    dim = draw(st.integers(1, 4))
+    divisor, data = draw(divisor_of(dim))
+    exponent = st.tuples(*[st.integers(0, 3)] * dim)
+    q = Poly(dim, draw(st.dictionaries(exponent, coeffs, max_size=6)))
+    r = Poly(dim, draw(st.dictionaries(exponent, coeffs, max_size=2)))
+    return q * divisor + r, data
+
+
+def linear_divisors(dim):
+    """Catalog roots of this dimension and general ones, with their forms."""
+    catalog = st.sampled_from([root for root in SIGNED_ROOTS if len(root) == dim])
+    general = st.lists(coeffs, min_size=dim, max_size=dim).filter(any)
+    return st.one_of(catalog, general).map(lambda alpha: (linear_form(alpha), alpha))
+
+
+@given(dividends(linear_divisors))
+@settings(max_examples=300, deadline=None)
+def test_linear_division_matches_old_loop(case):
+    p, alpha = case
+    assert outcome(divide_exact_by_linear, p, alpha) == outcome(
+        old_divide_exact_by_linear, p, alpha)
+
+
+@given(dividends(lambda dim: st.just((norm_sq_poly(dim), None))))
+@settings(max_examples=300, deadline=None)
+def test_norm_sq_division_matches_old_loop(case):
+    p, _ = case
+    old = outcome(old_try_divide_norm_sq, p)
+    assert outcome(try_divide_norm_sq, p) == old
+    if old is None:
+        assert outcome(divide_exact_by_norm_sq, p) == (
+            "error", f"{format_poly(p)} is not divisible by the squared norm")
+    else:
+        assert outcome(divide_exact_by_norm_sq, p) == old

@@ -18,7 +18,7 @@ ALLOWED = {
     ("poly", "Poly.__mul__"): "products of terms",
     ("poly", "partial_derivative"): "monomial to monomial map",
     ("poly", "classical_laplacian"): "monomial to monomial map",
-    ("poly", "divide_exact_by_linear"): "quotient of an exact division",
+    ("poly", "_divide_monic"): "remainder of an exact division",
     ("poly", "parse_poly"): "term collection while parsing",
     ("radial", "inv_r_ddr"): "profile coefficients",
     ("radial", "_merge_profile_sum"): "profile coefficients",
