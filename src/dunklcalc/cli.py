@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error
 (including a file that cannot be read or written), 3 internal invariant
 violation (an InvariantError: an exact identity the implementation
 guarantees was found broken), 4 numeric limit (a series or a quadrature
-could not reach its bound at the requested point, or a value overflowed a
-float).
+could not reach its bound at the requested point, or an exact value is too
+large for a float, reported with one fixed message).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .harmonic import (
@@ -232,22 +233,25 @@ def _cmd_verify(args) -> int:
         runs = None
 
     reports = []
-    for name in names:
-        fn = SUITES[name]
-        for system, kappas in (runs if runs is not None else default_runs(name)):
-            kwargs = {"seed": args.seed}
-            if args.deg is not None:
-                kwargs["degree"] = args.deg
-            if args.tolerance is not None and name == "transforms":
-                kwargs["tolerance"] = args.tolerance
-            try:
-                reports.append(fn(system, kappas, **kwargs))
-            except ValueError as exc:
-                raise UsageError(f"{name} on {system}: {exc}") from exc
+    # open the report first, so that an unwritable path fails before any suite
+    # runs; append mode leaves an old report whole if a suite then fails
+    with open(args.report, "a", encoding="utf-8") if args.report else nullcontext() as fh:
+        for name in names:
+            fn = SUITES[name]
+            for system, kappas in (runs if runs is not None else default_runs(name)):
+                kwargs = {"seed": args.seed}
+                if args.deg is not None:
+                    kwargs["degree"] = args.deg
+                if args.tolerance is not None and name == "transforms":
+                    kwargs["tolerance"] = args.tolerance
+                try:
+                    reports.append(fn(system, kappas, **kwargs))
+                except ValueError as exc:
+                    raise UsageError(f"{name} on {system}: {exc}") from exc
 
-    payload = [r.to_dict() for r in reports]
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        payload = [r.to_dict() for r in reports]
+        if fh is not None:
+            fh.truncate(0)
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     if args.json:
@@ -337,8 +341,11 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
-    except (TruncationError, QuadratureError, OverflowError) as exc:
+    except (TruncationError, QuadratureError) as exc:
         print(f"error: numeric limit: {exc}", file=sys.stderr)
+        return NUMERIC_EXIT
+    except OverflowError:  # Python's own text differs between int and Fraction
+        print("error: numeric limit: a value is too large for a float", file=sys.stderr)
         return NUMERIC_EXIT
 
 

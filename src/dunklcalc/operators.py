@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 from .poly import (
     MAX_WORK,
     Poly,
+    as_coeff,
     classical_laplacian,
     compose_reflection,
     divide_exact_by_linear,
@@ -44,8 +45,10 @@ class DunklContext:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.constants: DunklConstants = constants(rs)
-        self._kappa = rs.kappa_by_root()
+        self._kappa = [as_coeff(k) for k in rs.kappa_by_root()]
         self._active = [i for i, k in enumerate(self._kappa) if k != 0]
+        # <alpha, alpha> per positive root, for dunkl_laplacian_expr
+        self._norm_sq = [as_coeff(sum(a * a for a in root if a)) for root in rs.positive_roots]
         self._quotients: dict[tuple[int, Exponent], Poly] = {}
         self._coord_images: dict[tuple[int, Exponent], Poly] = {}
         self._laplacian_images: dict[Exponent, Poly] = {}
@@ -135,7 +138,7 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence, p: Poly) -> Poly:
     It lowers the degree of homogeneous input by exactly one and is linear
     in xi, so it is assembled from the coordinate operators.
     """
-    xi = [Fraction(c) for c in xi]
+    xi = [as_coeff(c) for c in xi]
     if len(xi) != ctx.dim:
         raise ValueError("direction has wrong dimension")
     return linear_combination(
@@ -196,7 +199,7 @@ def dunkl_laplacian_expr(ctx: DunklContext, p: Poly) -> Poly:
     pairs = [(1, classical_laplacian(p))]
     for idx in ctx._active:
         alpha = ctx.rs.positive_roots[idx]
-        norm = sum((a * a for a in alpha), Fraction(0))
+        norm = ctx._norm_sq[idx]
         numerator = linear_combination(
             ctx.dim,
             [(2, partial_derivative(p, alpha))]

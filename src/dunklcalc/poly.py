@@ -1,7 +1,8 @@
 """Sparse multivariate polynomials over the rationals.
 
-Terms live in a dict keyed by exponent tuples with nonzero Fraction
-coefficients, so equality is exact structural equality of canonical forms.
+Terms live in a dict keyed by exponent tuples with nonzero coefficients,
+each an int when integral, else a Fraction (the one rule is as_coeff), so
+equality is exact structural equality of canonical forms.
 Besides ring arithmetic the module provides the primitives the Dunkl
 calculus leans on: substitution of a reflection (compiled once per root into
 a ReflectionAction), the closed-form difference quotient of a monomial for a
@@ -47,21 +48,41 @@ class ExactDivisionError(InvariantError):
     """
 
 
+Coeff = int | Fraction
+
+
+def as_coeff(value) -> Coeff:
+    """value as an exact coefficient: an int when integral, else a Fraction.
+
+    Almost every coefficient of the calculus is an integer, and int
+    arithmetic is several times cheaper than Fraction arithmetic.  str, ==
+    and hash agree between the two types, so the choice never shows in
+    output.  A bool or a float becomes an int or a Fraction, never itself.
+    """
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class Poly:
     """Immutable sparse polynomial; do not mutate `terms` after creation."""
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim: int, terms: Mapping[Exponent, Fraction] | None = None):
+    def __init__(self, dim: int, terms: Mapping[Exponent, Coeff] | None = None):
         if dim < 1:
             raise PolyError("dimension must be positive")
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Coeff] = {}
         if terms:
             for e, c in terms.items():
                 if len(e) != dim:
                     raise PolyError(f"exponent {e} has wrong length for dim {dim}")
+                if type(c) is not int:
+                    c = as_coeff(c)
                 if c:
-                    clean[e] = Fraction(c)
+                    clean[e] = c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
 
@@ -76,7 +97,7 @@ class Poly:
 
     @classmethod
     def const(cls, dim: int, value) -> "Poly":
-        return cls(dim, {(0,) * dim: Fraction(value)})
+        return cls(dim, {(0,) * dim: value})
 
     @classmethod
     def variable(cls, dim: int, index: int) -> "Poly":
@@ -84,11 +105,11 @@ class Poly:
         if not 1 <= index <= dim:
             raise PolyError(f"variable index {index} out of range 1..{dim}")
         e = tuple(1 if i == index - 1 else 0 for i in range(dim))
-        return cls(dim, {e: Fraction(1)})
+        return cls(dim, {e: 1})
 
     @classmethod
     def monomial(cls, dim: int, exponents: Sequence[int], coeff=1) -> "Poly":
-        return cls(dim, {tuple(exponents): Fraction(coeff)})
+        return cls(dim, {tuple(exponents): coeff})
 
     # -- ring arithmetic ---------------------------------------------------
 
@@ -118,7 +139,7 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._require_same_dim(other)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
@@ -129,7 +150,7 @@ class Poly:
         return self.scale(other)
 
     def scale(self, factor) -> "Poly":
-        factor = Fraction(factor)
+        factor = as_coeff(factor)
         if not factor:
             return Poly(self.dim)
         return Poly(self.dim, {e: c * factor for e, c in self.terms.items()})
@@ -170,8 +191,8 @@ class Poly:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.dim, Fraction(0))
+    def constant_term(self) -> Coeff:
+        return self.terms.get((0,) * self.dim, 0)
 
     def evaluate(self, point: Sequence):
         """Evaluate at a point; exact for Fraction input, numeric otherwise."""
@@ -190,18 +211,22 @@ class Poly:
         return f"Poly({self.dim}, {format_poly(self)!r})"
 
 
-def linear_combination(dim: int, pairs: Iterable[tuple[object, Poly]]) -> Poly:
+def linear_combination(dim: int, pairs: Iterable[tuple[Coeff, Poly]]) -> Poly:
     """The sum of c * q over the (c, q) pairs, collected in one dict.
 
     Every operator of the calculus is linear and extended from monomials,
-    so this is how all of them assemble their output.  Terms keep the order
-    in which their monomials first appear; zero coefficients drop at the end.
+    so this is how all of them assemble their output.  Each c goes through
+    as_coeff first, so an integral factor multiplies as an int.  Terms keep
+    the order in which their monomials first appear; zero coefficients drop
+    at the end.
     """
-    out: dict[Exponent, Fraction] = {}
+    out: dict[Exponent, Coeff] = {}
     get = out.get
     for c, q in pairs:
         if q.dim != dim:
             raise PolyError(f"dimension mismatch: {dim} vs {q.dim}")
+        if type(c) is not int:
+            c = as_coeff(c)
         if not c:
             continue
         if c == 1:  # no multiply: Fraction * int allocates
@@ -218,9 +243,9 @@ def linear_combination(dim: int, pairs: Iterable[tuple[object, Poly]]) -> Poly:
 def linear_form(coeffs: Sequence) -> Poly:
     """The polynomial <c, x> for a coefficient vector c."""
     dim = len(coeffs)
-    terms: dict[Exponent, Fraction] = {}
+    terms: dict[Exponent, Coeff] = {}
     for i, c in enumerate(coeffs):
-        c = Fraction(c)
+        c = as_coeff(c)
         if c:
             terms[tuple(1 if j == i else 0 for j in range(dim))] = c
     return Poly(dim, terms)
@@ -230,14 +255,14 @@ def norm_sq_poly(dim: int) -> Poly:
     """x_1^2 + ... + x_d^2."""
     return Poly(
         dim,
-        {tuple(2 if j == i else 0 for j in range(dim)): Fraction(1) for i in range(dim)},
+        {tuple(2 if j == i else 0 for j in range(dim)): 1 for i in range(dim)},
     )
 
 
 def partial_derivative(p: Poly, direction: Sequence) -> Poly:
     """Directional derivative <xi, grad> p, exact."""
-    out: dict[Exponent, Fraction] = {}
-    direction = [Fraction(c) for c in direction]
+    out: dict[Exponent, Coeff] = {}
+    direction = [as_coeff(c) for c in direction]
     if len(direction) != p.dim:
         raise PolyError("direction has wrong dimension")
     for e, c in p.terms.items():
@@ -249,7 +274,7 @@ def partial_derivative(p: Poly, direction: Sequence) -> Poly:
 
 
 def classical_laplacian(p: Poly) -> Poly:
-    out: dict[Exponent, Fraction] = {}
+    out: dict[Exponent, Coeff] = {}
     for e, c in p.terms.items():
         for i, k in enumerate(e):
             if k >= 2:
@@ -345,7 +370,7 @@ def compose_reflection(p: Poly, action: ReflectionAction) -> Poly:
         raise PolyError("root has wrong dimension")
     signed = action.signed
     if signed is not None:
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for e, c in p.terms.items():
             f = [0] * p.dim
             sign = 1
@@ -404,10 +429,10 @@ def divided_difference(e: Exponent, action: ReflectionAction) -> Poly:
     if a == b:
         return Poly(dim)
     low = min(a, b)
-    unit = 1 / action.scale if a > b else -1 / action.scale
+    unit = as_coeff(1 / action.scale if a > b else -1 / action.scale)
     # alpha = c (e_j + e_k): x_k^t brings (-1)^t relative to c (e_j - e_k)
     flip = action.signed[j][1] < 0
-    terms: dict[Exponent, Fraction] = {}
+    terms: dict[Exponent, Coeff] = {}
     f = list(e)
     for t in range(low, max(a, b)):
         f[j], f[k] = a + b - 1 - t, t
@@ -425,12 +450,12 @@ def _divide_monic(p: Poly, divisor: Poly, pivot: int) -> tuple[dict, dict]:
     """
     k = max(e[pivot] for e in divisor.terms)
     lead = tuple(k if i == pivot else 0 for i in range(p.dim))
-    inv = 1 / divisor.terms[lead]
+    inv = as_coeff(Fraction(1, divisor.terms[lead]))  # 1 / lead, never a float
     rest = [(e, -c) for e, c in divisor.terms.items() if e != lead]
-    levels: dict[int, dict[Exponent, Fraction]] = {}
+    levels: dict[int, dict[Exponent, Coeff]] = {}
     for e, c in p.terms.items():
         levels.setdefault(e[pivot], {})[e] = c
-    quot: dict[Exponent, Fraction] = {}
+    quot: dict[Exponent, Coeff] = {}
     while levels and (top := max(levels)) >= k:
         for e, c in levels.pop(top).items():
             qe = e[:pivot] + (top - k,) + e[pivot + 1:]
@@ -446,7 +471,7 @@ def _divide_monic(p: Poly, divisor: Poly, pivot: int) -> tuple[dict, dict]:
 
 def divide_exact_by_linear(p: Poly, alpha: Sequence) -> Poly:
     """Quotient q with q * <alpha, x> == p, else ExactDivisionError."""
-    alpha = [Fraction(a) for a in alpha]
+    alpha = [as_coeff(a) for a in alpha]
     if len(alpha) != p.dim:
         raise PolyError("root has wrong dimension")
     if all(a == 0 for a in alpha):
@@ -481,7 +506,7 @@ def divide_exact_by_norm_sq(p: Poly) -> Poly:
 
 def homogeneous_components(p: Poly) -> list[tuple[int, Poly]]:
     """Split into homogeneous parts, listed by increasing degree."""
-    buckets: dict[int, dict[Exponent, Fraction]] = {}
+    buckets: dict[int, dict[Exponent, Coeff]] = {}
     for e, c in p.terms.items():
         buckets.setdefault(sum(e), {})[e] = c
     return [(d, Poly(p.dim, terms)) for d, terms in sorted(buckets.items())]
@@ -633,7 +658,7 @@ def parse_poly(text: str, dim: int) -> Poly:
     """
     scanner = _Scanner(text)
 
-    def factor() -> tuple[Fraction, int, int]:
+    def factor() -> tuple[Coeff, int, int]:
         """(coefficient, 0-based variable, power) of one factor."""
         ch, at = scanner.peek(), scanner.pos
         if ch.isdecimal():
@@ -647,11 +672,11 @@ def parse_poly(text: str, dim: int) -> Poly:
         if scanner.take("^"):
             scanner.peek()
             power = scanner.digits("exponent")
-        return Fraction(1), index - 1, power
+        return 1, index - 1, power
 
-    terms: dict[Exponent, Fraction] = {}
+    terms: dict[Exponent, Coeff] = {}
     for sign, start, factors in scanner.read_sum(factor):
-        coeff, exps = Fraction(sign), [0] * dim
+        coeff, exps = sign, [0] * dim
         for c, i, k in factors:
             coeff *= c
             exps[i] += k

@@ -191,6 +191,31 @@ def test_unwritable_report_exits_two(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_unwritable_report_exits_two_before_any_suite(capsys, monkeypatch, tmp_path):
+    def suite_ran(*args, **kwargs):
+        raise RuntimeError("a suite ran before the report path was checked")
+
+    for name in dunklcalc.cli.SUITES:
+        monkeypatch.setitem(dunklcalc.cli.SUITES, name, suite_ran)
+    report = tmp_path / "no-such-dir" / "out.json"
+    code, out, err = run_cli(capsys, "verify", "all", "--report", str(report))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(report) in err
+    assert err.count("\n") == 1
+
+
+def test_failed_run_leaves_an_old_report_whole(capsys, tmp_path):
+    report = tmp_path / "out.json"
+    report.write_text("old report\n")
+    code, _, err = run_cli(
+        capsys, "verify", "hobson", "--system", "z2:d=1", "--kappa", "1", "--deg", "-1",
+        "--report", str(report),
+    )
+    assert code == 2 and err.startswith("error: ")
+    assert report.read_text() == "old report\n"
+
+
 def test_hobson_cli_computes_each_side_once(capsys, monkeypatch):
     calls = []
     original = dunklcalc.radial.weighted_poly_of_dunkl
@@ -312,7 +337,7 @@ def test_float_overflow_exits_four(capsys):
     )
     assert code == 4
     assert out == ""
-    assert err == "error: numeric limit: integer division result too large for a float\n"
+    assert err == "error: numeric limit: a value is too large for a float\n"
 
 
 def test_invariant_error_exits_three(capsys, monkeypatch):

@@ -181,6 +181,24 @@ def test_quotient_misses_on_general_roots_divide(monkeypatch):
     assert len(calls) == 2
 
 
+def test_memo_table_keys_and_order():
+    # recorded from the code that stored every coefficient as a Fraction: the
+    # coefficient type must not change which entries are made, or in what order
+    ctx = make_ctx("b:d=2", ["1", "2"])
+    p = parse_poly("x1^2*x2 - 3/2*x2^3", 2)
+    assert str(dunkl_laplacian_sq(ctx, p)) == str(dunkl_laplacian_expr(ctx, p)) == "-33*x2"
+    assert list(ctx._quotients) == [
+        (0, (2, 1)), (2, (2, 1)), (3, (2, 1)), (0, (1, 1)), (2, (1, 1)), (3, (1, 1)),
+        (1, (2, 1)), (1, (2, 0)), (2, (2, 0)), (3, (2, 0)), (0, (0, 3)), (2, (0, 3)),
+        (3, (0, 3)), (1, (0, 3)), (1, (0, 2)), (2, (0, 2)), (3, (0, 2)),
+    ]
+    assert list(ctx._coord_images) == [
+        (0, (2, 1)), (0, (1, 1)), (1, (2, 1)), (1, (2, 0)), (0, (0, 3)), (1, (0, 3)),
+        (1, (0, 2)),
+    ]
+    assert list(ctx._laplacian_images) == [(2, 1), (0, 3)]
+
+
 def test_rotated_system_commutativity():
     # reflections that are not signed permutations exercise the general path
     ctx = DunklContext(build_root_system([(3, 4), (-4, 3)], ["1/2", "1"]))

@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dunklcalc.verify
 from dunklcalc.poly import (
     MAX_DEGREE,
     ExactDivisionError,
     Poly,
     PolyError,
     PolyParseError,
+    as_coeff,
     classical_laplacian,
     compile_reflection,
     compose_reflection,
@@ -404,3 +406,86 @@ def test_norm_sq_division_matches_old_loop(case):
             "error", f"{format_poly(p)} is not divisible by the squared norm")
     else:
         assert outcome(divide_exact_by_norm_sq, p) == old
+
+
+# -- coefficient types -------------------------------------------------------
+
+
+def assert_canonical(p):
+    """Every coefficient is an int when integral, else a Fraction: no float, no bool."""
+    for e, c in p.terms.items():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (e, repr(c))
+
+
+@pytest.mark.parametrize("value, expected", [
+    (3, 3), (True, 1), (False, 0), (Q(4, 2), 2), (Q(-1, 3), Q(-1, 3)),
+    (0.5, Q(1, 2)), (2.0, 2), ("-6/3", -2),
+])
+def test_as_coeff(value, expected):
+    c = as_coeff(value)
+    assert c == expected and type(c) is type(expected)
+
+
+# integral Fractions, bools and ints among the inputs: all must come out canonical
+any_coeff = st.one_of(st.integers(-6, 6), st.booleans(), coeffs, coeffs.map(lambda c: c * 6))
+
+
+@st.composite
+def typed_cases(draw):
+    """(p, q, alpha, e): polynomials of one dimension, a root and an exponent."""
+    dim = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 3)] * dim)
+    p, q = (Poly(dim, draw(st.dictionaries(exponent, any_coeff, max_size=5))) for _ in "pq")
+    catalog = st.sampled_from([root for root in SIGNED_ROOTS if len(root) == dim])
+    general = st.lists(any_coeff, min_size=dim, max_size=dim).filter(any)
+    return p, q, draw(st.one_of(catalog, general)), draw(exponent)
+
+
+@given(typed_cases(), any_coeff, st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_every_result_has_canonical_coefficients(case, c, n):
+    p, q, alpha, e = case
+    dim = p.dim
+    action = compile_reflection(alpha)
+    lin = linear_form(alpha)
+    results = [
+        p, q, lin, norm_sq_poly(dim), Poly.zero(dim), Poly.const(dim, c),
+        Poly.variable(dim, 1), Poly.monomial(dim, e, c),
+        p + q, p - q, p * q, p + c, c - p, -p, p.scale(c), c * p, p**n,
+        linear_combination(dim, [(c, p), (alpha[0], q), (Q(1, 2), p)]),
+        partial_derivative(p, alpha), classical_laplacian(p),
+        compose_reflection(p, action),
+        divide_exact_by_linear(p * lin, alpha),
+        divide_exact_by_norm_sq(p * norm_sq_poly(dim)),
+        parse_poly(format_poly(p), dim),
+    ]
+    if action.signed is not None:
+        results.append(divided_difference(e, action))
+    divided = try_divide_norm_sq(q)
+    if divided is not None:
+        results.append(divided)
+    results += [h for _, h in homogeneous_components(p)]
+    for r in results:
+        assert_canonical(r)
+    assert type(p.constant_term()) in (int, Fraction)
+
+
+@pytest.mark.parametrize("text", ["4/2*x1 + 3/3", "6/4*x1^2 - 1/2*x1^2 + 2/3*x2", "0/5 + x2"])
+def test_parse_gives_canonical_coefficients(text):
+    p = parse_poly(text, 2)
+    assert_canonical(p)
+
+
+@pytest.mark.parametrize("system, kappas", [("a:d=3", ("1",)), ("b:d=2", ("1", "2"))])
+def test_memo_tables_hold_canonical_coefficients(monkeypatch, system, kappas):
+    monkeypatch.setattr(dunklcalc.verify, "_CONTEXTS", {})
+    for suite in ("laplacian-routes", "hobson"):
+        assert dunklcalc.verify.SUITES[suite](system, kappas).passed
+    (ctx,) = dunklcalc.verify._CONTEXTS.values()
+    walked = 0
+    for table in (ctx._quotients, ctx._coord_images, ctx._laplacian_images):
+        assert table
+        for value in table.values():
+            assert_canonical(value)
+            walked += 1
+    assert walked > 100
