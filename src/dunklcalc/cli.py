@@ -54,14 +54,18 @@ class UsageError(ValueError):
     pass
 
 
-def _split_rationals(text: str) -> list[Fraction]:
-    return [parse_rational(piece) for piece in text.split(",") if piece.strip()]
+def _comma_list(option: str, text: str, parse=parse_rational) -> list:
+    """The comma-separated values of an option; an empty field is a usage error."""
+    fields = text.split(",")
+    if not all(field.strip() for field in fields):
+        raise UsageError(f"{option} has an empty field: {text!r}")
+    return [parse(field) for field in fields]
 
 
 def _context_from_args(args) -> DunklContext:
     if not args.system:
         raise UsageError("--system is required")
-    kappas = _split_rationals(args.kappa) if args.kappa else None
+    kappas = _comma_list("--kappa", args.kappa) if args.kappa else None
     rs = build_root_system(args.system, kappas)
     return DunklContext(rs)
 
@@ -82,7 +86,7 @@ def _emit(args, payload: dict, text: str) -> None:
 def _cmd_apply(args) -> int:
     ctx = _context_from_args(args)
     p = _poly_from_args(args, ctx)
-    xi = _split_rationals(args.xi) if args.xi else None
+    xi = _comma_list("--xi", args.xi) if args.xi else None
     if not xi or len(xi) != ctx.dim:
         raise UsageError(f"--xi needs {ctx.dim} comma-separated rationals")
     text = str(dunkl_apply(ctx, xi, p))
@@ -195,7 +199,7 @@ def _cmd_transform(args) -> int:
     p = _poly_from_args(args, ctx)
     if not args.y:
         raise UsageError("--y is required (comma-separated floats)")
-    y = [float(v) for v in args.y.split(",") if v.strip()]
+    y = _comma_list("--y", args.y, float)
     if len(y) != ctx.dim:
         raise UsageError(f"--y needs {ctx.dim} coordinates")
     if not all(math.isfinite(v) for v in y):
@@ -227,7 +231,7 @@ def _cmd_verify(args) -> int:
             raise UsageError("--tolerance must be finite and positive")
     names = list(SUITES) if requested == "all" else [requested]
     if args.system:
-        kappas = tuple(args.kappa.split(",")) if args.kappa else ()
+        kappas = tuple(_comma_list("--kappa", args.kappa)) if args.kappa else ()
         runs = [(args.system, kappas)]
     else:
         runs = None

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .operators import DunklContext, dunkl_laplacian_sq, heat_series, laplacian_powers
-from .poly import InvariantError, Poly, divide_exact_by_norm_sq, linear_combination, norm_sq_poly
+from .poly import InvariantError, Poly, linear_combination, norm_sq_poly
 from .radial import RadialProfile, WeightedFunction, weighted_poly_of_dunkl
 from .util import pochhammer
 
@@ -42,6 +42,25 @@ def _series_denominator(ctx: DunklContext, m: int, j: int) -> Fraction:
     return Fraction(4**j * factorial(j)) * poch
 
 
+def _projected_layers(ctx: DunklContext, p: Poly, count: int) -> list[Poly]:
+    """[proj(Lap^j p) for j < count] for homogeneous p of degree m.
+
+    Lap^j p has degree n = m - 2j, and its own Laplacian powers are the
+    tail of the one list [p, Lap p, ..., Lap^(m//2) p], so its projection
+    is the series sum over k of |x|^(2k) Lap^(j+k) p / (4^k k! (-lam-n+1)_k).
+    """
+    m = p.degree()
+    powers = laplacian_powers(ctx, p, m // 2)
+    r2 = norm_sq_poly(ctx.dim)
+    return [
+        linear_combination(ctx.dim, [(1, powers[j])] + [
+            (1 / _series_denominator(ctx, m - 2 * j, k), r2**k * powers[j + k])
+            for k in range(1, len(powers) - j)
+        ])
+        for j in range(count)
+    ]
+
+
 def clebsch_project_series(ctx: DunklContext, p: Poly) -> Poly:
     """Series form of the projection onto harmonic polynomials.
 
@@ -51,16 +70,7 @@ def clebsch_project_series(ctx: DunklContext, p: Poly) -> Poly:
     """
     if not p.is_homogeneous():
         raise ValueError("projection needs homogeneous input")
-    if p.is_zero():
-        return p
-    m = p.degree()
-    r2 = norm_sq_poly(ctx.dim)
-    pairs = [(1, p)]
-    r2_power = Poly.const(ctx.dim, 1)
-    for j, lap_power in enumerate(laplacian_powers(ctx, p, m // 2)[1:], start=1):
-        r2_power = r2_power * r2
-        pairs.append((1 / _series_denominator(ctx, m, j), r2_power * lap_power))
-    return linear_combination(ctx.dim, pairs)
+    return _projected_layers(ctx, p, 1)[0]
 
 
 def clebsch_project_maxwell(ctx: DunklContext, p: Poly) -> Poly:
@@ -117,27 +127,21 @@ class HarmonicDecomposition:
 
 
 def harmonic_decompose(ctx: DunklContext, p: Poly) -> HarmonicDecomposition:
-    """Peel harmonic layers off a homogeneous polynomial.
+    """The harmonic layers h_j of homogeneous p of degree m, from one power list.
 
-    Projects, removes the harmonic part, divides the exactly-divisible
-    remainder by the squared norm, and recurses; the division failing would
-    mean the projector is broken, hence the hard error.
+    Lap sends |x|^(2i) h to 4i(lam + n + i) |x|^(2i-2) h for h harmonic of
+    degree n, so the harmonic part of Lap^j p is 4^j j! (lam + m - 2j + 1)_j
+    h_j, and h_j is the projection of Lap^j p divided by that constant.
     """
     if not p.is_homogeneous():
         raise ValueError("decomposition needs homogeneous input")
-    components: list[tuple[int, Poly]] = []
-    current = p
-    j = 0
-    while not current.is_zero():
-        h = clebsch_project_series(ctx, current)
-        if not h.is_zero():
-            components.append((j, h))
-        remainder = current - h
-        if remainder.is_zero():
-            break
-        current = divide_exact_by_norm_sq(remainder)
-        j += 1
-    return HarmonicDecomposition(ctx.dim, components)
+    m = p.degree()
+    lam = ctx.constants.bessel_index
+    return HarmonicDecomposition(ctx.dim, [
+        (j, layer.scale(1 / (4**j * factorial(j) * pochhammer(lam + m - 2 * j + 1, j))))
+        for j, layer in enumerate(_projected_layers(ctx, p, m // 2 + 1))
+        if not layer.is_zero()
+    ])
 
 
 def hermite_poly(ctx: DunklContext, p: Poly) -> Poly:

@@ -23,133 +23,126 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .operators import DunklContext, apply_coord, check_budget, laplacian_powers, operator_words
 from .poly import (
+    Coeff,
     InvariantError,
     Poly,
     _Scanner,
+    as_coeff,
     linear_combination,
     try_divide_norm_sq,
 )
 
-ProfileKey = tuple[Fraction, Fraction]  # (base exponent, gaussian rate)
+ProfileKey = tuple[Coeff, Coeff]  # (r exponent s, gaussian rate a)
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Finite sum of c_j r^(s+2j) scaled by exp(a r^2).
+    """Finite sum of c_s r^s exp(a r^2) over exponents s of one parity.
 
-    coeffs holds (offset j, c_j) pairs relative to the base exponent s;
-    construction through `make` keeps the form canonical: no zero
-    coefficients, offsets shifted so the smallest present one is zero, and
-    the zero profile represented with s = a = 0.
+    terms holds the nonzero (s, c_s) pairs in increasing s, with s, a and
+    c_s typed by poly.as_coeff as in WeightedFunction.parts; the zero
+    profile has rate 0 and no terms.  Every constructor goes through
+    _profile, which keeps this form.
     """
 
-    base_exponent: Fraction
-    gauss_coeff: Fraction
-    coeffs: tuple[tuple[int, Fraction], ...]
+    gauss_coeff: Coeff
+    terms: tuple[tuple[Coeff, Coeff], ...]
 
     @staticmethod
-    def make(s, a, coeffs: Mapping[int, Fraction]) -> "RadialProfile":
-        clean = {int(j): Fraction(c) for j, c in coeffs.items() if c}
-        if not clean:
-            return RadialProfile(Fraction(0), Fraction(0), ())
-        shift = min(clean)
-        base = Fraction(s) + 2 * shift
-        items = tuple(sorted((j - shift, c) for j, c in clean.items()))
-        return RadialProfile(base, Fraction(a), items)
+    def make(s, a, coeffs: Mapping[int, object]) -> "RadialProfile":
+        """The sum of c_j r^(s+2j) exp(a r^2) over the (j, c_j) of coeffs."""
+        return _profile(((s + 2 * j, a), c) for j, c in coeffs.items())
 
     @staticmethod
     def power(s) -> "RadialProfile":
         """r^s."""
-        return RadialProfile.make(s, 0, {0: Fraction(1)})
+        return _profile([((s, 0), 1)])
 
     @staticmethod
     def gaussian(a) -> "RadialProfile":
         """exp(a r^2)."""
-        return RadialProfile.make(0, a, {0: Fraction(1)})
+        return _profile([((0, a), 1)])
 
     @staticmethod
     def power_gauss(s, a) -> "RadialProfile":
-        return RadialProfile.make(s, a, {0: Fraction(1)})
+        return _profile([((s, a), 1)])
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def scale(self, c) -> "RadialProfile":
-        c = Fraction(c)
-        return RadialProfile.make(
-            self.base_exponent, self.gauss_coeff, {j: c * v for j, v in self.coeffs}
-        )
+        return _profile(((s, self.gauss_coeff), c * v) for s, v in self.terms)
 
     def __str__(self) -> str:
         return format_profile(self)
 
 
-def inv_r_ddr(profile: RadialProfile, n: int = 1) -> RadialProfile:
-    """Apply the radial derivative (1/r) d/dr n times.
+def _family(s, a) -> tuple:
+    """The family of r^s exp(a r^2): its rate and the parity of s.
 
-    A single application sends c r^t exp(a r^2) to
-    (c t) r^(t-2) exp(a r^2) + (2 a c) r^t exp(a r^2); the t = 0 term drops
-    on its own since its coefficient carries the factor t.
+    Multiplying by |x|^2 = r^2 moves a summand inside its family, so only
+    summands of one family combine into one profile or one fold.
     """
-    if n < 0:
-        raise ValueError("cannot apply the radial derivative negatively many times")
-    for _ in range(n):
-        if profile.is_zero():
-            return profile
-        s, a = profile.base_exponent, profile.gauss_coeff
-        out: dict[int, Fraction] = {}
-        for j, c in profile.coeffs:
-            t = s + 2 * j
-            if t:
-                out[j - 1] = out.get(j - 1, Fraction(0)) + c * t
-            if a:
-                out[j] = out.get(j, Fraction(0)) + 2 * a * c
-        profile = RadialProfile.make(s, a, out)
-    return profile
+    return a, s % 2
 
 
-def _merge_profile_sum(
-    profiles: Iterable[RadialProfile],
-) -> RadialProfile:
-    """Sum profiles; they must share the gaussian rate and exponent parity."""
-    total: dict[tuple[Fraction, Fraction], dict[Fraction, Fraction]] = {}
-    for prof in profiles:
-        if prof.is_zero():
-            continue
-        key = (prof.gauss_coeff, prof.base_exponent % 2)
-        bucket = total.setdefault(key, {})
-        for j, c in prof.coeffs:
-            t = prof.base_exponent + 2 * j
-            bucket[t] = bucket.get(t, Fraction(0)) + c
-    total = {k: {t: c for t, c in v.items() if c} for k, v in total.items()}
-    total = {k: v for k, v in total.items() if v}
-    if not total:
-        return RadialProfile.make(0, 0, {})
-    if len(total) > 1:
+def _radial_derivative(s, a) -> Iterator[tuple[ProfileKey, Coeff]]:
+    """(1/r) d/dr r^s exp(a r^2) as ((exponent, rate), coefficient) items.
+
+    It is s r^(s-2) exp(a r^2) + 2a r^s exp(a r^2); a zero coefficient
+    (s = 0, or a = 0) leaves its item out.
+    """
+    if s:
+        yield (s - 2, a), s
+    if a:
+        yield (s, a), 2 * a
+
+
+def _profile(items: Iterable[tuple[ProfileKey, object]]) -> RadialProfile:
+    """The sum of c r^s exp(a r^2) over ((s, a), c) items, zero sums dropped.
+
+    Raises ValueError when the nonzero sums span more than one family.
+    """
+    total: dict[ProfileKey, object] = {}
+    for key, c in items:
+        total[key] = total.get(key, 0) + c
+    terms = sorted((key, c) for key, c in total.items() if c)
+    if not terms:
+        return RadialProfile(0, ())
+    if len({_family(*key) for key, _ in terms}) > 1:
         raise ValueError(
             "profiles do not combine into a single family "
             "(mixed gaussian rates or exponent parities)"
         )
-    (a, _), bucket = next(iter(total.items()))
-    base = min(bucket)
-    return RadialProfile.make(base, a, {int((t - base) / 2): c for t, c in bucket.items()})
+    a = as_coeff(terms[0][0][1])
+    return RadialProfile(a, tuple((as_coeff(s), as_coeff(c)) for (s, _), c in terms))
+
+
+def inv_r_ddr(profile: RadialProfile, n: int = 1) -> RadialProfile:
+    """Apply the radial derivative (1/r) d/dr n times, term by term."""
+    if n < 0:
+        raise ValueError("cannot apply the radial derivative negatively many times")
+    for _ in range(n):
+        a = profile.gauss_coeff
+        profile = _profile(
+            (key, c * d) for s, c in profile.terms for key, d in _radial_derivative(s, a)
+        )
+    return profile
 
 
 def format_profile(profile: RadialProfile) -> str:
     if profile.is_zero():
         return "0"
+    a = profile.gauss_coeff
     parts = []
-    for j, c in profile.coeffs:
-        t = profile.base_exponent + 2 * j
+    for t, c in profile.terms:
         factors = []
-        if c != 1 or t == 0 and not profile.gauss_coeff:
+        if c != 1 or t == 0 and not a:
             factors.append(str(c))
         if t:
             factors.append(f"r^({t})")
-        if profile.gauss_coeff:
-            factors.append(f"exp({profile.gauss_coeff}*r^2)")
-        if not factors:
-            factors.append(str(c))
+        if a:
+            factors.append(f"exp({a}*r^2)")
         parts.append("*".join(factors))
     return " + ".join(parts).replace("+ -", "- ")
 
@@ -176,8 +169,7 @@ class WeightedFunction:
         for poly, profile in terms:
             if poly.dim != dim:
                 raise ValueError("polynomial factor has wrong dimension")
-            for j, c in profile.coeffs:
-                items.append(((profile.base_exponent + 2 * j, profile.gauss_coeff), c, poly))
+            items.extend(((s, profile.gauss_coeff), c, poly) for s, c in profile.terms)
         self.parts: dict[ProfileKey, Poly] = _combine_parts(dim, items)
 
     @staticmethod
@@ -206,14 +198,13 @@ class WeightedFunction:
         return WeightedFunction._sum(self.dim, self._items(Fraction(c)))
 
     def shift_r_power(self, e) -> "WeightedFunction":
-        e = Fraction(e)
         return WeightedFunction._sum(
-            self.dim, (((s + e, a), 1, p) for (s, a), p in self.parts.items())
+            self.dim, (((as_coeff(s + e), a), 1, p) for (s, a), p in self.parts.items())
         )
 
     # -- canonical form, computed at output ----------------------------------
 
-    def _folds(self) -> Iterator[tuple[Fraction, Fraction, Poly]]:
+    def _folds(self) -> Iterator[tuple[Coeff, Coeff, Poly]]:
         """(lowest exponent s, rate a, P) per (rate, exponent parity) family.
 
         P is the sum of P_t |x|^(t - s) over the family's parts P_t r^t, by
@@ -221,9 +212,9 @@ class WeightedFunction:
         running sum by |x|^2 and adds the part at the next exponent.  A
         family whose parts cancel gives the zero polynomial.
         """
-        families: dict[tuple[Fraction, Fraction], dict[Fraction, Poly]] = {}
+        families: dict[tuple, dict[Coeff, Poly]] = {}
         for (s, a), poly in self.parts.items():
-            families.setdefault((a, s % 2), {})[s] = poly
+            families.setdefault(_family(s, a), {})[s] = poly
         for (a, _), family in families.items():
             s = max(family)
             total = family.pop(s)
@@ -265,7 +256,6 @@ class WeightedFunction:
         profile content; even powers of r fold back into P through the
         squared norm.
         """
-        gauss_coeff = Fraction(gauss_coeff)
         pairs = []
         for s, a, total in self._folds():
             if total.is_zero():
@@ -336,7 +326,7 @@ def _norm_sq_shifts(poly: Poly) -> list[tuple[int, Poly]]:
     return [(1, _times_var(poly, j, 2)) for j in range(poly.dim)]
 
 
-def _strip_norm_sq(s: Fraction, total: Poly) -> tuple[Fraction, Poly]:
+def _strip_norm_sq(s: Coeff, total: Poly) -> tuple[Coeff, Poly]:
     """(s + 2k, total / |x|^(2k)) for the largest k; total must be nonzero."""
     while (quotient := try_divide_norm_sq(total)) is not None:
         total, s = quotient, s + 2
@@ -351,10 +341,7 @@ def _apply_coord_weighted(
     for (s, a), poly in parts.items():
         items.append(((s, a), 1, apply_coord(ctx, j, poly)))
         shifted = _times_var(poly, j)
-        if s:
-            items.append(((s - 2, a), s, shifted))
-        if a:
-            items.append(((s, a), 2 * a, shifted))
+        items.extend((key, c, shifted) for key, c in _radial_derivative(s, a))
     return _combine_parts(ctx.dim, items)
 
 
@@ -367,7 +354,7 @@ def weighted_poly_of_dunkl(
     r, each with its own polynomial; the work budget counts them.
     """
     spread = max(p.degree(), 0) + 1 if profile.gauss_coeff else 1
-    check_budget(ctx, p, len(profile.coeffs) * spread)
+    check_budget(ctx, p, len(profile.terms) * spread)
     start = WeightedFunction(ctx.dim, [(Poly.const(ctx.dim, 1), profile)]).parts
     words = operator_words(p, start, lambda j, parts: _apply_coord_weighted(ctx, j, parts))
     return WeightedFunction._sum(
@@ -451,10 +438,10 @@ def parse_profile(text: str) -> RadialProfile:
 
     pieces = []
     for sign, _, factors in scanner.read_sum(factor):
-        coeff, exponent, rate = Fraction(sign), Fraction(0), Fraction(0)
+        coeff, exponent, rate = sign, 0, 0
         for c, e, a in factors:
             coeff *= c
             exponent += e
             rate += a
-        pieces.append(RadialProfile.power_gauss(exponent, rate).scale(coeff))
-    return _merge_profile_sum(pieces)
+        pieces.append(((exponent, rate), coeff))
+    return _profile(pieces)

@@ -204,7 +204,9 @@ def load_custom_file(path: str) -> tuple[int, list[Vector], list[Fraction]]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
+        if type(dim) is not int:  # neither a float nor a bool passes for one
+            raise ValueError(f"dim must be an integer, got {dim!r}")
         _check_dim(dim)
         roots = [
             tuple(parse_rational(str(c)) for c in row) for row in data["roots"]

@@ -118,6 +118,45 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--kappa", ["apply", "--system", "z2:d=2", "--kappa", "1,,2", "--xi", "1,0",
+                     "--poly", "x1"]),
+        ("--kappa", ["verify", "commutativity", "--system", "z2:d=2", "--kappa", "1,,2"]),
+        ("--kappa", ["verify", "hobson", "--system", "z2:d=2", "--kappa", "1,3/2,"]),
+        ("--xi", ["apply", "--system", "z2:d=2", "--kappa", "1,2", "--xi", "1,,0",
+                  "--poly", "x1"]),
+        ("--xi", ["apply", "--system", "z2:d=1", "--kappa", "1", "--xi", " ,1",
+                  "--poly", "x1"]),
+        ("--y", ["transform", "--system", "z2:d=1", "--kappa", "1", "--poly", "x1",
+                 "--y", "1,"]),
+    ],
+)
+def test_comma_list_with_an_empty_field_exits_two(capsys, option, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{option} has an empty field" in err
+
+
+def test_comma_lists_allow_spaces_around_values(capsys):
+    code, out, _ = run_cli(
+        capsys, "apply", "--system", "z2:d=2", "--kappa", " 1 , 2 ", "--xi", "1 ,0",
+        "--poly", "x1",
+    )
+    assert (code, out.strip()) == (0, "3")
+    code, out, _ = run_cli(
+        capsys, "verify", "commutativity", "--system", "z2:d=2", "--kappa", "1, 3/2",
+    )
+    assert code == 0 and "[PASS]" in out
+    code, out, _ = run_cli(
+        capsys, "transform", "--system", "z2:d=1", "--kappa", "1", "--poly", "x1",
+        "--y", " 1.5 ",
+    )
+    assert code == 0 and "hecke residual" in out
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

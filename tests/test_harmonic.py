@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,9 +15,16 @@ from dunklcalc.harmonic import (
     rodrigues_residual,
 )
 from dunklcalc.operators import DunklContext, dunkl_laplacian_sq
-from dunklcalc.poly import Poly, norm_sq_poly, parse_poly
+from dunklcalc.poly import (
+    Poly,
+    divide_exact_by_norm_sq,
+    linear_combination,
+    norm_sq_poly,
+    parse_poly,
+)
 from dunklcalc.roots import build_root_system
-from dunklcalc.verify import monomials_of_degree, random_homogeneous
+from dunklcalc.util import pochhammer
+from dunklcalc.verify import EXACT_DEFAULT_RUNS, monomials_of_degree, random_homogeneous
 
 Q = Fraction
 
@@ -225,9 +233,9 @@ def test_projection_series_denominators_never_vanish():
 
 
 def test_projection_suite_projects_each_input_once(monkeypatch):
-    # Each of the 12 inputs costs one projection at level 0 of the
-    # decomposition, one per deeper level, one for idempotence and one in
-    # the Maxwell cross-check; the suite must not project p again itself.
+    # Each of the 12 inputs costs one projection for idempotence and one in
+    # the Maxwell cross-check; the decomposition reads its layers off one
+    # Laplacian-power list, and the suite must not project p again itself.
     import dunklcalc.harmonic
     import dunklcalc.verify
 
@@ -242,4 +250,51 @@ def test_projection_suite_projects_each_input_once(monkeypatch):
     monkeypatch.setattr(dunklcalc.verify, "clebsch_project_series", counting)
     report = dunklcalc.verify.projection_suite("b:d=2", ("1", "2"), seed=0)
     assert report.passed
-    assert len(calls) == 48
+    assert len(calls) == 24
+
+
+# -- the decomposition against the peeling loop it replaced -------------------
+
+
+def peeled_projection(ctx, p):
+    """The series projection of homogeneous p, built on its own power list."""
+    m = p.degree()
+    lam = ctx.constants.bessel_index
+    r2 = norm_sq_poly(ctx.dim)
+    pairs, lap_power = [(1, p)], p
+    for j in range(1, m // 2 + 1):
+        lap_power = dunkl_laplacian_sq(ctx, lap_power)
+        denominator = 4**j * math.factorial(j) * pochhammer(-lam - m + 1, j)
+        pairs.append((1 / denominator, r2**j * lap_power))
+    return linear_combination(ctx.dim, pairs)
+
+
+def peeled_components(ctx, p):
+    """Project, subtract the harmonic part, divide by |x|^2, repeat."""
+    components = []
+    current, j = p, 0
+    while not current.is_zero():
+        h = peeled_projection(ctx, current)
+        if not h.is_zero():
+            components.append((j, h))
+        remainder = current - h
+        if remainder.is_zero():
+            break
+        current = divide_exact_by_norm_sq(remainder)
+        j += 1
+    return components
+
+
+@pytest.mark.parametrize(
+    "system, kappas",
+    EXACT_DEFAULT_RUNS + [("z2:d=1", ("0",))],  # bessel index 1/2 .. 3/2, 0 and -1/2
+)
+def test_decomposition_matches_peeling_loop(system, kappas):
+    ctx = make_ctx(system, kappas)
+    rng = random.Random(47)
+    for m in [*range(9)] * 2:
+        p = random_homogeneous(rng, ctx.dim, m)
+        expected = peeled_components(ctx, p)
+        components = harmonic_decompose(ctx, p).components
+        assert [(j, str(h)) for j, h in components] == [(j, str(h)) for j, h in expected]
+        assert clebsch_project_series(ctx, p) == dict(expected).get(0, Poly.zero(ctx.dim))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -37,8 +38,8 @@ def make_ctx(system, kappas):
 
 def test_profile_canonical_form():
     p = RadialProfile.make(4, 0, {-1: Q(1), 0: Q(2)})
-    assert p.base_exponent == 2  # minimal exponent present
-    assert p.coeffs == ((0, Q(1)), (1, Q(2)))
+    assert p.terms == ((2, 1), (4, 2))  # (exponent, coefficient), increasing
+    assert all(type(v) is int for term in p.terms for v in term)
     assert RadialProfile.make(0, -1, {0: Q(0)}).is_zero()
 
 
@@ -51,7 +52,7 @@ def test_inv_r_ddr_examples():
     # powers only ever shift by two
     phi = RadialProfile.power_gauss(Q(-3), Q(-1))
     out = inv_r_ddr(phi, 3)
-    assert [out.base_exponent + 2 * j for j, _ in out.coeffs] == [Q(-9), Q(-7), Q(-5), Q(-3)]
+    assert [t for t, _ in out.terms] == [-9, -7, -5, -3]
 
 
 def test_weighted_apply_gaussian():
@@ -349,10 +350,10 @@ def test_closure_exponent_parity_and_rate():
 def _profile_second_derivative(profile: RadialProfile) -> RadialProfile:
     # f'' for f = sum c r^t exp(a r^2):
     # t(t-1) r^(t-2) + 2a(2t+1) r^t + 4a^2 r^(t+2), coefficient-wise
-    s, a = profile.base_exponent, profile.gauss_coeff
+    s, a = profile.terms[0][0], profile.gauss_coeff
     out = {}
-    for j, c in profile.coeffs:
-        t = s + 2 * j
+    for t, c in profile.terms:
+        j = int((t - s) / 2)
         if t * (t - 1):
             out[j - 1] = out.get(j - 1, Q(0)) + c * t * (t - 1)
         if a:
@@ -465,3 +466,148 @@ profiles = st.builds(
 @settings(max_examples=200, deadline=None)
 def test_profile_text_round_trip(profile):
     assert parse_profile(format_profile(profile)) == profile
+
+
+# -- profiles against the offset-coded form they replaced ----------------------
+
+
+@dataclass(frozen=True)
+class OffsetProfile:
+    """The profile encoding replaced by (exponent, coefficient) terms.
+
+    coeffs holds (offset j, c_j) pairs of c_j r^(s+2j) relative to the base
+    exponent s, shifted so the smallest offset is zero; the zero profile has
+    s = a = 0.
+    """
+
+    base_exponent: Fraction
+    gauss_coeff: Fraction
+    coeffs: tuple
+
+    @staticmethod
+    def make(s, a, coeffs):
+        clean = {int(j): Q(c) for j, c in coeffs.items() if c}
+        if not clean:
+            return OffsetProfile(Q(0), Q(0), ())
+        shift = min(clean)
+        items = tuple(sorted((j - shift, c) for j, c in clean.items()))
+        return OffsetProfile(Q(s) + 2 * shift, Q(a), items)
+
+    def scale(self, c):
+        c = Q(c)
+        return OffsetProfile.make(
+            self.base_exponent, self.gauss_coeff, {j: c * v for j, v in self.coeffs}
+        )
+
+
+def offset_inv_r_ddr(profile, n):
+    for _ in range(n):
+        if not profile.coeffs:
+            return profile
+        s, a = profile.base_exponent, profile.gauss_coeff
+        out = {}
+        for j, c in profile.coeffs:
+            t = s + 2 * j
+            if t:
+                out[j - 1] = out.get(j - 1, Q(0)) + c * t
+            if a:
+                out[j] = out.get(j, Q(0)) + 2 * a * c
+        profile = OffsetProfile.make(s, a, out)
+    return profile
+
+
+def offset_merge(profiles):
+    total = {}
+    for prof in profiles:
+        key = (prof.gauss_coeff, prof.base_exponent % 2)
+        bucket = total.setdefault(key, {})
+        for j, c in prof.coeffs:
+            t = prof.base_exponent + 2 * j
+            bucket[t] = bucket.get(t, Q(0)) + c
+    total = {k: {t: c for t, c in v.items() if c} for k, v in total.items()}
+    total = {k: v for k, v in total.items() if v}
+    if not total:
+        return OffsetProfile.make(0, 0, {})
+    if len(total) > 1:
+        raise ValueError(
+            "profiles do not combine into a single family "
+            "(mixed gaussian rates or exponent parities)"
+        )
+    (a, _), bucket = next(iter(total.items()))
+    base = min(bucket)
+    return OffsetProfile.make(base, a, {int((t - base) / 2): c for t, c in bucket.items()})
+
+
+def offset_format(profile):
+    if not profile.coeffs:
+        return "0"
+    parts = []
+    for j, c in profile.coeffs:
+        t = profile.base_exponent + 2 * j
+        factors = []
+        if c != 1 or t == 0 and not profile.gauss_coeff:
+            factors.append(str(c))
+        if t:
+            factors.append(f"r^({t})")
+        if profile.gauss_coeff:
+            factors.append(f"exp({profile.gauss_coeff}*r^2)")
+        if not factors:
+            factors.append(str(c))
+        parts.append("*".join(factors))
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+profile_pieces = st.lists(
+    st.tuples(
+        st.sampled_from([Q(0), Q(1), Q(-1), Q(2), Q(-1, 2), Q(3, 4)]),
+        st.builds(lambda s, offset: s + offset, st.integers(-5, 5),
+                  st.sampled_from([Q(0), Q(1, 3)])),
+        st.sampled_from([Q(0), Q(-1, 2), Q(-1), Q(1)]),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(profile_pieces, st.integers(0, 3), rationals)
+@settings(max_examples=300, deadline=None)
+def test_profiles_match_offset_coded_oracle(pieces, n, c):
+    offsets = [OffsetProfile.make(s, a, {0: 1}).scale(k) for k, s, a in pieces]
+    text = " + ".join(offset_format(p) for p in offsets).replace("+ -", "- ")
+    try:
+        expected = offset_merge(offsets)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            parse_profile(text)
+        assert str(err.value) == str(exc)
+        return
+    profile = parse_profile(text)
+    assert str(profile) == offset_format(expected)
+    assert str(inv_r_ddr(profile, n)) == offset_format(offset_inv_r_ddr(expected, n))
+    assert str(profile.scale(c)) == offset_format(expected.scale(c))
+
+
+def test_integral_profile_keys_are_ints():
+    # the profiles of the hobson suite on one of its default systems
+    ctx = make_ctx("b:d=2", ["1", "2"])
+    lam = ctx.constants.bessel_index
+    rng = random.Random(43)
+    profiles = [
+        RadialProfile.power(2),
+        RadialProfile.power(4),
+        RadialProfile.power(Q(7, 2)),
+        RadialProfile.power(-2 * lam),
+        RadialProfile.gaussian(Q(-1, 2)),
+        RadialProfile.gaussian(-1),
+        RadialProfile.power_gauss(3, -1),
+    ]
+    keys = []
+    for profile in profiles:
+        keys += list(WeightedFunction(2, [(Poly.const(2, 1), profile)]).parts)
+        for m in range(4):
+            p = random_homogeneous(rng, 2, m)
+            for w in (hobson_lhs(ctx, p, profile), hobson_residual(ctx, p, profile)):
+                keys += list(w.parts) + list(w.shift_r_power(Q(2)).parts)
+    integral = [v for key in keys for v in key if v == int(v)]
+    assert len(integral) > 100
+    assert all(type(v) is int for v in integral)

@@ -196,6 +196,16 @@ def test_custom_file_loading(tmp_path):
     assert rs.multiplicities == (Q(1, 2), Q(2))
 
 
+@pytest.mark.parametrize("dim", ["2.7", "2.0", "true", '"2"'])
+def test_custom_file_dim_must_be_an_integer(tmp_path, dim):
+    path = tmp_path / "system.json"
+    path.write_text(
+        f'{{"dim": {dim}, "roots": [["1", "0"], ["0", "1"]], "multiplicities": ["1"]}}'
+    )
+    with pytest.raises(RootSystemError, match="dim must be an integer"):
+        build_root_system(f"custom:{path}")
+
+
 # -- compiled reflection actions ---------------------------------------------
 
 CATALOG = [f"z2:d={d}" for d in range(1, 6)] + [

@@ -20,8 +20,7 @@ ALLOWED = {
     ("poly", "classical_laplacian"): "monomial to monomial map",
     ("poly", "_divide_monic"): "remainder of an exact division",
     ("poly", "parse_poly"): "term collection while parsing",
-    ("radial", "inv_r_ddr"): "profile coefficients",
-    ("radial", "_merge_profile_sum"): "profile coefficients",
+    ("radial", "_profile"): "profile coefficients",
 }
 
 
