@@ -6,6 +6,9 @@ violation (an InvariantError: an exact identity the implementation
 guarantees was found broken), 4 numeric limit (a series or a quadrature
 could not reach its bound at the requested point, or an exact value is too
 large for a float, reported with one fixed message).
+
+Each polynomial command is a body registered with @_command; one runner
+builds its context, parses --poly, and prints its JSON payload or text.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from typing import Callable
 
 from .harmonic import (
     clebsch_project_maxwell,
@@ -62,57 +66,85 @@ def _comma_list(option: str, text: str, parse=parse_rational) -> list:
     return [parse(field) for field in fields]
 
 
-def _context_from_args(args) -> DunklContext:
+# The route options: name -> function, the first name being the default.
+# Module-level dicts, so that code replacing a function in every namespace
+# of the package and in its dicts (as perfbench/tracer.py does) reaches them.
+LAPLACIAN_ROUTES = {
+    "sq": dunkl_laplacian_sq,
+    "expr": dunkl_laplacian_expr,
+    "invariant": dunkl_laplacian_invariant,
+}
+PROJECTION_ROUTES = {
+    "series": clebsch_project_series,
+    "maxwell": clebsch_project_maxwell,
+}
+
+# What a command body returns: JSON payload, text output and exit code.
+Result = tuple[dict, str, int]
+
+# Polynomial commands by name in definition order: (help, options, body).
+COMMANDS: dict[str, tuple[str, tuple, Callable[..., Result]]] = {}
+
+
+def _command(name: str, help_text: str, *options: tuple[str, dict]):
+    """Register body(args, ctx, p) -> Result as the polynomial command name.
+
+    Each option is a (flag, add_argument keywords) pair, added after the
+    shared --system, --kappa, --poly and --json.  The one runner,
+    _run_command, builds the context and the polynomial the body gets and
+    prints what it returns.
+    """
+
+    def register(body: Callable[..., Result]) -> Callable[..., Result]:
+        COMMANDS[name] = (help_text, options, body)
+        return body
+
+    return register
+
+
+def _route_option(routes: dict) -> tuple[str, dict]:
+    return "--route", {"choices": list(routes), "default": next(iter(routes))}
+
+
+def _run_command(args) -> int:
+    """Build the context, parse --poly, run the body and print its result."""
     if not args.system:
         raise UsageError("--system is required")
     kappas = _comma_list("--kappa", args.kappa) if args.kappa else None
-    rs = build_root_system(args.system, kappas)
-    return DunklContext(rs)
-
-
-def _poly_from_args(args, ctx: DunklContext) -> Poly:
+    ctx = DunklContext(build_root_system(args.system, kappas))
     if not args.poly:
         raise UsageError("--poly is required")
-    return parse_poly(args.poly, ctx.dim)
+    payload, text, code = args.body(args, ctx, parse_poly(args.poly, ctx.dim))
+    print(json.dumps({"system": args.system, **payload}, indent=2) if args.json else text)
+    return code
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
-
-
-def _cmd_apply(args) -> int:
-    ctx = _context_from_args(args)
-    p = _poly_from_args(args, ctx)
+@_command(
+    "apply", "apply a Dunkl operator to a polynomial",
+    ("--xi", {"help": "direction vector, comma-separated rationals"}),
+)
+def _cmd_apply(args, ctx: DunklContext, p: Poly) -> Result:
     xi = _comma_list("--xi", args.xi) if args.xi else None
     if not xi or len(xi) != ctx.dim:
         raise UsageError(f"--xi needs {ctx.dim} comma-separated rationals")
     text = str(dunkl_apply(ctx, xi, p))
-    _emit(args, {"system": args.system, "input": str(p), "result": text}, text)
-    return 0
+    return {"input": str(p), "result": text}, text, 0
 
 
-def _cmd_laplacian(args) -> int:
-    ctx = _context_from_args(args)
-    p = _poly_from_args(args, ctx)
-    route = {
-        "sq": dunkl_laplacian_sq,
-        "expr": dunkl_laplacian_expr,
-        "invariant": dunkl_laplacian_invariant,
-    }[args.route]
-    text = str(route(ctx, p))
-    _emit(args, {"system": args.system, "route": args.route, "result": text}, text)
-    return 0
+@_command("laplacian", "apply the Dunkl Laplacian", _route_option(LAPLACIAN_ROUTES))
+def _cmd_laplacian(args, ctx: DunklContext, p: Poly) -> Result:
+    text = str(LAPLACIAN_ROUTES[args.route](ctx, p))
+    return {"route": args.route, "result": text}, text, 0
 
 
-def _cmd_hobson(args) -> int:
-    ctx = _context_from_args(args)
-    p = _poly_from_args(args, ctx)
-    profile = parse_profile(args.profile) if args.profile else None
-    if profile is None:
+@_command(
+    "hobson", "both sides of the radial expansion of p(D)",
+    ("--profile", {"help": "radial profile, e.g. 'r^(-3)*exp(-1/2*r^2)'"}),
+)
+def _cmd_hobson(args, ctx: DunklContext, p: Poly) -> Result:
+    if not args.profile:
         raise UsageError("--profile is required")
+    profile = parse_profile(args.profile)
     lhs = hobson_lhs(ctx, p, profile)
     rhs = hobson_rhs(ctx, p, profile)
     residual = lhs - rhs
@@ -120,7 +152,6 @@ def _cmd_hobson(args) -> int:
     # each str() of a WeightedFunction computes its canonical form, so format once
     lhs_text, rhs_text = str(lhs), str(rhs)
     payload = {
-        "system": args.system,
         "poly": str(p),
         "profile": str(profile),
         "lhs": lhs_text,
@@ -128,23 +159,18 @@ def _cmd_hobson(args) -> int:
         "residual": "0" if ok else str(residual),
         "status": "pass" if ok else "fail",
     }
-    _emit(args, payload, f"lhs = {lhs_text}\nrhs = {rhs_text}\nresidual = {payload['residual']}")
-    return 0 if ok else FAILURE_EXIT
+    text = f"lhs = {lhs_text}\nrhs = {rhs_text}\nresidual = {payload['residual']}"
+    return payload, text, 0 if ok else FAILURE_EXIT
 
 
-def _cmd_project(args) -> int:
-    ctx = _context_from_args(args)
-    p = _poly_from_args(args, ctx)
-    route = clebsch_project_series if args.route == "series" else clebsch_project_maxwell
-    result = route(ctx, p)
-    text = str(result)
-    _emit(args, {"system": args.system, "route": args.route, "result": text}, text)
-    return 0
+@_command("project", "project onto harmonic polynomials", _route_option(PROJECTION_ROUTES))
+def _cmd_project(args, ctx: DunklContext, p: Poly) -> Result:
+    text = str(PROJECTION_ROUTES[args.route](ctx, p))
+    return {"route": args.route, "result": text}, text, 0
 
 
-def _cmd_decompose(args) -> int:
-    ctx = _context_from_args(args)
-    p = _poly_from_args(args, ctx)
+@_command("decompose", "harmonic decomposition of a homogeneous polynomial")
+def _cmd_decompose(args, ctx: DunklContext, p: Poly) -> Result:
     decomposition = harmonic_decompose(ctx, p)
     components = [
         {"norm_power": j, "harmonic": str(h)} for j, h in decomposition.components
@@ -152,21 +178,17 @@ def _cmd_decompose(args) -> int:
     text = "\n".join(
         f"|x|^{2 * j} * ({h})" for j, h in decomposition.components
     ) or "0"
-    _emit(args, {"system": args.system, "components": components}, text)
-    return 0
+    return {"components": components}, text, 0
 
 
-def _cmd_hermite(args) -> int:
-    ctx = _context_from_args(args)
-    p = _poly_from_args(args, ctx)
+@_command("hermite", "generalized Hermite polynomial of p")
+def _cmd_hermite(args, ctx: DunklContext, p: Poly) -> Result:
     text = str(hermite_poly(ctx, p))
-    _emit(args, {"system": args.system, "result": text}, text)
-    return 0
+    return {"result": text}, text, 0
 
 
-def _cmd_pizzetti(args) -> int:
-    ctx = _context_from_args(args)
-    p = _poly_from_args(args, ctx)
+@_command("pizzetti", "exact normalized spherical mean")
+def _cmd_pizzetti(args, ctx: DunklContext, p: Poly) -> Result:
     value = pizzetti_mean(ctx, p)
     oracle_value = None
     oracle_match = None
@@ -182,21 +204,19 @@ def _cmd_pizzetti(args) -> int:
         oracle_value = total
         oracle_match = total == value
     payload = {
-        "system": args.system,
         "poly": str(p),
         "value": str(value),
         "oracle": None if oracle_value is None else str(oracle_value),
         "oracle_match": oracle_match,
     }
-    _emit(args, payload, str(value))
-    if oracle_match is False:
-        return INTERNAL_EXIT
-    return 0
+    return payload, str(value), INTERNAL_EXIT if oracle_match is False else 0
 
 
-def _cmd_transform(args) -> int:
-    ctx = _context_from_args(args)
-    p = _poly_from_args(args, ctx)
+@_command(
+    "transform", "transform of poly times Gaussian at a point",
+    ("--y", {"help": "evaluation point, comma-separated floats"}),
+)
+def _cmd_transform(args, ctx: DunklContext, p: Poly) -> Result:
     if not args.y:
         raise UsageError("--y is required (comma-separated floats)")
     y = _comma_list("--y", args.y, float)
@@ -205,12 +225,7 @@ def _cmd_transform(args) -> int:
     if not all(math.isfinite(v) for v in y):
         raise UsageError("--y coordinates must be finite")
     value = dunkl_transform_gauss_poly(ctx, p, y)
-    payload = {
-        "system": args.system,
-        "poly": str(p),
-        "y": y,
-        "value": [value.real, value.imag],
-    }
+    payload = {"poly": str(p), "y": y, "value": [value.real, value.imag]}
     text = f"{value.real:+.15e} {value.imag:+.15e}i"
     ok = True
     if p.is_homogeneous() and not p.is_zero():
@@ -218,12 +233,13 @@ def _cmd_transform(args) -> int:
         payload["hecke_residual"] = residual
         text += f"\nhecke residual = {residual:.3e}"
         ok = residual <= HECKE_TOL
-    _emit(args, payload, text)
-    return 0 if ok else FAILURE_EXIT
+    return payload, text, 0 if ok else FAILURE_EXIT
 
 
 def _cmd_verify(args) -> int:
     requested = args.suite
+    if args.kappa is not None and not args.system:
+        raise UsageError("--kappa applies only together with --system")
     if args.tolerance is not None:
         if requested not in ("all", "transforms"):
             raise UsageError(f"--tolerance applies only to transforms, not to {requested}")
@@ -276,48 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, (help_text, options, body) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--system", help="catalog name, e.g. z2:d=2, b:d=2, custom:<file>")
         p.add_argument("--kappa", help="comma-separated rational multiplicities, one per orbit")
         p.add_argument("--poly", help="polynomial text, e.g. '3/2*x1^2*x2 - x3'")
         p.add_argument("--json", action="store_true", help="emit JSON")
-
-    p = sub.add_parser("apply", help="apply a Dunkl operator to a polynomial")
-    common(p)
-    p.add_argument("--xi", help="direction vector, comma-separated rationals")
-    p.set_defaults(fn=_cmd_apply)
-
-    p = sub.add_parser("laplacian", help="apply the Dunkl Laplacian")
-    common(p)
-    p.add_argument("--route", choices=["sq", "expr", "invariant"], default="sq")
-    p.set_defaults(fn=_cmd_laplacian)
-
-    p = sub.add_parser("hobson", help="both sides of the radial expansion of p(D)")
-    common(p)
-    p.add_argument("--profile", help="radial profile, e.g. 'r^(-3)*exp(-1/2*r^2)'")
-    p.set_defaults(fn=_cmd_hobson)
-
-    p = sub.add_parser("project", help="project onto harmonic polynomials")
-    common(p)
-    p.add_argument("--route", choices=["series", "maxwell"], default="series")
-    p.set_defaults(fn=_cmd_project)
-
-    p = sub.add_parser("decompose", help="harmonic decomposition of a homogeneous polynomial")
-    common(p)
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("hermite", help="generalized Hermite polynomial of p")
-    common(p)
-    p.set_defaults(fn=_cmd_hermite)
-
-    p = sub.add_parser("pizzetti", help="exact normalized spherical mean")
-    common(p)
-    p.set_defaults(fn=_cmd_pizzetti)
-
-    p = sub.add_parser("transform", help="transform of poly times Gaussian at a point")
-    common(p)
-    p.add_argument("--y", help="evaluation point, comma-separated floats")
-    p.set_defaults(fn=_cmd_transform)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(fn=_run_command, body=body)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])

@@ -163,6 +163,11 @@ def kernel_coefficients(kappa: Fraction, order: int) -> list[Fraction]:
     return coeffs
 
 
+def relative_defect(value: complex, reference: complex) -> float:
+    """|value - reference| / |reference|, the divisor floored at 1e-300."""
+    return abs(value - reference) / max(abs(reference), 1e-300)
+
+
 def kernel_recursion_residual(kappa, order: int) -> float:
     """Largest relative defect of the recursion of a_0..a_order rounded to floats."""
     coeffs = [float(c) for c in kernel_coefficients(Fraction(kappa), order)]
@@ -170,8 +175,7 @@ def kernel_recursion_residual(kappa, order: int) -> float:
     worst = 0.0
     for n in range(1, order + 1):
         div = n + (2 * kap if n % 2 else 0.0)
-        defect = abs(coeffs[n] * div - coeffs[n - 1])
-        worst = max(worst, defect / max(abs(coeffs[n - 1]), 1e-300))
+        worst = max(worst, relative_defect(coeffs[n] * div, coeffs[n - 1]))
     return worst
 
 
@@ -232,7 +236,7 @@ def kernel_eigen_residual(kappa, x: float, y: float) -> float:
             mult = n + (2 * float(kappa) if n % 2 else 0.0)
             lhs += float(a) * mult * x ** (n - 1) * y**n
     rhs *= y
-    return abs(lhs - rhs) / max(abs(rhs), 1e-300)
+    return relative_defect(lhs, rhs)
 
 
 # -- spherical pairing ------------------------------------------------------

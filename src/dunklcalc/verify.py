@@ -59,6 +59,7 @@ from .transform import (
     hermite_eigen_residual,
     kernel_eigen_residual,
     kernel_recursion_residual,
+    relative_defect,
     scaled_normalized_bessel,
     sphere_pairing,
     sphere_pairing_residual,
@@ -204,23 +205,6 @@ def _equal_case(name: str, got, want, detail: str = "") -> CaseResult:
     if got == want:
         return CaseResult(name, "pass", "0", detail)
     return CaseResult(name, "fail", f"{got} != {want}", detail)
-
-
-def _numeric_case(
-    name: str,
-    residual: float,
-    tol: float,
-    detail: str = "",
-    extras: dict | None = None,
-    kind: str = "abs",
-) -> CaseResult:
-    """Numeric case; kind says whether the residual is absolute or relative."""
-    status = "pass" if residual <= tol else "fail"
-    extras = dict(extras or {})
-    extras.setdefault("abs_residual", residual if kind == "abs" else None)
-    extras.setdefault("rel_residual", residual if kind == "rel" else None)
-    extras.setdefault("tolerance_used", tol)
-    return CaseResult(name, status, residual, detail, extras)
 
 
 # -- registry ----------------------------------------------------------------
@@ -549,42 +533,45 @@ def transforms_suite(
     lam = ctx.constants.bessel_index
     grid = _GRIDS[ctx.dim]
 
-    def tol(default: float) -> float:
-        return tolerance if tolerance is not None else default
+    def case(
+        name: str, residual: float, default_tol: float, kind: str = "abs",
+        detail: str = "", **extras,
+    ) -> CaseResult:
+        """Numeric case; kind says whether the residual is absolute or relative."""
+        tol = tolerance if tolerance is not None else default_tol
+        extras.update(
+            abs_residual=residual if kind == "abs" else None,
+            rel_residual=residual if kind == "rel" else None,
+            tolerance_used=tol,
+        )
+        return CaseResult(name, "pass" if residual <= tol else "fail", residual, detail, extras)
 
     # Kernel sanity: zero multiplicity reduces to the exponential.
     worst = 0.0
     zero_kappas = tuple(Fraction(0) for _ in range(ctx.dim))
-    for xv in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        for yv in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            x = (xv,) * ctx.dim
-            y = (yv,) * ctx.dim
-            kernel = dunkl_kernel_z2d(zero_kappas, x, y)
-            exact = math.exp(sum(a * b for a, b in zip(x, y)))
-            worst = max(worst, abs(kernel - exact) / max(abs(exact), 1e-300))
-    yield _numeric_case("kernel/exponential-limit", worst, tol(KERNEL_TOL), kind="rel")
+    for xv, yv in itertools.product((-2.0, -1.0, 0.0, 1.0, 2.0), repeat=2):
+        x = (xv,) * ctx.dim
+        y = (yv,) * ctx.dim
+        kernel = dunkl_kernel_z2d(zero_kappas, x, y)
+        exact = math.exp(sum(a * b for a, b in zip(x, y)))
+        worst = max(worst, relative_defect(kernel, exact))
+    yield case("kernel/exponential-limit", worst, KERNEL_TOL, "rel")
 
     worst = max(
         abs(dunkl_kernel_z2d(coordinate_kappas, (0.0,) * ctx.dim, y) - 1.0)
         for y in grid
     )
-    yield _numeric_case("kernel/value-at-zero", worst, tol(KERNEL_TOL))
+    yield case("kernel/value-at-zero", worst, KERNEL_TOL)
 
     for j, kappa in enumerate(coordinate_kappas):
-        yield _numeric_case(
-            f"kernel/recursion/coord{j + 1}",
-            kernel_recursion_residual(kappa, 60),
-            tol(KERNEL_TOL),
-            kind="rel",
-        )
+        res = kernel_recursion_residual(kappa, 60)
+        yield case(f"kernel/recursion/coord{j + 1}", res, KERNEL_TOL, "rel")
         worst = max(
             kernel_eigen_residual(kappa, xv, yv)
             for xv in (0.5, 1.0, 2.0)
             for yv in (0.5, 1.5)
         )
-        yield _numeric_case(
-            f"kernel/eigen-property/coord{j + 1}", worst, tol(KERNEL_TOL), kind="rel"
-        )
+        yield case(f"kernel/eigen-property/coord{j + 1}", worst, KERNEL_TOL, "rel")
 
     # Spherical pairing identity.
     test_polys = []
@@ -595,20 +582,16 @@ def transforms_suite(
             test_polys.append((m, random_homogeneous(rng, ctx.dim, m, max_terms=3)))
     for m, p in test_polys:
         for i, (y, res) in enumerate(zip(grid, sphere_pairing_residual(ctx, p, grid))):
-            yield _numeric_case(
-                f"sphere/deg{m}/y{i}", res, tol(SPHERE_TOL), detail=f"p={p}, y={y}"
-            )
+            yield case(f"sphere/deg{m}/y{i}", res, SPHERE_TOL, detail=f"p={p}, y={y}")
 
     one = Poly.const(ctx.dim, 1)
     for i, y in enumerate(grid):
         t = math.sqrt(sum(v * v for v in y))
         lhs = sphere_pairing(ctx, one, y)
         rhs = scaled_normalized_bessel(lam, 0, t)
-        yield _numeric_case(
-            f"sphere/bessel-profile/y{i}",
-            abs(lhs - rhs),
-            tol(SPHERE_TOL),
-            extras={"lhs": [lhs.real, lhs.imag], "rhs": [rhs, 0.0]},
+        yield case(
+            f"sphere/bessel-profile/y{i}", abs(lhs - rhs), SPHERE_TOL,
+            lhs=[lhs.real, lhs.imag], rhs=[rhs, 0.0],
         )
 
     harmonic = Poly.variable(ctx.dim, 1)
@@ -621,10 +604,8 @@ def transforms_suite(
         rhs = scaled_normalized_bessel(lam, m, t) * harmonic.evaluate(
             tuple(-1j * v for v in y)
         )
-        yield _numeric_case(
-            f"sphere/harmonic-profile/y{i}",
-            abs(lhs - rhs),
-            tol(SPHERE_TOL),
+        yield case(
+            f"sphere/harmonic-profile/y{i}", abs(lhs - rhs), SPHERE_TOL,
             detail=f"p={harmonic}",
         )
 
@@ -633,7 +614,7 @@ def transforms_suite(
     res = abs(
         sphere_pairing(ctx, even, (0.0,) * ctx.dim) - float(pizzetti_mean(ctx, even))
     )
-    yield _numeric_case("sphere/origin-mean", res, tol(SPHERE_TOL))
+    yield case("sphere/origin-mean", res, SPHERE_TOL)
 
     # Gaussian transform: fixed point and Bochner-Hecke.  The relative-error
     # form of the fixed point is checked where double precision can support
@@ -645,45 +626,35 @@ def transforms_suite(
             continue
         lhs = dunkl_transform_gauss_poly(ctx, one, y)
         rhs = math.exp(-sum(v * v for v in y) / 2.0)
-        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        yield _numeric_case(
-            f"gauss/fixed-point/y{i}",
-            rel,
-            tol(1e-10),
-            extras={"lhs": [lhs.real, lhs.imag], "rhs": [rhs, 0.0]},
-            kind="rel",
+        yield case(
+            f"gauss/fixed-point/y{i}", relative_defect(lhs, rhs), 1e-10, "rel",
+            lhs=[lhs.real, lhs.imag], rhs=[rhs, 0.0],
         )
     for m, p in test_polys:
         for i, (y, res) in enumerate(zip(grid, hecke_residual(ctx, p, grid))):
-            yield _numeric_case(
-                f"hecke/deg{m}/y{i}", res, tol(HECKE_TOL), detail=f"p={p}, y={y}"
-            )
+            yield case(f"hecke/deg{m}/y{i}", res, HECKE_TOL, detail=f"p={p}, y={y}")
         for i, (y, res) in enumerate(zip(grid, hermite_eigen_residual(ctx, p, grid))):
-            yield _numeric_case(
-                f"hermite-eigen/deg{m}/y{i}", res, tol(HERMITE_TOL), detail=f"p={p}, y={y}"
-            )
+            yield case(f"hermite-eigen/deg{m}/y{i}", res, HERMITE_TOL, detail=f"p={p}, y={y}")
 
     # Hankel transform: Gaussian fixed point and the radial multiplier form.
     nu = float(lam)
+
+    def gauss(r: float) -> float:
+        return math.exp(-r * r / 2.0)
+
     for s in (0.5, 1.0, 2.0, 3.0):
-        value = hankel_numeric(lambda r: math.exp(-r * r / 2.0), nu, s, tol=1e-13)
-        expected = math.exp(-s * s / 2.0)
-        rel = abs(value - expected) / abs(expected)
-        yield _numeric_case(
-            f"hankel/gauss-fixed/s{s}",
-            rel,
-            tol(HANKEL_FIXED_TOL),
-            extras={"lhs": [value, 0.0], "rhs": [expected, 0.0]},
-            kind="rel",
+        value = hankel_numeric(gauss, nu, s, tol=1e-13)
+        expected = gauss(s)
+        yield case(
+            f"hankel/gauss-fixed/s{s}", relative_defect(value, expected), HANKEL_FIXED_TOL,
+            "rel", lhs=[value, 0.0], rhs=[expected, 0.0],
         )
-    value = hankel_numeric(lambda r: math.exp(-r * r / 2.0), nu, 0.0, tol=1e-13)
-    yield _numeric_case("hankel/zero-limit", abs(value - 1.0), tol(HANKEL_FIXED_TOL))
+    value = hankel_numeric(gauss, nu, 0.0, tol=1e-13)
+    yield case("hankel/zero-limit", abs(value - 1.0), HANKEL_FIXED_TOL)
     p = Poly.variable(ctx.dim, 1)
     y_point = (1.0,) + (0.0,) * (ctx.dim - 1)
     res = hankel_identity_residual(ctx, p, 1, y_point)
-    yield _numeric_case(
-        "hankel/radial-multiplier", res, tol(RADIAL_IDENTITY_TOL), detail="p=x1"
-    )
+    yield case("hankel/radial-multiplier", res, RADIAL_IDENTITY_TOL, detail="p=x1")
 
     # Multiplication rule (one-dimensional statement).
     if ctx.dim == 1:
@@ -695,28 +666,23 @@ def transforms_suite(
         ):
             small_ctx = get_context("z2:d=1", (kap,))
             res = transform_multiplication_residual(small_ctx, q, mult_grid)
-            yield _numeric_case(f"multiplication/{label}", res, tol(MULTIPLICATION_TOL))
+            yield case(f"multiplication/{label}", res, MULTIPLICATION_TOL)
         res = transform_multiplication_residual(ctx, Poly.monomial(1, (1,)), mult_grid)
-        yield _numeric_case("multiplication/run-kappa", res, tol(MULTIPLICATION_TOL))
+        yield case("multiplication/run-kappa", res, MULTIPLICATION_TOL)
 
     # Truncation-doubling stability, probed on values that stay away from
     # zero (the constant and the first coordinate) so relative comparison
     # is meaningful.
     y_small = tuple(2.0 / math.sqrt(ctx.dim) for _ in range(ctx.dim))
     for label, p_stab in (("one", one), ("x1", Poly.variable(ctx.dim, 1))):
-        v1 = dunkl_transform_gauss_poly(ctx, p_stab, y_small, n_terms=60)
-        v2 = dunkl_transform_gauss_poly(ctx, p_stab, y_small, n_terms=120)
-        rel = abs(v1 - v2) / max(abs(v2), 1e-300)
-        yield _numeric_case(
-            f"stability/gauss-doubling/{label}", rel, tol(DOUBLING_TOL), kind="rel"
-        )
-        s1 = sphere_pairing(ctx, p_stab, y_small, n_terms=40)
-        s2 = sphere_pairing(ctx, p_stab, y_small, n_terms=80)
-        rel = abs(s1 - s2) / max(abs(s2), 1e-300)
-        yield _numeric_case(
-            f"stability/sphere-doubling/{label}", rel, tol(DOUBLING_TOL), kind="rel"
-        )
+        for name, series, order in (
+            ("gauss", dunkl_transform_gauss_poly, 60), ("sphere", sphere_pairing, 40)
+        ):
+            rel = relative_defect(
+                series(ctx, p_stab, y_small, n_terms=order),
+                series(ctx, p_stab, y_small, n_terms=2 * order),
+            )
+            yield case(f"stability/{name}-doubling/{label}", rel, DOUBLING_TOL, "rel")
     k1 = dunkl_kernel_z2d(coordinate_kappas, (1.0,) * ctx.dim, y_small, n_terms=40)
     k2 = dunkl_kernel_z2d(coordinate_kappas, (1.0,) * ctx.dim, y_small, n_terms=80)
-    rel = abs(k1 - k2) / max(abs(k2), 1e-300)
-    yield _numeric_case("stability/kernel-doubling", rel, tol(DOUBLING_TOL), kind="rel")
+    yield case("stability/kernel-doubling", relative_defect(k1, k2), DOUBLING_TOL, "rel")

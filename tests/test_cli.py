@@ -385,7 +385,7 @@ def test_invariant_error_exits_three(capsys, monkeypatch):
     def broken(*args):
         raise ExactDivisionError("x1 is not divisible by the linear form of (1, -1)")
 
-    monkeypatch.setattr(dunklcalc.cli, "dunkl_laplacian_sq", broken)
+    monkeypatch.setitem(dunklcalc.cli.LAPLACIAN_ROUTES, "sq", broken)
     code, out, err = run_cli(
         capsys, "laplacian", "--system", "a:d=2", "--kappa", "1", "--poly", "x1",
     )
@@ -502,6 +502,18 @@ def test_verify_tolerance_must_be_finite_and_positive(capsys, monkeypatch, toler
     assert code == 2
     assert out == ""
     assert "--tolerance must be finite and positive" in err
+
+
+@pytest.mark.parametrize("suite", ["hobson", "all"])
+def test_verify_kappa_without_system_exits_two(capsys, monkeypatch, suite):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a suite ran with a --kappa it ignores")
+
+    monkeypatch.setattr(dunklcalc.cli, "SUITES", dict.fromkeys(dunklcalc.verify.SUITES, no_run))
+    code, out, err = run_cli(capsys, "verify", suite, "--kappa", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --kappa applies only together with --system\n"
 
 
 def test_verify_hobson_degree_zero_runs(capsys):

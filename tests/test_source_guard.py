@@ -5,7 +5,9 @@ poly.linear_combination is the one place that does it.  This test parses
 the package and fails on a new hand-written accumulate statement of the
 form acc[k] = acc.get(k, ...) + ... outside the functions listed below.
 Likewise every verification suite is a case generator, and the one runner
-in verify._suite builds the seeded generator, the case list and the report.
+in verify._suite builds the seeded generator, the case list and the report;
+every polynomial command is a body, and the one runner in cli builds the
+operator context and parses --poly.
 """
 
 import ast
@@ -70,13 +72,35 @@ def test_no_new_hand_written_accumulate_loops():
 
 
 
+def _called_name(node: ast.AST) -> str:
+    """The name a call node calls, or "" for any other node."""
+    if not isinstance(node, ast.Call):
+        return ""
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def _jobs_by_scope(module: str, jobs) -> dict[str, set[str]]:
+    """Dotted scope -> the jobs(node) names found in it, over one module."""
+    found = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+            else:
+                for job in jobs(child):
+                    found.setdefault(".".join(scope), set()).add(job)
+                visit(child, scope)
+
+    visit(ast.parse((SRC / f"{module}.py").read_text()), [])
+    return found
+
+
 def _runner_jobs(node: ast.AST) -> list[str]:
     """What node does that only the suite runner may do."""
-    if isinstance(node, ast.Call):
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-        if name in ("Random", "VerificationReport"):
-            return [name]
+    if _called_name(node) in ("Random", "VerificationReport"):
+        return [_called_name(node)]
     targets = []
     if isinstance(node, ast.Assign):
         targets = node.targets
@@ -86,16 +110,12 @@ def _runner_jobs(node: ast.AST) -> list[str]:
 
 
 def test_only_the_suite_runner_builds_rng_cases_and_report():
-    found = {}
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, scope + [child.name])
-            else:
-                for job in _runner_jobs(child):
-                    found.setdefault(".".join(scope), set()).add(job)
-                visit(child, scope)
-
-    visit(ast.parse((SRC / "verify.py").read_text()), [])
+    found = _jobs_by_scope("verify", _runner_jobs)
     assert found == {"_suite.register.run": {"Random", "VerificationReport", "cases list"}}
+
+
+def test_only_the_command_runner_builds_context_and_parses_poly():
+    found = _jobs_by_scope(
+        "cli", lambda node: {_called_name(node)} & {"DunklContext", "parse_poly"}
+    )
+    assert found == {"_run_command": {"DunklContext", "parse_poly"}}
