@@ -16,12 +16,10 @@ from .harmonic import (
     gaussian_series_residual,
     harmonic_decompose,
     hermite_poly,
-    is_k_harmonic,
     rodrigues_residual,
 )
 from .integrate import (
     gaussian_moment,
-    mean_value_check,
     pizzetti_mean,
     sphere_oracle_z2d,
 )
@@ -73,8 +71,6 @@ from .roots import (
     RootSystemError,
     build_root_system,
     constants,
-    reflect,
-    weight_eval,
 )
 from .verify import CaseResult, VerificationReport, SUITES
 

@@ -9,11 +9,16 @@ large for a float, reported with one fixed message).
 
 Each polynomial command is a body registered with @_command; one runner
 builds its context, parses --poly, and prints its JSON payload or text.
+The argument parser is built once per process, on the first call of main,
+and holds no functions: main looks up what to run by the command's name at
+call time, so a body replaced in COMMANDS, SUITES or a route table after
+that first call is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -114,7 +119,8 @@ def _run_command(args) -> int:
     ctx = DunklContext(build_root_system(args.system, kappas))
     if not args.poly:
         raise UsageError("--poly is required")
-    payload, text, code = args.body(args, ctx, parse_poly(args.poly, ctx.dim))
+    body = COMMANDS[args.command][2]
+    payload, text, code = body(args, ctx, parse_poly(args.poly, ctx.dim))
     print(json.dumps({"system": args.system, **payload}, indent=2) if args.json else text)
     return code
 
@@ -285,14 +291,19 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else FAILURE_EXIT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call only.
+
+    Every later call returns the same object, so no caller may change it.
+    """
     parser = argparse.ArgumentParser(
         prog="dunklcalc",
         description="Exact Dunkl-operator calculus and its verification suites",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, (help_text, options, body) in COMMANDS.items():
+    for name, (help_text, options, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--system", help="catalog name, e.g. z2:d=2, b:d=2, custom:<file>")
         p.add_argument("--kappa", help="comma-separated rational multiplicities, one per orbit")
@@ -300,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
-        p.set_defaults(fn=_run_command, body=body)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
@@ -312,16 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override every transforms tolerance (exact suites take none)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--report", help="write the JSON report to this path")
-    p.set_defaults(fn=_cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return _cmd_verify(args) if args.command == "verify" else _run_command(args)
     except (ValueError, OSError) as exc:  # bad input, or a file it names is unusable
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .operators import DunklContext, dunkl_laplacian_sq, heat_series, laplacian_powers
+from .operators import DunklContext, heat_series, laplacian_powers
 from .poly import InvariantError, Poly, linear_combination, norm_sq_poly
 from .radial import RadialProfile, WeightedFunction, weighted_poly_of_dunkl
 from .util import pochhammer
@@ -25,10 +25,6 @@ class MaxwellDegenerateError(ValueError):
     to the constant 1 and p(D) of it is zero for positive degree, so only
     the series route defines the projection there.
     """
-
-
-def is_k_harmonic(ctx: DunklContext, p: Poly) -> bool:
-    return dunkl_laplacian_sq(ctx, p).is_zero()
 
 
 def _series_denominator(ctx: DunklContext, m: int, j: int) -> Fraction:

@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
 
-from .operators import DunklContext, dunkl_laplacian_sq, laplacian_powers
-from .poly import InvariantError, Poly
+from .operators import DunklContext, laplacian_powers
+from .poly import Poly
 from .util import pochhammer
 
 
@@ -83,21 +83,3 @@ def gaussian_moment(ctx: DunklContext, p: Poly) -> Fraction:
     exp(Lap/2) p.  Exact, and 1 for p = 1.
     """
     return _series_at_origin(ctx, p, lambda l: Fraction(2**l * factorial(l)))
-
-
-def mean_value_check(ctx: DunklContext, p: Poly) -> Fraction:
-    """Spherical mean of a harmonic polynomial; must equal its value at 0.
-
-    Raises ValueError for non-harmonic input and InvariantError if the
-    mean-value property itself fails, which would indicate a broken
-    Laplacian or series.
-    """
-    if not dunkl_laplacian_sq(ctx, p).is_zero():
-        raise ValueError("mean-value property needs harmonic input")
-    mean = pizzetti_mean(ctx, p)
-    at_origin = p.constant_term()
-    if mean != at_origin:
-        raise InvariantError(
-            f"mean value {mean} differs from value at the origin {at_origin}"
-        )
-    return mean

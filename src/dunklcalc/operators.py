@@ -107,14 +107,14 @@ class DunklContext:
         return cached
 
 
-def check_budget(ctx: DunklContext, p: Poly, repeats: int = 1) -> None:
-    """ValueError, before any expansion, when expanding p may cost too much.
+def check_budget(ctx: DunklContext, degree: int, repeats: int = 1) -> None:
+    """ValueError, before any expansion, when input of this degree may cost too much.
 
-    Polynomials reached from p have degree at most m = deg p, so at most
-    C(m + d, d) monomials, and each monomial image takes one quotient per
-    active root; repeats counts independent expansions of that size.
+    Polynomials reached from input of degree m have degree at most m, so at
+    most C(m + d, d) monomials, and each monomial image takes one quotient
+    per active root; repeats counts independent expansions of that size.
     """
-    m = max(p.degree(), 0)
+    m = max(degree, 0)
     work = comb(m + ctx.dim, ctx.dim) * max(len(ctx._active), 1) * repeats
     if work > MAX_WORK:
         raise ValueError(
@@ -164,7 +164,7 @@ def laplacian_powers(ctx: DunklContext, p: Poly, n: int) -> list[Poly]:
     Clebsch projection, the Pizzetti mean, Bochner-Hecke, the Hankel and
     spherical pairings) is a weighted sum over this list.
     """
-    check_budget(ctx, p)
+    check_budget(ctx, p.degree())
     powers = [p]
     for _ in range(n):
         powers.append(dunkl_laplacian_sq(ctx, powers[-1]))

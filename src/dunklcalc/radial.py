@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .operators import DunklContext, apply_coord, check_budget, laplacian_powers, operator_words
 from .poly import (
     Coeff,
     InvariantError,
+    MAX_WORK,
     Poly,
     _Scanner,
     as_coeff,
@@ -351,15 +352,35 @@ def weighted_poly_of_dunkl(
     """p(D) applied to the radial function, one operator word per term of p.
 
     A gaussian rate lets a word of length m spread over m + 1 exponents of
-    r, each with its own polynomial; the work budget counts them.
+    r, each with its own polynomial; the work budget counts them.  Both
+    this and hobson_rhs also bound the output fold (_check_fold_budget).
     """
     spread = max(p.degree(), 0) + 1 if profile.gauss_coeff else 1
-    check_budget(ctx, p, len(profile.terms) * spread)
+    check_budget(ctx, p.degree(), len(profile.terms) * spread)
+    _check_fold_budget(ctx.dim, p.degree(), profile)
     start = WeightedFunction(ctx.dim, [(Poly.const(ctx.dim, 1), profile)]).parts
     words = operator_words(p, start, lambda j, parts: _apply_coord_weighted(ctx, j, parts))
     return WeightedFunction._sum(
         ctx.dim, ((key, c, poly) for c, parts in words for key, poly in parts.items())
     )
+
+
+def _check_fold_budget(dim: int, degree: int, profile: RadialProfile) -> None:
+    """ValueError when folding p(D) of the profile to canonical form may cost too much.
+
+    The profile is one family, and its exponents of r spread over g.  The
+    output fold brings the family to its lowest exponent by g/2
+    multiplications by |x|^2, so the polynomial of input degree m reaches
+    degree about m + g, with up to C(m + g + d, d) monomials.
+    """
+    exponents = [s for s, _ in profile.terms]
+    spread = int(max(exponents) - min(exponents)) if exponents else 0
+    work = comb(max(degree, 0) + spread + dim, dim)
+    if work > MAX_WORK:
+        raise ValueError(
+            f"input too large: profile exponents of r spread over {spread}, and folding "
+            f"needs about {work} monomials, above the budget of {MAX_WORK}"
+        )
 
 
 def hobson_lhs(ctx: DunklContext, p: Poly, profile: RadialProfile) -> WeightedFunction:
@@ -378,6 +399,7 @@ def hobson_rhs(ctx: DunklContext, p: Poly, profile: RadialProfile) -> WeightedFu
     if p.is_zero():
         return WeightedFunction(ctx.dim)
     m = p.degree()
+    _check_fold_budget(ctx.dim, m, profile)
     derivatives = [profile]
     for _ in range(m):
         derivatives.append(inv_r_ddr(derivatives[-1]))

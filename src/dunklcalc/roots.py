@@ -30,26 +30,6 @@ class RootSystemError(ValueError):
     """Root data that is not a valid reduced, closed, weighted system."""
 
 
-def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    """Exact standard inner product."""
-    if len(x) != len(y):
-        raise RootSystemError("dimension mismatch in inner product")
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
-
-
-def reflect(alpha: Sequence[Fraction], x: Sequence[Fraction]) -> Vector:
-    """Reflect x in the hyperplane orthogonal to alpha.
-
-    The formula x - 2<a,x>/<a,a> a is invariant under rescaling alpha.
-    """
-    alpha = tuple(Fraction(a) for a in alpha)
-    norm = dot(alpha, alpha)
-    if norm == 0:
-        raise RootSystemError("cannot reflect in a zero root")
-    coef = 2 * dot(alpha, tuple(Fraction(c) for c in x)) / norm
-    return tuple(Fraction(c) - coef * a for c, a in zip(x, alpha))
-
-
 @dataclass(frozen=True)
 class DunklConstants:
     """Derived scalar data of a weighted root system.
@@ -88,19 +68,6 @@ def constants(rs: RootSystem) -> DunklConstants:
         Fraction(0),
     )
     return DunklConstants(gamma, gamma + Fraction(rs.dim - 2, 2))
-
-
-def weight_eval(rs: RootSystem, x: Sequence[float]) -> float:
-    """Evaluate the weight prod |<a,x>|^kappa_a in floating point.
-
-    Zero on reflection hyperplanes with positive multiplicity is a legal
-    value; orbits with multiplicity zero contribute the factor 1 there.
-    """
-    out = 1.0
-    for root, kappa in zip(rs.positive_roots, rs.kappa_by_root()):
-        pairing = abs(sum(float(a) * float(c) for a, c in zip(root, x)))
-        out *= pairing ** float(kappa)
-    return out
 
 
 def _parallel(a: Vector, b: Vector) -> bool:

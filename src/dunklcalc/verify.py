@@ -6,7 +6,8 @@ identical reports.  A suite is written as a generator of cases,
 gen(ctx, rng, **options), and registered with @_suite(name, default_runs);
 the one runner it is wrapped in builds the operator context and
 random.Random(seed), collects the cases into a VerificationReport, and
-raises ValueError on a negative degree or on a run that checks nothing.
+raises ValueError on a negative degree, on a degree above the work budget
+or on a run that checks nothing.
 Exact suites report the literal residual "0" on success and the canonical
 form of the offending residual on failure; numeric suites report values
 together with absolute and relative defects against per-case tolerances.
@@ -34,6 +35,7 @@ from .integrate import gaussian_moment, pizzetti_mean, sphere_oracle_z2d
 from .operators import (
     DunklContext,
     adjoint_formula_residual,
+    check_budget,
     commutator_residual,
     dunkl_laplacian_expr,
     dunkl_laplacian_invariant,
@@ -261,6 +263,8 @@ def _suite(name: str, runs: list[Run]) -> Callable[[Callable[..., Cases]], Suite
     the cases that gen yields and returns their report, on which a
     tolerance option is recorded.  A negative degree, or a run that yields
     no case, raises ValueError: a run that checks nothing must not pass.
+    So does a degree whose expansions would exceed the work budget of
+    operators.check_budget, before the generator runs.
     """
 
     def register(gen: Callable[..., Cases]) -> SuiteFn:
@@ -268,6 +272,8 @@ def _suite(name: str, runs: list[Run]) -> Callable[[Callable[..., Cases]], Suite
             if options.get("degree", 0) < 0:
                 raise ValueError(f"degree must be non-negative, got {options['degree']}")
             ctx = get_context(system, kappas)
+            if "degree" in options:
+                check_budget(ctx, options["degree"])
             cases = list(gen(ctx, random.Random(seed), **options))
             if not cases:
                 raise ValueError(f"suite {name} checked no case")

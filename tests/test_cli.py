@@ -1,4 +1,12 @@
+import argparse
+import functools
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +171,52 @@ def test_unknown_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
+# sha256 of the --help text of the program and of each subcommand, and of
+# the usage error of an unknown subcommand, at 80 columns
+HELP_DIGESTS = {
+    "": "cf778179195126658a60324702da248f481c0035eb1c217ca1c1f0a4ef086a04",
+    "apply": "6673e68fb8f98b82ae41a85593875a82d3ed3580ca7479b540ee7369346bb027",
+    "laplacian": "0a84566a62f2152152f74ecc302cd42bb8bfe9cb724716add99e4094cbc5b165",
+    "hobson": "c4b674a38d187f9b2a3be691535b9321ff88dc03a8a98f168e1e977ae596fa50",
+    "project": "f97ae5758df8be2969095674b876255c4038c786f83085a357c04e8107af677e",
+    "decompose": "2658845095a655fadb7e34b6e48f5898e554b9ce5154490fe7c441274660ad0c",
+    "hermite": "22f5784f7df3b666dfb048cf5c3843e73b66bce582039fddb70ca185728cdae0",
+    "pizzetti": "a0e094d5d40a66df07e06e45ef2389ee3f8122031b1a2df8a811c42061401bcd",
+    "transform": "fd3b1506d65b6990a5eb602d76e3e345b0ed114fcf2eb68dbdd323e80bc9d19e",
+    "verify": "55c1d3d5ac7fd191be8383a685fb46e21f3badf0f9afc571950db21337419da2",
+}
+UNKNOWN_COMMAND_DIGEST = "2d96e351342b7a139977f3d3943e4eaf14a617f681b826675f420b44c0f958d6"
+# argparse words its help and errors differently across Python versions
+ARGPARSE_311 = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="digests of Python 3.11's argparse text"
+)
+
+
+def _exit_text(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@ARGPARSE_311
+@pytest.mark.parametrize("command", HELP_DIGESTS)
+def test_help_bytes_are_pinned(capsys, monkeypatch, command):
+    code, out, err = _exit_text(capsys, monkeypatch, [command, "--help"] if command else ["--help"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
+    assert sorted(HELP_DIGESTS) == sorted(["", *dunklcalc.cli.COMMANDS, "verify"])
+
+
+@ARGPARSE_311
+def test_unknown_subcommand_error_bytes_are_pinned(capsys, monkeypatch):
+    code, out, err = _exit_text(capsys, monkeypatch, ["frobnicate"])
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'frobnicate'" in err
+    assert hashlib.sha256(err.encode()).hexdigest() == UNKNOWN_COMMAND_DIGEST
+
+
 def test_hobson_cli_residual_zero(capsys):
     code, out, _ = run_cli(
         capsys, "hobson", "--system", "a:d=3", "--kappa", "1",
@@ -205,6 +259,27 @@ def test_work_budget_exits_two_before_expanding(capsys, monkeypatch, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: input too large")
+
+
+@pytest.mark.parametrize("argv", [
+    # a profile whose exponents of r lie far apart in one family: the output
+    # fold multiplies by |x|^2 once per step of 2 between them
+    ["hobson", "--system", "a:d=3", "--kappa", "1", "--poly", "x1^3*x2^2",
+     "--profile", "r^(200)+r^(-200)"],
+    ["hobson", "--system", "a:d=3", "--kappa", "1", "--poly", "x1^3*x2^2",
+     "--profile", "r^(50)+r^(-50)"],
+    # a degree far above what the suites can expand
+    ["verify", "commutativity", "--system", "a:d=3", "--kappa", "1", "--deg", "2000"],
+    ["verify", "laplacian-commutator", "--system", "a:d=4", "--kappa", "1", "--deg", "400"],
+    ["verify", "transforms", "--system", "z2:d=2", "--kappa", "1,1", "--deg", "3000"],
+])
+def test_work_beyond_the_budget_exits_two_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "input too large" in err and "budget" in err
 
 
 def test_unreadable_system_file_exits_two(capsys, tmp_path):
@@ -564,3 +639,53 @@ def test_verify_contexts_stay_bounded(monkeypatch):
         assert len(dunklcalc.verify._CONTEXTS) <= cap
     assert len(dunklcalc.verify._CONTEXTS) == 1
     assert dunklcalc.verify.get_context("z2:d=1", ("0",)) is not first
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    # a fresh cache for this test, so that the first call builds the parser
+    monkeypatch.setattr(
+        dunklcalc.cli, "build_parser", functools.cache(dunklcalc.cli.build_parser.__wrapped__)
+    )
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    argv = ["hermite", "--system", "z2:d=1", "--kappa", "1", "--poly", "x1^2"]
+    first = run_cli(capsys, *argv)
+    assert built
+    built.clear()
+    assert run_cli(capsys, *argv) == first
+    assert built == []
+
+
+def test_no_state_leaks_from_one_call_into_the_next(capsys):
+    system = ["--system", "b:d=2", "--kappa", "1,2", "--poly", "x1^4 - x2^4"]
+    code, out, _ = run_cli(capsys, "laplacian", "--route", "expr", "--json", *system)
+    assert code == 0 and json.loads(out)["route"] == "expr"
+    with pytest.raises(SystemExit) as exc:
+        main(["laplacian", "--route", "nowhere", *system])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    fresh = subprocess.run(
+        [sys.executable, "-m", "dunklcalc.cli", "laplacian", *system],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(dunklcalc.cli.__file__).parents[1])},
+    )
+    assert fresh.returncode == 0 and not fresh.stdout.startswith("{")
+    assert run_cli(capsys, "laplacian", *system) == (0, fresh.stdout, fresh.stderr)
+
+
+def test_a_body_replaced_after_the_first_call_runs(capsys, monkeypatch):
+    argv = ["hermite", "--system", "z2:d=1", "--kappa", "1", "--poly", "x1^2"]
+    assert run_cli(capsys, *argv)[0] == 0
+    help_text, options, _ = dunklcalc.cli.COMMANDS["hermite"]
+
+    def replaced(args, ctx, p):
+        return {"result": "replaced"}, "replaced body", 0
+
+    monkeypatch.setitem(dunklcalc.cli.COMMANDS, "hermite", (help_text, options, replaced))
+    assert run_cli(capsys, *argv) == (0, "replaced body\n", "")

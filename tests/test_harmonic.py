@@ -11,7 +11,6 @@ from dunklcalc.harmonic import (
     gaussian_series_residual,
     harmonic_decompose,
     hermite_poly,
-    is_k_harmonic,
     rodrigues_residual,
 )
 from dunklcalc.operators import DunklContext, dunkl_laplacian_sq
@@ -39,16 +38,6 @@ SYSTEMS = [
     ("a:d=3", ["1"]),
     ("b:d=2", ["1", "2"]),
 ]
-
-
-def test_is_k_harmonic_examples():
-    ctx0 = make_ctx("z2:d=2", ["0", "0"])
-    assert is_k_harmonic(ctx0, parse_poly("x1^2 - x2^2", 2))
-    for system, kappas in SYSTEMS:
-        ctx = make_ctx(system, kappas)
-        assert not is_k_harmonic(ctx, norm_sq_poly(ctx.dim))
-    ctx1 = make_ctx("z2:d=1", ["1"])
-    assert not is_k_harmonic(ctx1, parse_poly("x1^2 - 3/2", 1))
 
 
 def test_projection_classical_example():

@@ -33,7 +33,7 @@ from dunklcalc.poly import (
     parse_poly,
     partial_derivative,
 )
-from dunklcalc.radial import RadialProfile, parse_profile, weighted_poly_of_dunkl
+from dunklcalc.radial import RadialProfile, hobson_rhs, parse_profile, weighted_poly_of_dunkl
 from dunklcalc.roots import build_root_system
 from dunklcalc.verify import random_homogeneous, random_poly
 
@@ -276,14 +276,29 @@ def test_work_budget_counts_profile_terms_and_spread(monkeypatch):
     forbid_expansion(monkeypatch)
     p = parse_poly("x1^20*x2^20*x3^15", 3)
     assert comb(55 + 3, 3) * 3 <= MAX_WORK < comb(55 + 3, 3) * 3 * 3
-    check_budget(ctx, p)
+    check_budget(ctx, p.degree())
     with pytest.raises(ValueError, match="budget"):
         weighted_poly_of_dunkl(ctx, p, parse_profile("r^2 + r^4 + r^6"))
     q = parse_poly("x1^8*x2^8*x3^8", 3)
     assert comb(24 + 3, 3) * 3 * 25 > MAX_WORK
-    check_budget(ctx, q)
+    check_budget(ctx, q.degree())
     with pytest.raises(ValueError, match="budget"):
         weighted_poly_of_dunkl(ctx, q, RadialProfile.gaussian(-1))
+
+
+def test_work_budget_counts_the_fold_of_a_wide_profile(monkeypatch):
+    # r^50 and r^-50 lie in one family, 100 apart: the walk is small, but the
+    # output fold reaches degree about 5 + 100, with C(108, 3) monomials
+    ctx = make_ctx("a:d=3", ["1"])
+    forbid_expansion(monkeypatch)
+    p = parse_poly("x1^3*x2^2", 3)
+    wide = parse_profile("r^(50)+r^(-50)")
+    assert comb(5 + 3, 3) * 3 * 2 <= MAX_WORK < comb(5 + 100 + 3, 3)
+    check_budget(ctx, p.degree(), 2)
+    with pytest.raises(ValueError, match="budget"):
+        weighted_poly_of_dunkl(ctx, p, wide)
+    with pytest.raises(ValueError, match="budget"):
+        hobson_rhs(ctx, p, wide)
 
 
 def test_commutator_zero():

@@ -6,18 +6,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dunklcalc.roots
-from dunklcalc.poly import Poly, compose_reflection, reflection_variable_images
+from dunklcalc.poly import (
+    Poly,
+    PolyError,
+    compile_reflection,
+    compose_reflection,
+    reflection_variable_images,
+)
 from dunklcalc.roots import (
     MAX_DIM,
     RootSystemError,
     build_root_system,
     constants,
-    dot,
-    reflect,
-    weight_eval,
 )
 
 Q = Fraction
+
+
+def dot(x, y):
+    return sum((Q(a) * Q(b) for a, b in zip(x, y)), Q(0))
+
+
+def reflect(alpha, x):
+    """x - 2<a,x>/<a,a> a: the generic reflection, oracle of the compiled actions."""
+    coef = 2 * dot(alpha, x) / dot(alpha, alpha)
+    return tuple(Q(c) - coef * Q(a) for c, a in zip(x, alpha))
+
+
+def reflect_compiled(alpha, x):
+    return compile_reflection(alpha).reflect_vector(x)
 
 
 def test_z2_single_root_constants():
@@ -68,14 +85,14 @@ def test_d4_single_orbit():
 
 
 def test_reflect_examples():
-    assert reflect((Q(1),), (Q(3),)) == (Q(-3),)
+    assert reflect_compiled((Q(1),), (Q(3),)) == (Q(-3),)
     a, b = Q(5), Q(-7, 3)
-    assert reflect((Q(1), Q(-1)), (a, b)) == (b, a)
+    assert reflect_compiled((Q(1), Q(-1)), (a, b)) == (b, a)
 
 
 def test_reflect_zero_root_rejected():
-    with pytest.raises(RootSystemError):
-        reflect((Q(0), Q(0)), (Q(1), Q(2)))
+    with pytest.raises(PolyError, match="zero root"):
+        compile_reflection((Q(0), Q(0)))
 
 
 rational = st.builds(Q, st.integers(-9, 9), st.integers(1, 5))
@@ -86,9 +103,9 @@ vec3 = st.tuples(rational, rational, rational)
 def test_reflect_involution_and_isometry(alpha, x):
     if all(c == 0 for c in alpha):
         return
-    assert reflect(alpha, reflect(alpha, x)) == x
+    assert reflect_compiled(alpha, reflect_compiled(alpha, x)) == x
     y = (Q(1), Q(-2), Q(1, 3))
-    assert dot(reflect(alpha, x), reflect(alpha, y)) == dot(x, y)
+    assert dot(reflect_compiled(alpha, x), reflect_compiled(alpha, y)) == dot(x, y)
 
 
 @given(vec3, st.integers(1, 7))
@@ -97,7 +114,7 @@ def test_reflect_scale_invariant(alpha, c):
         return
     scaled = tuple(Q(c) * v for v in alpha)
     x = (Q(2), Q(-1, 2), Q(5))
-    assert reflect(alpha, x) == reflect(scaled, x)
+    assert reflect_compiled(alpha, x) == reflect_compiled(scaled, x)
 
 
 def test_custom_closure_failure():
@@ -140,15 +157,6 @@ def test_rotated_sign_flip_system():
     # an orthogonal pair away from the coordinate axes is still valid
     rs = build_root_system([(3, 4), (-4, 3)], [1, 2])
     assert len(rs.orbits) == 2
-
-
-def test_weight_eval():
-    rs = build_root_system("z2:d=1", [2])
-    assert weight_eval(rs, (3.0,)) == pytest.approx(9.0)
-    rs0 = build_root_system("z2:d=2", [0, 0])
-    assert weight_eval(rs0, (0.3, -0.7)) == 1.0
-    rs1 = build_root_system("z2:d=2", [1, 0])
-    assert weight_eval(rs1, (0.0, 5.0)) == 0.0
 
 
 def test_catalog_name_errors():
