@@ -9,7 +9,6 @@ identities numerically for sign-flip systems.
 """
 
 from .harmonic import (
-    HarmonicDecomposition,
     MaxwellDegenerateError,
     clebsch_project_maxwell,
     clebsch_project_series,
@@ -62,15 +61,12 @@ from .radial import (
     hobson_rhs,
     inv_r_ddr,
     parse_profile,
-    weighted_dunkl_apply,
     weighted_poly_of_dunkl,
 )
 from .roots import (
-    DunklConstants,
     RootSystem,
     RootSystemError,
     build_root_system,
-    constants,
 )
 from .verify import CaseResult, VerificationReport, SUITES
 

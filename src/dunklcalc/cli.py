@@ -35,6 +35,7 @@ from .harmonic import (
 from .integrate import pizzetti_mean, sphere_oracle_z2d
 from .operators import (
     DunklContext,
+    check_budget,
     dunkl_apply,
     dunkl_laplacian_expr,
     dunkl_laplacian_invariant,
@@ -139,6 +140,7 @@ def _cmd_apply(args, ctx: DunklContext, p: Poly) -> Result:
 
 @_command("laplacian", "apply the Dunkl Laplacian", _route_option(LAPLACIAN_ROUTES))
 def _cmd_laplacian(args, ctx: DunklContext, p: Poly) -> Result:
+    check_budget(ctx, p.degree())
     text = str(LAPLACIAN_ROUTES[args.route](ctx, p))
     return {"route": args.route, "result": text}, text, 0
 
@@ -177,13 +179,9 @@ def _cmd_project(args, ctx: DunklContext, p: Poly) -> Result:
 
 @_command("decompose", "harmonic decomposition of a homogeneous polynomial")
 def _cmd_decompose(args, ctx: DunklContext, p: Poly) -> Result:
-    decomposition = harmonic_decompose(ctx, p)
-    components = [
-        {"norm_power": j, "harmonic": str(h)} for j, h in decomposition.components
-    ]
-    text = "\n".join(
-        f"|x|^{2 * j} * ({h})" for j, h in decomposition.components
-    ) or "0"
+    layers = harmonic_decompose(ctx, p)
+    components = [{"norm_power": j, "harmonic": str(h)} for j, h in layers]
+    text = "\n".join(f"|x|^{2 * j} * ({h})" for j, h in layers) or "0"
     return {"components": components}, text, 0
 
 

@@ -28,7 +28,7 @@ class MaxwellDegenerateError(ValueError):
 
 
 def _series_denominator(ctx: DunklContext, m: int, j: int) -> Fraction:
-    lam = ctx.constants.bessel_index
+    lam = ctx.bessel_index
     poch = pochhammer(-lam - m + 1, j)
     if poch == 0:
         raise InvariantError(
@@ -84,7 +84,7 @@ def clebsch_project_maxwell(ctx: DunklContext, p: Poly) -> Poly:
         raise ValueError("projection needs homogeneous input")
     if p.is_zero():
         return p
-    lam = ctx.constants.bessel_index
+    lam = ctx.bessel_index
     m = p.degree()
     if lam == 0 and m >= 1:
         raise MaxwellDegenerateError(
@@ -106,38 +106,24 @@ def clebsch_project_maxwell(ctx: DunklContext, p: Poly) -> Poly:
     return result
 
 
-class HarmonicDecomposition:
-    """p as a sum of norm powers times harmonic polynomials.
+def harmonic_decompose(ctx: DunklContext, p: Poly) -> list[tuple[int, Poly]]:
+    """The layers (j, h_j) of homogeneous p of degree m, from one power list.
 
-    components holds (j, h_j) with p equal to the sum of |x|^(2j) h_j and
-    each h_j harmonic of degree deg(p) - 2j; zero components are omitted.
-    """
-
-    def __init__(self, dim: int, components: list[tuple[int, Poly]]):
-        self.dim = dim
-        self.components = tuple(components)
-
-    def recompose(self) -> Poly:
-        r2 = norm_sq_poly(self.dim)
-        return linear_combination(self.dim, ((1, r2**j * h) for j, h in self.components))
-
-
-def harmonic_decompose(ctx: DunklContext, p: Poly) -> HarmonicDecomposition:
-    """The harmonic layers h_j of homogeneous p of degree m, from one power list.
-
-    Lap sends |x|^(2i) h to 4i(lam + n + i) |x|^(2i-2) h for h harmonic of
-    degree n, so the harmonic part of Lap^j p is 4^j j! (lam + m - 2j + 1)_j
-    h_j, and h_j is the projection of Lap^j p divided by that constant.
+    p is the sum of |x|^(2j) h_j, each h_j harmonic of degree m - 2j; zero
+    layers are omitted.  Lap sends |x|^(2i) h to 4i(lam + n + i) |x|^(2i-2) h
+    for h harmonic of degree n, so the harmonic part of Lap^j p is
+    4^j j! (lam + m - 2j + 1)_j h_j, and h_j is the projection of Lap^j p
+    divided by that constant.
     """
     if not p.is_homogeneous():
         raise ValueError("decomposition needs homogeneous input")
     m = p.degree()
-    lam = ctx.constants.bessel_index
-    return HarmonicDecomposition(ctx.dim, [
+    lam = ctx.bessel_index
+    return [
         (j, layer.scale(1 / (4**j * factorial(j) * pochhammer(lam + m - 2 * j + 1, j))))
         for j, layer in enumerate(_projected_layers(ctx, p, m // 2 + 1))
         if not layer.is_zero()
-    ])
+    ]
 
 
 def hermite_poly(ctx: DunklContext, p: Poly) -> Poly:

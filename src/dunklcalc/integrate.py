@@ -29,7 +29,7 @@ def pizzetti_mean(ctx: DunklContext, p: Poly) -> Fraction:
     content contributes nothing because its Laplacian iterates have no
     constant term.
     """
-    lam = ctx.constants.bessel_index
+    lam = ctx.bessel_index
     return _series_at_origin(
         ctx, p, lambda l: Fraction(4**l * factorial(l)) * pochhammer(lam + 1, l)
     )

@@ -1,7 +1,7 @@
 """Dunkl operators and the operator identities of their first-order calculus.
 
-The context object pairs a root system with its derived constants and owns
-the memo tables that make repeated applications cheap: the reflection
+The context object pairs a root system with its Bessel index and owns the
+memo tables that make repeated applications cheap: the reflection
 difference quotient of a monomial and the image of a monomial under each
 coordinate operator are both pure functions of the exponent vector, so they
 are computed once per context.
@@ -21,7 +21,6 @@ from math import comb, factorial
 from typing import Callable, Sequence
 
 from .poly import (
-    MAX_WORK,
     Poly,
     as_coeff,
     classical_laplacian,
@@ -32,7 +31,11 @@ from .poly import (
     partial_derivative,
     Exponent,
 )
-from .roots import DunklConstants, RootSystem, constants
+from .roots import RootSystem
+
+# Largest estimated count of monomial images of one expansion (check_budget);
+# every input of the tests, suites and benchmark stays below.
+MAX_WORK = 100_000
 
 
 class DunklContext:
@@ -44,8 +47,11 @@ class DunklContext:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self.constants: DunklConstants = constants(rs)
         self._kappa = [as_coeff(k) for k in rs.kappa_by_root()]
+        # lambda = gamma + (d-2)/2, gamma the sum of the multiplicities over
+        # the positive roots: the order of every Bessel function downstream,
+        # always >= -1/2
+        self.bessel_index = sum(self._kappa, Fraction(rs.dim - 2, 2))
         self._active = [i for i, k in enumerate(self._kappa) if k != 0]
         # <alpha, alpha> per positive root, for dunkl_laplacian_expr
         self._norm_sq = [as_coeff(sum(a * a for a in root if a)) for root in rs.positive_roots]

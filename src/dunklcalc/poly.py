@@ -526,10 +526,6 @@ def homogeneous_components(p: Poly) -> list[tuple[int, Poly]]:
 # suites use.
 MAX_DEGREE = 256
 
-# Largest estimated count of monomial images of one expansion (check_budget
-# in operators); every input of the tests, suites and benchmark stays below.
-MAX_WORK = 100_000
-
 
 class _Scanner:
     """Cursor over grammar text.

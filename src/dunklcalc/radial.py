@@ -19,13 +19,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
-from .operators import DunklContext, apply_coord, check_budget, laplacian_powers, operator_words
+from .operators import (
+    MAX_WORK,
+    DunklContext,
+    apply_coord,
+    check_budget,
+    laplacian_powers,
+    operator_words,
+)
 from .poly import (
     Coeff,
     InvariantError,
-    MAX_WORK,
     Poly,
     _Scanner,
     as_coeff,
@@ -50,11 +56,6 @@ class RadialProfile:
     terms: tuple[tuple[Coeff, Coeff], ...]
 
     @staticmethod
-    def make(s, a, coeffs: Mapping[int, object]) -> "RadialProfile":
-        """The sum of c_j r^(s+2j) exp(a r^2) over the (j, c_j) of coeffs."""
-        return _profile(((s + 2 * j, a), c) for j, c in coeffs.items())
-
-    @staticmethod
     def power(s) -> "RadialProfile":
         """r^s."""
         return _profile([((s, 0), 1)])
@@ -70,9 +71,6 @@ class RadialProfile:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def scale(self, c) -> "RadialProfile":
-        return _profile(((s, self.gauss_coeff), c * v) for s, v in self.terms)
 
     def __str__(self) -> str:
         return format_profile(self)
@@ -119,16 +117,12 @@ def _profile(items: Iterable[tuple[ProfileKey, object]]) -> RadialProfile:
     return RadialProfile(a, tuple((as_coeff(s), as_coeff(c)) for (s, _), c in terms))
 
 
-def inv_r_ddr(profile: RadialProfile, n: int = 1) -> RadialProfile:
-    """Apply the radial derivative (1/r) d/dr n times, term by term."""
-    if n < 0:
-        raise ValueError("cannot apply the radial derivative negatively many times")
-    for _ in range(n):
-        a = profile.gauss_coeff
-        profile = _profile(
-            (key, c * d) for s, c in profile.terms for key, d in _radial_derivative(s, a)
-        )
-    return profile
+def inv_r_ddr(profile: RadialProfile) -> RadialProfile:
+    """The radial derivative (1/r) d/dr of the profile, term by term."""
+    a = profile.gauss_coeff
+    return _profile(
+        (key, c * d) for s, c in profile.terms for key, d in _radial_derivative(s, a)
+    )
 
 
 def format_profile(profile: RadialProfile) -> str:
@@ -250,12 +244,11 @@ class WeightedFunction:
         )
         return tuple((poly, RadialProfile.power_gauss(s, a)) for a, s, poly in canon)
 
-    def as_polynomial(self, gauss_coeff=0) -> Poly:
-        """Extract P when the function is P(x) times exp(gauss_coeff r^2).
+    def as_polynomial(self) -> Poly:
+        """Extract P when the function is the polynomial P(x).
 
-        Raises InvariantError when the canonical form has any other
-        profile content; even powers of r fold back into P through the
-        squared norm.
+        Raises InvariantError when the canonical form has any profile
+        content; even powers of r fold back into P through the squared norm.
         """
         pairs = []
         for s, a, total in self._folds():
@@ -263,10 +256,9 @@ class WeightedFunction:
                 continue
             s, total = _strip_norm_sq(s, total)
             half, rem = divmod(s, 2)
-            if a != gauss_coeff or rem != 0 or half < 0 or half.denominator != 1:
+            if a != 0 or rem != 0 or half < 0 or half.denominator != 1:
                 raise InvariantError(
-                    "weighted function is not a polynomial multiple of the "
-                    f"requested profile (found exponent {s}, rate {a})"
+                    f"weighted function is not a polynomial (found exponent {s}, rate {a})"
                 )
             for _ in range(int(half)):
                 total = linear_combination(self.dim, _norm_sq_shifts(total))
@@ -279,27 +271,6 @@ class WeightedFunction:
             text = format_profile(profile)
             pieces.append(str(poly) if text == "1" else f"[{poly}] * {text}")
         return " + ".join(pieces) if pieces else "0"
-
-
-def weighted_dunkl_apply(
-    ctx: DunklContext, xi: Sequence, w: WeightedFunction
-) -> WeightedFunction:
-    """Dunkl operator in direction xi on a weighted function.
-
-    Per summand P r^s exp(a r^2) the result is (D_xi P) at the same profile
-    plus <xi, x> P against the radial derivative of the profile, which only
-    shifts exponents by -2 and reuses the gaussian rate.  It is linear in
-    xi, so it is assembled from the coordinate operators.
-    """
-    xi = [Fraction(c) for c in xi]
-    if len(xi) != ctx.dim:
-        raise ValueError("direction has wrong dimension")
-    items = []
-    for j, coeff in enumerate(xi):
-        if coeff:
-            image = _apply_coord_weighted(ctx, j, w.parts)
-            items.extend((key, coeff, poly) for key, poly in image.items())
-    return WeightedFunction._sum(w.dim, items)
 
 
 def _combine_parts(

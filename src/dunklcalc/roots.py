@@ -31,19 +31,6 @@ class RootSystemError(ValueError):
 
 
 @dataclass(frozen=True)
-class DunklConstants:
-    """Derived scalar data of a weighted root system.
-
-    total_multiplicity is the sum of the multiplicities over the positive
-    roots; bessel_index is that sum plus (d-2)/2 and is the order parameter
-    of every Bessel function appearing downstream.  It is always >= -1/2.
-    """
-
-    total_multiplicity: Fraction
-    bessel_index: Fraction
-
-
-@dataclass(frozen=True)
 class RootSystem:
     dim: int
     positive_roots: tuple[Vector, ...]
@@ -60,14 +47,6 @@ class RootSystem:
             for i in orbit:
                 out[i] = kappa
         return tuple(out)
-
-
-def constants(rs: RootSystem) -> DunklConstants:
-    gamma = sum(
-        (kappa * len(orbit) for orbit, kappa in zip(rs.orbits, rs.multiplicities)),
-        Fraction(0),
-    )
-    return DunklConstants(gamma, gamma + Fraction(rs.dim - 2, 2))
 
 
 def _parallel(a: Vector, b: Vector) -> bool:

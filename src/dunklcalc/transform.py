@@ -360,7 +360,7 @@ def sphere_pairing_residual(ctx: DunklContext, p: Poly, ys: Points) -> list[floa
         raise ValueError("spherical pairing identity needs homogeneous input")
     if p.is_zero():
         return [0.0] * len(ys)
-    lam = ctx.constants.bessel_index
+    lam = ctx.bessel_index
     powers = laplacian_powers(ctx, p, p.degree() // 2)
 
     def bessel(k: int, t: float) -> float:
@@ -696,7 +696,7 @@ def hankel_identity_residual(
         raise ValueError("radial multiplier identity needs homogeneous input")
     if p.is_zero():
         return 0.0
-    lam = float(ctx.constants.bessel_index)
+    lam = float(ctx.bessel_index)
     lifted = norm_sq_poly(ctx.dim) ** radial_power * p
     lhs = dunkl_transform_gauss_poly(ctx, lifted, y)
 

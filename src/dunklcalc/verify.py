@@ -305,7 +305,7 @@ def hobson_suite(ctx: DunklContext, rng: random.Random, degree: int = 6) -> Case
     polynomials: one of each degree up to the bound (at most 7), then
     random degrees.
     """
-    lam = ctx.constants.bessel_index
+    lam = ctx.bessel_index
     profiles = [
         ("r^2", RadialProfile.power(2)),
         ("r^4", RadialProfile.power(4)),
@@ -389,14 +389,15 @@ def adjoint_formula_suite(
 @_suite("projection", EXACT_DEFAULT_RUNS)
 def projection_suite(ctx: DunklContext, rng: random.Random, degree: int = 5) -> Cases:
     """Harmonicity, idempotence, route agreement, and decomposition."""
-    lam = ctx.constants.bessel_index
+    lam = ctx.bessel_index
+    r2 = norm_sq_poly(ctx.dim)
     for m in range(degree + 1):
         for i in range(2):
             p = random_homogeneous(rng, ctx.dim, m, max_terms=3)
             name = f"deg{m}/{i}"
-            decomposition = harmonic_decompose(ctx, p)
+            layers = harmonic_decompose(ctx, p)
             # level 0 of the decomposition is the projection of p itself
-            h = dict(decomposition.components).get(0, Poly.zero(ctx.dim))
+            h = dict(layers).get(0, Poly.zero(ctx.dim))
             yield _zero_case(f"{name}/harmonic", dunkl_laplacian_sq(ctx, h))
             yield _zero_case(f"{name}/idempotent", clebsch_project_series(ctx, h) - h)
             if lam == 0 and m >= 1:
@@ -413,11 +414,11 @@ def projection_suite(ctx: DunklContext, rng: random.Random, degree: int = 5) -> 
                 except (ArithmeticError, MaxwellDegenerateError) as exc:
                     case = CaseResult(f"{name}/maxwell", "fail", str(exc), f"p={p}")
                 yield case
+            recomposed = linear_combination(ctx.dim, ((1, r2**j * h_j) for j, h_j in layers))
             yield _zero_case(
-                f"{name}/recompose", decomposition.recompose() - p,
-                detail=f"{len(decomposition.components)} components",
+                f"{name}/recompose", recomposed - p, detail=f"{len(layers)} components"
             )
-            for j, component in decomposition.components:
+            for j, component in layers:
                 yield _zero_case(
                     f"{name}/component{j}-harmonic", dunkl_laplacian_sq(ctx, component)
                 )
@@ -463,7 +464,7 @@ def pizzetti_suite(ctx: DunklContext, rng: random.Random, degree: int = 8) -> Ca
             reflected = pizzetti_mean(ctx, compose_reflection(p, action))
             yield _equal_case(f"invariance/{i}/root{k}", reflected, mean)
 
-    lam = ctx.constants.bessel_index
+    lam = ctx.bessel_index
     for i in range(4):
         p = random_poly(rng, ctx.dim, min(degree, 6))
         lhs = gaussian_moment(ctx, p)
@@ -536,7 +537,7 @@ def transforms_suite(
     coordinate_kappas = z2_kappas(ctx.rs)
     if ctx.dim not in _GRIDS:
         raise ValueError("transform suite supports dimensions 1 and 2")
-    lam = ctx.constants.bessel_index
+    lam = ctx.bessel_index
     grid = _GRIDS[ctx.dim]
 
     def case(

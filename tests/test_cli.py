@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import dunklcalc.roots
 import dunklcalc.verify
 from dunklcalc.cli import main
 from dunklcalc.poly import parse_poly
+from dunklcalc.util import parse_rational
 
 
 def run_cli(capsys, *argv):
@@ -272,6 +274,9 @@ def test_work_budget_exits_two_before_expanding(capsys, monkeypatch, command):
     ["verify", "commutativity", "--system", "a:d=3", "--kappa", "1", "--deg", "2000"],
     ["verify", "laplacian-commutator", "--system", "a:d=4", "--kappa", "1", "--deg", "400"],
     ["verify", "transforms", "--system", "z2:d=2", "--kappa", "1,1", "--deg", "3000"],
+    # every route of the Laplacian, on a degree far above the budget
+    *(["laplacian", "--system", "a:d=16", "--kappa", "1", "--poly", "x1^128*x2^100",
+       "--route", route] for route in ("sq", "expr", "invariant")),
 ])
 def test_work_beyond_the_budget_exits_two_at_once(capsys, argv):
     start = time.perf_counter()
@@ -280,6 +285,33 @@ def test_work_beyond_the_budget_exits_two_at_once(capsys, argv):
     assert code == 2
     assert out == ""
     assert "input too large" in err and "budget" in err
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1/2", Fraction(1, 2)), ("0.5", Fraction(1, 2)), ("2.5e-1", Fraction(1, 4)),
+    (" 3/4\t", Fraction(3, 4)), ("\u22121/3", Fraction(-1, 3)), ("1E1_0", Fraction(10**10)),
+])
+def test_rationals_parse(text, value):
+    assert parse_rational(text) == value
+
+
+# 10^10000000 would take seconds to build and cannot be printed
+@pytest.mark.parametrize("argv", [
+    ["apply", "--system", "z2:d=1", "--kappa", "1e10000000", "--xi", "1", "--poly", "x1"],
+    ["apply", "--system", "z2:d=1", "--kappa", "1", "--xi", "1e10000000", "--poly", "x1"],
+    ["apply", "--system", "z2:d=1", "--kappa", "1", "--xi", "1e-10000000", "--poly", "x1"],
+    ["verify", "hobson", "--system", "z2:d=1", "--kappa", "1e10000000"],
+    ["apply", "--system", "custom:{file}", "--xi", "1", "--poly", "x1"],
+])
+def test_huge_decimal_exponent_exits_two_at_once(capsys, tmp_path, argv):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"dim": 1, "roots": [[1]], "multiplicities": ["1e10000000"]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *(arg.format(file=path) for arg in argv))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "not a rational number: '1e" in err
 
 
 def test_unreadable_system_file_exits_two(capsys, tmp_path):

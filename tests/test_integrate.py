@@ -93,7 +93,7 @@ def test_gaussian_moment_values():
     for system, kappas in [("z2:d=2", ["1", "0"]), ("b:d=2", ["1", "2"]), ("z2:d=1", ["3/2"])]:
         ctx = make_ctx(system, kappas)
         d = ctx.dim
-        gamma = ctx.constants.total_multiplicity
+        gamma = sum(ctx.rs.kappa_by_root())
         assert gaussian_moment(ctx, Poly.const(d, 1)) == 1
         assert gaussian_moment(ctx, Poly.variable(d, 1)) == 0
         assert gaussian_moment(ctx, norm_sq_poly(d)) == d + 2 * gamma
@@ -114,7 +114,7 @@ def test_gaussian_pizzetti_consistency():
 
     for system, kappas in [("z2:d=2", ["1", "3/2"]), ("b:d=2", ["1", "2"])]:
         ctx = make_ctx(system, kappas)
-        lam = ctx.constants.bessel_index
+        lam = ctx.bessel_index
         for _ in range(5):
             p = random_poly(rng, ctx.dim, 6)
             rhs = Q(0)

@@ -7,6 +7,7 @@ import pytest
 import dunklcalc.operators
 import dunklcalc.poly
 from dunklcalc.operators import (
+    MAX_WORK,
     DunklContext,
     adjoint_formula_residual,
     apply_coord,
@@ -22,7 +23,6 @@ from dunklcalc.operators import (
     poly_of_dunkl,
 )
 from dunklcalc.poly import (
-    MAX_WORK,
     Poly,
     classical_laplacian,
     compile_reflection,
@@ -82,8 +82,8 @@ def test_laplacian_norm_square():
     for system, kappas in SYSTEMS:
         ctx = make_ctx(system, kappas)
         d = ctx.dim
-        gamma = ctx.constants.total_multiplicity
-        lam = ctx.constants.bessel_index
+        gamma = sum(ctx.rs.kappa_by_root())
+        lam = ctx.bessel_index
         r2 = norm_sq_poly(d)
         assert dunkl_laplacian_sq(ctx, r2) == Poly.const(d, 2 * d + 4 * gamma)
         assert dunkl_laplacian_sq(ctx, r2 * r2) == r2.scale(16 + 8 * lam)

@@ -7,10 +7,12 @@ form acc[k] = acc.get(k, ...) + ... outside the functions listed below.
 Likewise every verification suite is a case generator, and the one runner
 in verify._suite builds the seeded generator, the case list and the report;
 every polynomial command is a body, and the one runner in cli builds the
-operator context and parses --poly.
+operator context and parses --poly.  Last, every public module-level
+function is reached from the package itself, not only from the tests.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dunklcalc"
@@ -119,3 +121,58 @@ def test_only_the_command_runner_builds_context_and_parses_poly():
         "cli", lambda node: {_called_name(node)} & {"DunklContext", "parse_poly"}
     )
     assert found == {"_run_command": {"DunklContext", "parse_poly"}}
+
+
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
+
+# Decorators that register a function by name, so nothing else needs to name it.
+REGISTRARS = {"_suite", "_command"}
+
+
+def _unreached_public_functions(src: Path) -> set[tuple[str, str]]:
+    """Public module-level functions that no other code of the package names.
+
+    A function counts as reached when its name is used (read as a name or an
+    attribute) in any top-level statement of a package module other than its
+    own definition, __init__.py aside, or when perfbench/tracer.py names it.
+    Methods are out of reach of this check: matching by name is too coarse
+    for them, since one method name serves many classes and their callers.
+    """
+    tracer_words = set(re.findall(r"\w+", TRACER.read_text()))
+    used: dict[str, set[tuple[str, int]]] = {}
+    defined = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for i, statement in enumerate(ast.parse(path.read_text()).body):
+            site = (path.stem, i)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    used.setdefault(node.id, set()).add(site)
+                elif isinstance(node, ast.Attribute):
+                    used.setdefault(node.attr, set()).add(site)
+            if (
+                isinstance(statement, ast.FunctionDef)
+                and not statement.name.startswith("_")
+                and not {_called_name(d) for d in statement.decorator_list} & REGISTRARS
+            ):
+                defined.append((site, statement.name))
+    return {
+        (site[0], name)
+        for site, name in defined
+        if not used.get(name, set()) - {site} and name not in tracer_words
+    }
+
+
+def test_every_public_function_is_reached_from_the_package():
+    assert _unreached_public_functions(SRC) == set(), (
+        "delete the function, or call it from the package"
+    )
+
+
+def test_the_reach_guard_flags_a_function_only_the_tests_could_call(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "radial.py", "a") as fh:
+        fh.write("\n\ndef unreached(x):\n    return unreached(x - 1) if x else 0\n")
+    assert _unreached_public_functions(tmp_path) == {("radial", "unreached")}

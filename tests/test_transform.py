@@ -234,7 +234,7 @@ def test_sphere_pairing_constant_gives_bessel_profile():
     for d, runs in KAPPA_RUNS.items():
         for kappas in runs:
             ctx = make_ctx(f"z2:d={d}", kappas)
-            lam = ctx.constants.bessel_index
+            lam = ctx.bessel_index
             for y in GRIDS[d]:
                 t = math.sqrt(sum(v * v for v in y))
                 lhs = sphere_pairing(ctx, Poly.const(d, 1), y)
@@ -245,7 +245,7 @@ def test_sphere_pairing_harmonic_profile():
     # harmonic p picks a single Bessel factor against p(-iy)
     ctx = make_ctx("z2:d=2", ["1/2", "1"])
     p = parse_poly("x1*x2", 2)
-    lam = ctx.constants.bessel_index
+    lam = ctx.bessel_index
     for y in GRIDS[2]:
         t = math.sqrt(sum(v * v for v in y))
         lhs = sphere_pairing(ctx, p, y)
