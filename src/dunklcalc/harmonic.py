@@ -137,39 +137,36 @@ def hermite_poly(ctx: DunklContext, p: Poly) -> Poly:
     return heat_series(ctx, p, Fraction(-1, 4))
 
 
+def _gaussian_walk_residual(ctx: DunklContext, p: Poly, rate: Fraction) -> WeightedFunction:
+    """p(D) exp(a r^2) minus (2a)^m (exp(Lap/(4a)) p) exp(a r^2), a the rate.
+
+    The Dunkl Hobson formula specialized to a Gaussian, for homogeneous p of
+    degree m and nonzero a; the residual is canonical only when printed.
+    """
+    gauss = RadialProfile.gaussian(rate)
+    image = weighted_poly_of_dunkl(ctx, p, gauss)
+    series = heat_series(ctx, p, 1 / (4 * rate)).scale((2 * rate) ** p.degree())
+    return image - WeightedFunction(ctx.dim, [(series, gauss)])
+
+
 def rodrigues_residual(ctx: DunklContext, p: Poly) -> WeightedFunction:
     """Rodrigues form against the Laplacian series for the Hermite polynomial.
 
-    Applies p(D) to exp(-r^2), scales by (-1/2)^deg, and subtracts the
-    series Hermite polynomial carried on the same gaussian; the residual,
-    canonical only when printed, is zero exactly when the two agree.
+    p(D) exp(-r^2) must be (-2)^deg times the Hermite polynomial
+    exp(-Lap/4) p carried on the same gaussian: the gaussian walk at rate -1.
     """
     if not p.is_homogeneous():
         raise ValueError("Rodrigues check needs homogeneous input")
-    if p.is_zero():
-        return WeightedFunction(ctx.dim)
-    m = p.degree()
-    gauss = RadialProfile.gaussian(-1)
-    image = weighted_poly_of_dunkl(ctx, p, gauss).scale(Fraction(-1, 2) ** m)
-    expected = WeightedFunction(ctx.dim, [(hermite_poly(ctx, p), gauss)])
-    return image - expected
+    return _gaussian_walk_residual(ctx, p, Fraction(-1))
 
 
 def gaussian_series_residual(ctx: DunklContext, p: Poly) -> WeightedFunction:
     """p(D) on the unit-rate gaussian versus its alternating expansion.
 
     Checks p(D) exp(-r^2/2) = sum_j (-1)^(m-j)/(2^j j!) exp(-r^2/2) Lap^j p
-    for homogeneous p of degree m, a direct specialization of the radial
-    expansion that the Hermite transform theory relies on; the sum is
-    (-1)^m exp(-Lap/2) p.  The residual is canonical only when printed.
+    for homogeneous p of degree m, the gaussian walk at rate -1/2 that the
+    Hermite transform theory relies on; the sum is (-1)^m exp(-Lap/2) p.
     """
     if not p.is_homogeneous():
         raise ValueError("gaussian expansion check needs homogeneous input")
-    if p.is_zero():
-        return WeightedFunction(ctx.dim)
-    m = p.degree()
-    gauss = RadialProfile.gaussian(Fraction(-1, 2))
-    image = weighted_poly_of_dunkl(ctx, p, gauss)
-    series = heat_series(ctx, p, Fraction(-1, 2)).scale(-1 if m % 2 else 1)
-    expected = WeightedFunction(ctx.dim, [(series, gauss)])
-    return image - expected
+    return _gaussian_walk_residual(ctx, p, Fraction(-1, 2))

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .operators import DunklContext, laplacian_powers
-from .poly import Poly
+from .operators import DunklContext, heat_series, laplacian_powers
+from .poly import Coeff, Poly
 from .util import pochhammer
 
 
@@ -30,20 +30,11 @@ def pizzetti_mean(ctx: DunklContext, p: Poly) -> Fraction:
     constant term.
     """
     lam = ctx.bessel_index
-    return _series_at_origin(
-        ctx, p, lambda l: Fraction(4**l * factorial(l)) * pochhammer(lam + 1, l)
-    )
-
-
-def _series_at_origin(
-    ctx: DunklContext, p: Poly, denominator: Callable[[int], Fraction]
-) -> Fraction:
-    """Sum over l of (Lap^l p)(0) / denominator(l), skipping zero terms."""
     total = Fraction(0)
     for l, level in enumerate(laplacian_powers(ctx, p, max(p.degree(), 0) // 2)):
         value = level.constant_term()
         if value:
-            total += value / denominator(l)
+            total += value / (Fraction(4**l * factorial(l)) * pochhammer(lam + 1, l))
     return total
 
 
@@ -75,11 +66,11 @@ def sphere_oracle_z2d(
     return numerator / denominator
 
 
-def gaussian_moment(ctx: DunklContext, p: Poly) -> Fraction:
+def gaussian_moment(ctx: DunklContext, p: Poly) -> Coeff:
     """Mass-normalized Gaussian integral of p against the squared weight.
 
     Equals the heat semigroup at time one applied to p and evaluated at the
     origin: sum over l of (Lap^l p)(0) / (2^l l!), the constant term of
     exp(Lap/2) p.  Exact, and 1 for p = 1.
     """
-    return _series_at_origin(ctx, p, lambda l: Fraction(2**l * factorial(l)))
+    return heat_series(ctx, p, Fraction(1, 2)).constant_term()

@@ -108,8 +108,8 @@ class Poly:
         return cls(dim, {e: 1})
 
     @classmethod
-    def monomial(cls, dim: int, exponents: Sequence[int], coeff=1) -> "Poly":
-        return cls(dim, {tuple(exponents): coeff})
+    def monomial(cls, dim: int, exponents: Sequence[int]) -> "Poly":
+        return cls(dim, {tuple(exponents): 1})
 
     # -- ring arithmetic ---------------------------------------------------
 

@@ -25,6 +25,11 @@ Vector = tuple[Fraction, ...]
 # roots of N entries each.
 MAX_DIM = 16
 
+# Largest number of positive roots, checked before any root entry is parsed.
+# A finite reflection group with rational roots is a Weyl group, and none in
+# d <= MAX_DIM has more positive roots than B_16 (256; E_8 + E_8 has 240).
+MAX_ROOTS = 256
+
 
 class RootSystemError(ValueError):
     """Root data that is not a valid reduced, closed, weighted system."""
@@ -47,14 +52,6 @@ class RootSystem:
             for i in orbit:
                 out[i] = kappa
         return tuple(out)
-
-
-def _parallel(a: Vector, b: Vector) -> bool:
-    for k, ak in enumerate(a):
-        if ak != 0:
-            c = b[k] / ak
-            return c != 0 and all(bi == c * ai for ai, bi in zip(a, b))
-    return False  # a == 0, rejected elsewhere
 
 
 def _orbit_partition(
@@ -109,6 +106,11 @@ def _check_dim(d: int) -> None:
         raise RootSystemError(f"dimension {d} exceeds the limit of {MAX_DIM}")
 
 
+def _check_count(n: int) -> None:
+    if n > MAX_ROOTS:
+        raise RootSystemError(f"{n} roots exceed the limit of {MAX_ROOTS}")
+
+
 def _catalog_roots(name: str) -> tuple[int, list[Vector]]:
     kind, _, rest = name.partition(":")
     params: dict[str, str] = {}
@@ -154,6 +156,7 @@ def load_custom_file(path: str) -> tuple[int, list[Vector], list[Fraction]]:
         if type(dim) is not int:  # neither a float nor a bool passes for one
             raise ValueError(f"dim must be an integer, got {dim!r}")
         _check_dim(dim)
+        _check_count(len(data["roots"]))
         roots = [
             tuple(parse_rational(str(c)) for c in row) for row in data["roots"]
         ]
@@ -182,6 +185,7 @@ def build_root_system(
         else:
             dim, roots = _catalog_roots(source)
     else:
+        _check_count(len(source))
         roots = [tuple(Fraction(c) for c in row) for row in source]
         if not roots:
             raise RootSystemError("empty root list")
@@ -192,13 +196,17 @@ def build_root_system(
             raise RootSystemError("roots of mixed dimension")
         if all(c == 0 for c in r):
             raise RootSystemError("zero vector is not a root")
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if _parallel(roots[i], roots[j]):
-                raise RootSystemError(
-                    f"not reduced: {_fmt_vec(roots[i])} and {_fmt_vec(roots[j])} "
-                    "are proportional"
-                )
+    # the first root on each line through the origin, keyed by its
+    # direction scaled to a leading 1
+    lines: dict[Vector, Vector] = {}
+    for r in roots:
+        lead = next(c for c in r if c)
+        key = tuple(c / lead for c in r)
+        if key in lines:
+            raise RootSystemError(
+                f"not reduced: {_fmt_vec(lines[key])} and {_fmt_vec(r)} are proportional"
+            )
+        lines[key] = r
 
     actions = tuple(compile_reflection(r) for r in roots)
     orbits = _orbit_partition(roots, actions)

@@ -460,8 +460,6 @@ def hecke_residual(ctx: DunklContext, p: Poly, ys: Points) -> list[float]:
     """
     if not p.is_homogeneous():
         raise ValueError("Bochner-Hecke identity needs homogeneous input")
-    if p.is_zero():
-        return [0.0] * len(ys)
     series = heat_series(ctx, p, Fraction(-1, 2))
     return _gauss_eigen_defects(ctx, p.degree(), p, series, ys)
 
@@ -475,8 +473,6 @@ def hermite_eigen_residual(ctx: DunklContext, p: Poly, ys: Points) -> list[float
     """
     if not p.is_homogeneous():
         raise ValueError("Hermite eigenfunction check needs homogeneous input")
-    if p.is_zero():
-        return [0.0] * len(ys)
     h = hermite_poly(ctx, p)
     return _gauss_eigen_defects(ctx, p.degree(), h, h, ys)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -148,9 +148,8 @@ def get_context(system: str, kappas: Sequence) -> DunklContext:
 
 
 def _zero_kappa_context(ctx: DunklContext) -> DunklContext:
-    rs = ctx.rs
-    zeros = [Fraction(0)] * len(rs.multiplicities)
-    return DunklContext(build_root_system([list(r) for r in rs.positive_roots], zeros))
+    zeros = (Fraction(0),) * len(ctx.rs.multiplicities)
+    return DunklContext(replace(ctx.rs, multiplicities=zeros))
 
 
 def monomials_of_degree(dim: int, degree: int) -> list[tuple[int, ...]]:

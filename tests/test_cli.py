@@ -314,6 +314,32 @@ def test_huge_decimal_exponent_exits_two_at_once(capsys, tmp_path, argv):
     assert "not a rational number: '1e" in err
 
 
+def _sign_patterns(d):
+    """(1, s2*2, ..., sd*d) for every choice of signs s2..sd."""
+    rows = [[1]]
+    for k in range(2, d + 1):
+        rows = [row + [s * k] for row in rows for s in (1, -1)]
+    return rows
+
+
+# each ran for tens of seconds through a pairwise reduction check
+@pytest.mark.parametrize("dim, roots", [
+    (2, [[k, 1] for k in range(1500)]),
+    (2, [[1, 0]] + [[s * k, 1] for k in range(1, 1500) for s in (1, -1)]),
+    (12, [[int(i == j) for j in range(12)] for i in range(12)] + _sign_patterns(12)),
+])
+def test_hostile_root_files_exit_two_at_once(capsys, tmp_path, dim, roots):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"dim": dim, "roots": roots, "multiplicities": ["1"]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "apply", "--system", f"custom:{path}", "--xi", "1",
+                             "--poly", "x1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"{len(roots)} roots exceed the limit of 256" in err
+
+
 def test_unreadable_system_file_exits_two(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     code, out, err = run_cli(

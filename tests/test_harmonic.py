@@ -6,6 +6,7 @@ import pytest
 
 from dunklcalc.harmonic import (
     MaxwellDegenerateError,
+    _gaussian_walk_residual,
     clebsch_project_maxwell,
     clebsch_project_series,
     gaussian_series_residual,
@@ -143,6 +144,17 @@ def test_gaussian_series_residual_zero():
         for m in range(5):
             p = random_homogeneous(rng, ctx.dim, m, max_terms=3)
             assert gaussian_series_residual(ctx, p).is_zero(), (system, str(p))
+
+
+@pytest.mark.parametrize("system, kappas", EXACT_DEFAULT_RUNS)
+def test_gaussian_walk_holds_at_rates_the_package_does_not_use(system, kappas):
+    # Rodrigues and the Gaussian expansion are the rates -1 and -1/2 of one body
+    ctx = make_ctx(system, kappas)
+    rng = random.Random(67)
+    polys = [Poly.zero(ctx.dim)] + [random_homogeneous(rng, ctx.dim, m) for m in range(5)]
+    for p in polys:
+        for rate in (Q(-2), Q(-1, 3)):
+            assert _gaussian_walk_residual(ctx, p, rate).is_zero(), (rate, str(p))
 
 
 def test_radial_norm_power_identity():

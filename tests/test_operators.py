@@ -6,6 +6,7 @@ import pytest
 
 import dunklcalc.operators
 import dunklcalc.poly
+import dunklcalc.verify
 from dunklcalc.operators import (
     MAX_WORK,
     DunklContext,
@@ -371,3 +372,17 @@ def test_heat_series_inverts_exactly():
         assert heat_series(ctx, p, 0) == p
     assert heat_series(ctx, Poly.zero(ctx.dim), 1).is_zero()
 
+
+
+def test_zero_kappa_context_reuses_the_validated_roots(monkeypatch):
+    ctx = DunklContext(build_root_system("b:d=3", ["3/2", "1/2"]))
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("the classical-limit context rebuilt its root system")
+
+    monkeypatch.setattr(dunklcalc.verify, "build_root_system", no_rebuild)
+    zero = dunklcalc.verify._zero_kappa_context(ctx)
+    assert zero.rs.positive_roots is ctx.rs.positive_roots
+    assert zero.rs.reflections is ctx.rs.reflections
+    assert all(k == 0 for k in zero.rs.kappa_by_root())
+    assert zero.bessel_index == Fraction(1, 2)

@@ -450,7 +450,7 @@ def test_every_result_has_canonical_coefficients(case, c, n):
     lin = linear_form(alpha)
     results = [
         p, q, lin, norm_sq_poly(dim), Poly.zero(dim), Poly.const(dim, c),
-        Poly.variable(dim, 1), Poly.monomial(dim, e, c),
+        Poly.variable(dim, 1), Poly(dim, {e: c}),
         p + q, p - q, p * q, p + c, c - p, -p, p.scale(c), c * p, p**n,
         linear_combination(dim, [(c, p), (alpha[0], q), (Q(1, 2), p)]),
         partial_derivative(p, alpha), classical_laplacian(p),

@@ -16,6 +16,7 @@ from dunklcalc.poly import (
 )
 from dunklcalc.roots import (
     MAX_DIM,
+    MAX_ROOTS,
     RootSystemError,
     build_root_system,
 )
@@ -128,6 +129,16 @@ def test_custom_closure_failure():
 def test_non_reduced_rejected():
     with pytest.raises(RootSystemError, match="not reduced"):
         build_root_system([(1, 0), (2, 0)], [1, 1])
+
+
+def test_non_reduced_names_both_roots_of_the_line():
+    with pytest.raises(RootSystemError, match=r"not reduced: \(1, 2\) and \(-2, -4\) are proportional"):
+        build_root_system([(1, 2), (-2, -4)], [1, 1])
+
+
+def test_zero_vector_error_takes_precedence_over_reduction():
+    with pytest.raises(RootSystemError, match="zero vector is not a root"):
+        build_root_system([(1, 1), (2, 2), (0, 0)], [1, 1, 1])
 
 
 def test_negative_multiplicity_rejected():
@@ -368,3 +379,25 @@ def test_custom_dimension_capped_before_any_root(tmp_path, monkeypatch):
 
 def test_dimension_cap_is_inclusive():
     assert build_root_system(f"z2:d={MAX_DIM}", [1] * MAX_DIM).dim == MAX_DIM
+
+
+# -- root-count cap --------------------------------------------------------------
+
+
+def test_root_list_capped_before_any_entry(monkeypatch):
+    monkeypatch.setattr(dunklcalc.roots, "Fraction", _no_roots)
+    with pytest.raises(RootSystemError, match=f"{MAX_ROOTS + 1} roots exceed the limit of {MAX_ROOTS}"):
+        build_root_system([(1, k) for k in range(MAX_ROOTS + 1)], [1])
+
+
+def test_custom_root_count_capped_before_any_entry(tmp_path, monkeypatch):
+    path = tmp_path / "many.json"
+    roots = [["1", str(k)] for k in range(MAX_ROOTS + 1)]
+    path.write_text(json.dumps({"dim": 2, "roots": roots, "multiplicities": ["1"]}))
+    monkeypatch.setattr(dunklcalc.roots, "parse_rational", _no_roots)
+    with pytest.raises(RootSystemError, match=f"exceed the limit of {MAX_ROOTS}"):
+        build_root_system(f"custom:{path}")
+
+
+def test_root_cap_is_inclusive():
+    assert len(build_root_system(f"b:d={MAX_DIM}", [1, 1]).positive_roots) == MAX_ROOTS
