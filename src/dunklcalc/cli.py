@@ -251,7 +251,7 @@ def _cmd_verify(args) -> int:
             raise UsageError("--tolerance must be finite and positive")
     names = list(SUITES) if requested == "all" else [requested]
     if args.system:
-        kappas = tuple(_comma_list("--kappa", args.kappa)) if args.kappa else ()
+        kappas = _comma_list("--kappa", args.kappa) if args.kappa else None
         runs = [(args.system, kappas)]
     else:
         runs = None

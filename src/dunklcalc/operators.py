@@ -242,22 +242,16 @@ def operator_words(p: Poly, start, step: Callable) -> list[tuple[Fraction, objec
     """(c, D^e start) for each term c x^e of p, where step(j, w) is D_j w.
 
     The word D^e is applied right to left in coordinate order: x_d's factors
-    act first and x_1's last.  Since the operators commute the order is a
-    convention, which the test suite permutes on small cases.  Words are
-    memoized on their exponent for this call, so the terms of p share their
-    suffixes and step runs once per distinct nonzero suffix.
+    act first and x_1's last, so step runs once per letter of each word.
+    Since the operators commute the order is a convention, which the test
+    suite permutes on small cases.
     """
-    words = {(0,) * p.dim: start}
     out = []
     for e, c in p.terms.items():
-        chain = []
-        while e not in words:
-            j = next(i for i, v in enumerate(e) if v)
-            chain.append((j, e))
-            e = e[:j] + (e[j] - 1,) + e[j + 1:]
-        w = words[e]
-        for j, f in reversed(chain):
-            w = words[f] = step(j, w)
+        w = start
+        for j in reversed(range(p.dim)):
+            for _ in range(e[j]):
+                w = step(j, w)
         out.append((c, w))
     return out
 

@@ -106,9 +106,9 @@ def _check_dim(d: int) -> None:
         raise RootSystemError(f"dimension {d} exceeds the limit of {MAX_DIM}")
 
 
-def _check_count(n: int) -> None:
+def _check_count(n: int, what: str = "roots") -> None:
     if n > MAX_ROOTS:
-        raise RootSystemError(f"{n} roots exceed the limit of {MAX_ROOTS}")
+        raise RootSystemError(f"{n} {what} exceed the limit of {MAX_ROOTS}")
 
 
 def _catalog_roots(name: str) -> tuple[int, list[Vector]]:
@@ -148,7 +148,10 @@ def _catalog_roots(name: str) -> tuple[int, list[Vector]]:
 
 
 def load_custom_file(path: str) -> tuple[int, list[Vector], list[Fraction]]:
-    """Read a {dim, roots, multiplicities} JSON description of a system."""
+    """Read a {dim, roots, multiplicities} JSON description of a system.
+
+    Every count and row length is checked before any entry is parsed.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
@@ -156,11 +159,14 @@ def load_custom_file(path: str) -> tuple[int, list[Vector], list[Fraction]]:
         if type(dim) is not int:  # neither a float nor a bool passes for one
             raise ValueError(f"dim must be an integer, got {dim!r}")
         _check_dim(dim)
-        _check_count(len(data["roots"]))
-        roots = [
-            tuple(parse_rational(str(c)) for c in row) for row in data["roots"]
-        ]
-        mults = [parse_rational(str(m)) for m in data["multiplicities"]]
+        rows, mults = data["roots"], data["multiplicities"]
+        _check_count(len(rows))
+        _check_count(len(mults), "multiplicities")
+        for row in rows:
+            if len(row) != dim:
+                raise ValueError(f"a root has {len(row)} entries, not {dim}")
+        roots = [tuple(parse_rational(str(c)) for c in row) for row in rows]
+        mults = [parse_rational(str(m)) for m in mults]
     except (KeyError, TypeError, ValueError) as exc:
         raise RootSystemError(f"bad custom system file {path!r}: {exc}") from exc
     return dim, roots, mults

@@ -417,24 +417,16 @@ def dunkl_transform_gauss_poly(
     Expands the kernel per coordinate and pairs every term with the exact
     one-dimensional Gaussian moments, which is valid precisely because both
     the weight and the kernel factorize over coordinates for sign-flip
-    systems.
+    systems.  Each term takes one _gauss_factor per coordinate.
     """
     kappas = z2_kappas(ctx.rs)
     if len(y) != ctx.dim:
         raise ValueError("evaluation point has wrong dimension")
-    factor_cache: dict[tuple[int, int], complex] = {}
-
-    def factor(j: int, exponent: int) -> complex:
-        key = (j, exponent)
-        if key not in factor_cache:
-            factor_cache[key] = _gauss_factor(kappas[j], exponent, float(y[j]), n_terms)
-        return factor_cache[key]
-
     total = 0j
     for e, c in p.terms.items():
         value = float(c) + 0j
         for j, g in enumerate(e):
-            value *= factor(j, g)
+            value *= _gauss_factor(kappas[j], g, float(y[j]), n_terms)
         total += value
     return total
 

@@ -62,13 +62,12 @@ from .transform import (
     kernel_eigen_residual,
     kernel_recursion_residual,
     relative_defect,
-    scaled_normalized_bessel,
     sphere_pairing,
     sphere_pairing_residual,
     transform_multiplication_residual,
     z2_kappas,
 )
-from .util import parse_rational, pochhammer
+from .util import pochhammer
 
 
 @dataclass
@@ -130,17 +129,19 @@ class VerificationReport:
 # Operator contexts by (system, kappas), shared by the runs of a process;
 # cleared when full, so it stays bounded.  The default runs of all suites
 # use 20 contexts.
-_CONTEXTS: dict[tuple[str, tuple[str, ...]], DunklContext] = {}
+_CONTEXTS: dict[tuple[str, tuple[str, ...] | None], DunklContext] = {}
 _CONTEXTS_MAX = 256
 
 
-def get_context(system: str, kappas: Sequence) -> DunklContext:
-    """Build (and cache) the operator context for a named system."""
-    key = (system, tuple(str(k) for k in kappas))
+def get_context(system: str, kappas: Sequence | None) -> DunklContext:
+    """Build (and cache) the operator context for a named system.
+
+    kappas None takes the multiplicities of a custom: file.
+    """
+    key = (system, None if kappas is None else tuple(str(k) for k in kappas))
     ctx = _CONTEXTS.get(key)
     if ctx is None:
-        values = [parse_rational(str(k)) for k in kappas]
-        ctx = DunklContext(build_root_system(system, values))
+        ctx = DunklContext(build_root_system(system, key[1]))
         if len(_CONTEXTS) >= _CONTEXTS_MAX:
             _CONTEXTS.clear()
         _CONTEXTS[key] = ctx
@@ -536,7 +537,6 @@ def transforms_suite(
     coordinate_kappas = z2_kappas(ctx.rs)
     if ctx.dim not in _GRIDS:
         raise ValueError("transform suite supports dimensions 1 and 2")
-    lam = ctx.bessel_index
     grid = _GRIDS[ctx.dim]
 
     def case(
@@ -579,41 +579,21 @@ def transforms_suite(
         )
         yield case(f"kernel/eigen-property/coord{j + 1}", worst, KERNEL_TOL, "rel")
 
-    # Spherical pairing identity.
+    # Spherical pairing identity.  The profile cases take p = 1 and the
+    # harmonic x1 (d = 1) or x1*x2 (d = 2), whose Bessel side is one term.
     test_polys = []
     for m in range(degree + 1):
         if ctx.dim == 1:
             test_polys.append((m, Poly.monomial(1, (m,))))
         else:
             test_polys.append((m, random_homogeneous(rng, ctx.dim, m, max_terms=3)))
-    for m, p in test_polys:
-        for i, (y, res) in enumerate(zip(grid, sphere_pairing_residual(ctx, p, grid))):
-            yield case(f"sphere/deg{m}/y{i}", res, SPHERE_TOL, detail=f"p={p}, y={y}")
-
     one = Poly.const(ctx.dim, 1)
-    for i, y in enumerate(grid):
-        t = math.sqrt(sum(v * v for v in y))
-        lhs = sphere_pairing(ctx, one, y)
-        rhs = scaled_normalized_bessel(lam, 0, t)
-        yield case(
-            f"sphere/bessel-profile/y{i}", abs(lhs - rhs), SPHERE_TOL,
-            lhs=[lhs.real, lhs.imag], rhs=[rhs, 0.0],
-        )
-
-    harmonic = Poly.variable(ctx.dim, 1)
-    if ctx.dim >= 2:
-        harmonic = Poly.variable(ctx.dim, 1) * Poly.variable(ctx.dim, 2)
-    m = harmonic.degree()
-    for i, y in enumerate(grid):
-        t = math.sqrt(sum(v * v for v in y))
-        lhs = sphere_pairing(ctx, harmonic, y)
-        rhs = scaled_normalized_bessel(lam, m, t) * harmonic.evaluate(
-            tuple(-1j * v for v in y)
-        )
-        yield case(
-            f"sphere/harmonic-profile/y{i}", abs(lhs - rhs), SPHERE_TOL,
-            detail=f"p={harmonic}",
-        )
+    sphere_polys = [(f"deg{m}", p) for m, p in test_polys] + [
+        ("bessel-profile", one), ("harmonic-profile", Poly.monomial(ctx.dim, (1,) * ctx.dim)),
+    ]
+    for label, p in sphere_polys:
+        for i, (y, res) in enumerate(zip(grid, sphere_pairing_residual(ctx, p, grid))):
+            yield case(f"sphere/{label}/y{i}", res, SPHERE_TOL, detail=f"p={p}, y={y}")
 
     # Pizzetti by substituting the origin.
     even = norm_sq_poly(ctx.dim)
@@ -643,7 +623,7 @@ def transforms_suite(
             yield case(f"hermite-eigen/deg{m}/y{i}", res, HERMITE_TOL, detail=f"p={p}, y={y}")
 
     # Hankel transform: Gaussian fixed point and the radial multiplier form.
-    nu = float(lam)
+    nu = float(ctx.bessel_index)
 
     def gauss(r: float) -> float:
         return math.exp(-r * r / 2.0)

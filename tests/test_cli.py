@@ -340,6 +340,23 @@ def test_hostile_root_files_exit_two_at_once(capsys, tmp_path, dim, roots):
     assert f"{len(roots)} roots exceed the limit of 256" in err
 
 
+# each took seconds when every entry was parsed before any length was checked
+@pytest.mark.parametrize("roots, mults, message", [
+    ([["1"]], ["1/3"] * 1_000_000, "1000000 multiplicities exceed the limit of 256"),
+    ([["1/3"] * 1_000_000], ["1"], "a root has 1000000 entries, not 1"),
+], ids=["multiplicities", "root-row"])
+def test_oversized_custom_file_exits_two_at_once(capsys, tmp_path, roots, mults, message):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"dim": 1, "roots": roots, "multiplicities": mults}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "apply", "--system", f"custom:{path}", "--xi", "1",
+                             "--poly", "x1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_unreadable_system_file_exits_two(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     code, out, err = run_cli(
@@ -658,6 +675,24 @@ def test_verify_hobson_degree_zero_runs(capsys):
     cases = json.loads(out)[0]["cases"]
     assert len(cases) == 7 * 8
     assert all(c["status"] == "pass" and c["name"].endswith("-deg0") for c in cases)
+
+
+def test_verify_custom_file_without_kappa_uses_its_multiplicities(capsys, tmp_path):
+    # B2 rotated by (3/5, 4/5): two orbits, the short and the long roots
+    roots = [["3/5", "4/5"], ["-4/5", "3/5"], ["-1/5", "7/5"], ["7/5", "1/5"]]
+    path = tmp_path / "rotated-b2.json"
+    path.write_text(json.dumps({"dim": 2, "roots": roots, "multiplicities": ["1/2", "2"]}))
+    argv = ["verify", "pizzetti", "--system", f"custom:{path}", "--json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert run_cli(capsys, *argv, "--kappa", "1/2,2") == (0, out, "")
+
+
+def test_verify_catalog_system_without_kappa_exits_two(capsys):
+    code, out, err = run_cli(capsys, "verify", "pizzetti", "--system", "b:d=2")
+    assert code == 2
+    assert out == ""
+    assert "multiplicities are required (one per orbit)" in err
 
 
 @pytest.mark.parametrize("suite", sorted(dunklcalc.verify.SUITES))

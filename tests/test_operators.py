@@ -229,7 +229,7 @@ def test_poly_of_dunkl_order_permutation():
     assert via_poly == swapped == direct
 
 
-def test_poly_of_dunkl_applies_each_suffix_once(monkeypatch):
+def test_poly_of_dunkl_applies_each_letter_x2_before_x1(monkeypatch):
     ctx = make_ctx("b:d=2", ["1", "2"])
     target = parse_poly("x1^4*x2^3 - 2*x2^5 + x1", 2)
     p = parse_poly("x1^2*x2 + 3*x1*x2 - x2 + 5", 2)
@@ -248,8 +248,8 @@ def test_poly_of_dunkl_applies_each_suffix_once(monkeypatch):
 
     monkeypatch.setattr(dunklcalc.operators, "apply_coord", counted)
     assert poly_of_dunkl(ctx, p, target) == expected
-    # the suffixes x1^2*x2, x1*x2 and x2, one application each
-    assert len(calls) == 3
+    # one application per letter of each word, x2's before x1's
+    assert calls == [1, 0, 0, 1, 0, 1]
 
 
 def forbid_expansion(monkeypatch):
