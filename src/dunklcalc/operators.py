@@ -1,10 +1,16 @@
 """Dunkl operators and the operator identities of their first-order calculus.
 
 The context object pairs a root system with its Bessel index and owns the
-memo tables that make repeated applications cheap: the reflection
-difference quotient of a monomial and the image of a monomial under each
-coordinate operator are both pure functions of the exponent vector, so they
-are computed once per context.
+memo tables that make repeated applications cheap.  Each entry is a pure
+function of an exponent vector, so it is computed once per context:
+
+- _quotients: the reflection difference quotient of x^e per active root;
+- _coord_images: the image of x^e under each coordinate operator D_j;
+- _laplacian_images: the sum of squared operators applied to x^e, read off
+  _coord_images (the defining route);
+- _expr_images: the explicit second-order expression applied to x^e, built
+  from _quotients alone, so that the two Laplacian routes stay independent
+  checks of each other.
 
 A root whose reflection is a signed coordinate permutation (one nonzero
 entry, or two of equal size: every root of the z2, a, b and d catalogs)
@@ -53,11 +59,16 @@ class DunklContext:
         # always >= -1/2
         self.bessel_index = sum(self._kappa, Fraction(rs.dim - 2, 2))
         self._active = [i for i, k in enumerate(self._kappa) if k != 0]
-        # <alpha, alpha> per positive root, for dunkl_laplacian_expr
-        self._norm_sq = [as_coeff(sum(a * a for a in root if a)) for root in rs.positive_roots]
         self._quotients: dict[tuple[int, Exponent], Poly] = {}
         self._coord_images: dict[tuple[int, Exponent], Poly] = {}
         self._laplacian_images: dict[Exponent, Poly] = {}
+        self._expr_images: dict[Exponent, Poly] = {}
+        # (index, root, <alpha, alpha>, kappa) per active root, for _expr_image
+        self._expr_roots = []
+        for idx in self._active:
+            alpha = [as_coeff(a) for a in rs.positive_roots[idx]]
+            norm = as_coeff(sum(a * a for a in alpha))
+            self._expr_roots.append((idx, alpha, norm, self._kappa[idx]))
 
     @property
     def dim(self) -> int:
@@ -110,6 +121,29 @@ class DunklContext:
                  for f, c in self._coord_image(j, e).terms.items()),
             )
             self._laplacian_images[e] = cached
+        return cached
+
+    def _expr_image(self, e: Exponent) -> Poly:
+        """The explicit second-order expression applied to the monomial x^e.
+
+        Per active root, 2 d_alpha x^e - <alpha,alpha> Q_alpha(e) vanishes on
+        the root hyperplane and is divided exactly by <alpha, x>.  Reads
+        _quotients only, never the coordinate or Laplacian images.
+        """
+        cached = self._expr_images.get(e)
+        if cached is None:
+            # x^e with one power of x_i removed, for each i with e_i > 0
+            lowered = [(i, k, e[:i] + (k - 1,) + e[i + 1:]) for i, k in enumerate(e) if k]
+            pairs = [(1, classical_laplacian(Poly.monomial(self.dim, e)))]
+            for idx, alpha, norm, kappa in self._expr_roots:
+                gradient = Poly(self.dim, {f: 2 * k * alpha[i] for i, k, f in lowered if alpha[i]})
+                numerator = linear_combination(
+                    self.dim, ((1, gradient), (-norm, self._quotient(idx, e)))
+                )
+                if numerator.terms:  # zero, for one, when x^e is free of the root's coordinates
+                    pairs.append((kappa, divide_exact_by_linear(numerator, alpha)))
+            cached = linear_combination(self.dim, pairs)
+            self._expr_images[e] = cached
         return cached
 
 
@@ -200,19 +234,11 @@ def dunkl_laplacian_expr(ctx: DunklContext, p: Poly) -> Poly:
     divides exactly by <alpha, x> once more; summing the results over the
     roots with multiplicity weights and adding the classical Laplacian must
     reproduce dunkl_laplacian_sq.  Both routes are kept as cross-checks of
-    each other.
+    each other, each over its own per-monomial table.
     """
-    pairs = [(1, classical_laplacian(p))]
-    for idx in ctx._active:
-        alpha = ctx.rs.positive_roots[idx]
-        norm = ctx._norm_sq[idx]
-        numerator = linear_combination(
-            ctx.dim,
-            [(2, partial_derivative(p, alpha))]
-            + [(-norm * c, ctx._quotient(idx, e)) for e, c in p.terms.items()],
-        )
-        pairs.append((ctx._kappa[idx], divide_exact_by_linear(numerator, alpha)))
-    return linear_combination(ctx.dim, pairs)
+    return linear_combination(
+        ctx.dim, ((c, ctx._expr_image(e)) for e, c in p.terms.items())
+    )
 
 
 def dunkl_laplacian_invariant(ctx: DunklContext, p: Poly) -> Poly:

@@ -148,6 +148,13 @@ def z2_kappas(rs: RootSystem) -> tuple[Fraction, ...]:
     return tuple(kappas[i] for i in range(rs.dim))
 
 
+# One exact row a_0, a_1, ... per kappa, grown in place when a longer order
+# is requested and served as copies of its prefixes; cleared when full, so
+# it stays bounded for the life of the process.
+_KERNEL_ROWS: dict[Fraction, list[Fraction]] = {}
+_KERNEL_ROWS_MAX = 1024
+
+
 def kernel_coefficients(kappa: Fraction, order: int) -> list[Fraction]:
     """Exact coefficients a_0..a_order of the one-dimensional kernel series.
 
@@ -156,11 +163,15 @@ def kernel_coefficients(kappa: Fraction, order: int) -> list[Fraction]:
     power series in the product of the two arguments.
     """
     kappa = Fraction(kappa)
-    coeffs = [Fraction(1)]
-    for n in range(1, order + 1):
+    row = _KERNEL_ROWS.get(kappa)
+    if row is None:
+        if len(_KERNEL_ROWS) >= _KERNEL_ROWS_MAX:
+            _KERNEL_ROWS.clear()
+        row = _KERNEL_ROWS[kappa] = [Fraction(1)]
+    for n in range(len(row), order + 1):
         div = Fraction(n) + (2 * kappa if n % 2 else 0)
-        coeffs.append(coeffs[-1] / div)
-    return coeffs
+        row.append(row[-1] / div)
+    return row[:order + 1]
 
 
 def relative_defect(value: complex, reference: complex) -> float:

@@ -15,6 +15,7 @@ together with absolute and relative defects against per-case tolerances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -153,16 +154,23 @@ def _zero_kappa_context(ctx: DunklContext) -> DunklContext:
     return DunklContext(replace(ctx.rs, multiplicities=zeros))
 
 
-def monomials_of_degree(dim: int, degree: int) -> list[tuple[int, ...]]:
+@functools.cache
+def monomials_of_degree(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The exponents of degree `degree` in `dim` variables, sorted.
+
+    Cached per (dim, degree): random_homogeneous draws from the same list
+    thousands of times per battery, and the suite runner's degree budget
+    keeps the keys few.
+    """
     if degree == 0:
-        return [(0,) * dim]
+        return ((0,) * dim,)
     out = []
     for combo in itertools.combinations_with_replacement(range(dim), degree):
         e = [0] * dim
         for i in combo:
             e[i] += 1
         out.append(tuple(e))
-    return sorted(set(out))
+    return tuple(sorted(set(out)))
 
 
 def random_homogeneous(rng: random.Random, dim: int, degree: int, max_terms: int = 4) -> Poly:

@@ -198,6 +198,35 @@ def test_memo_table_keys_and_order():
         (1, (0, 2)),
     ]
     assert list(ctx._laplacian_images) == [(2, 1), (0, 3)]
+    assert list(ctx._expr_images) == [(2, 1), (0, 3)]
+
+
+def test_expr_route_reads_no_coordinate_or_laplacian_image(monkeypatch):
+    # the two Laplacian routes check each other only while neither reads the
+    # other's table; the rotated roots take the general division path
+    system = build_root_system([(3, 4), (-4, 3)], ["1/2", "1"])
+    rng = random.Random(5)
+    polys = [random_poly(rng, 2, 6) for _ in range(5)]
+    want = [dunkl_laplacian_sq(DunklContext(system), p) for p in polys]
+
+    def forbidden(*args):
+        raise AssertionError("the explicit route read a squared-route table")
+
+    monkeypatch.setattr(DunklContext, "_coord_image", forbidden)
+    monkeypatch.setattr(DunklContext, "_laplacian_image", forbidden)
+    ctx = DunklContext(system)
+    assert [dunkl_laplacian_expr(ctx, p) for p in polys] == want
+    assert not ctx._coord_images and not ctx._laplacian_images
+
+    divisions = []
+    divide = dunklcalc.operators.divide_exact_by_linear
+    monkeypatch.setattr(
+        dunklcalc.operators,
+        "divide_exact_by_linear",
+        lambda p, alpha: divisions.append(alpha) or divide(p, alpha),
+    )
+    assert [dunkl_laplacian_expr(ctx, p) for p in polys] == want
+    assert divisions == []
 
 
 def test_rotated_system_commutativity():

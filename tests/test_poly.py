@@ -483,7 +483,7 @@ def test_memo_tables_hold_canonical_coefficients(monkeypatch, system, kappas):
         assert dunklcalc.verify.SUITES[suite](system, kappas).passed
     (ctx,) = dunklcalc.verify._CONTEXTS.values()
     walked = 0
-    for table in (ctx._quotients, ctx._coord_images, ctx._laplacian_images):
+    for table in (ctx._quotients, ctx._coord_images, ctx._laplacian_images, ctx._expr_images):
         assert table
         for value in table.values():
             assert_canonical(value)

@@ -146,6 +146,25 @@ def test_kernel_coefficients_exponential_at_zero_multiplicity():
         assert a == Q(1, math.factorial(n))
 
 
+def test_kernel_coefficients_grow_one_row_per_kappa(monkeypatch):
+    monkeypatch.setattr(dunklcalc.transform, "_KERNEL_ROWS", {})
+
+    def fresh(kappa, order):
+        coeffs = [Q(1)]
+        for n in range(1, order + 1):
+            coeffs.append(coeffs[-1] / (n + (2 * kappa if n % 2 else 0)))
+        return coeffs
+
+    for kappa in (Q(0), Q(2, 3)):
+        for order in (5, 40, 12):
+            got = kernel_coefficients(kappa, order)
+            assert got == fresh(kappa, order), (kappa, order)
+            got[0] = Q(7)
+            got.append(Q(0))
+        assert kernel_coefficients(kappa, 40) == fresh(kappa, 40)
+    assert sorted(dunklcalc.transform._KERNEL_ROWS) == [Q(0), Q(2, 3)]
+
+
 def test_kernel_series_recursion_residual():
     for kappa in (Q(0), Q(1, 2), Q(3, 2)):
         assert kernel_recursion_residual(kappa, 80) <= 1e-12
