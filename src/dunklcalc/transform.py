@@ -7,17 +7,17 @@ reduce to exact rational moments summed with floating-point kernel weights.
 The spherical Dirichlet moments factorize over coordinates as well, so the
 sphere pairing rounds each exact coordinate factor once (not each joint
 term) and costs O(d N^2) per monomial at truncation order N rather than
-O(N^d).  One coefficient row is cached per (multiplicity, exponent) and
-every truncation order is served as a prefix of it.  The Gaussian moments
-are the spherical ones times powers of two, so Gaussian transforms read the
-same rows, grown only as far as their sums run.  Hankel transforms use a
-fixed composite 20-point Gauss-Legendre
-rule at two panel counts on a window chosen from a Gaussian tail bound,
-with the first panel graded toward the origin when r^(2 nu + 1) has a
-branch point there; the error bound they state adds the tail, the
-difference of the two rules (an estimate of the rule error), the Bessel
-series error integrated in closed form against the envelope, and the
-rounding of the sum.
+O(N^d).  Every series row (kernel and pairing coefficients, reciprocal
+rising factorials) comes from one helper, util.grown_row: one row per key,
+grown in place and never rebuilt, every table under one bound.  Gaussian
+moments are the spherical ones times powers of two, so Gaussian transforms
+read the same pairing rows.  Hankel transforms use a fixed composite
+20-point Gauss-Legendre rule at two panel counts on a window chosen from a
+Gaussian tail bound, with the first panel graded toward the origin when
+r^(2 nu + 1) has a branch point there; the error bound they state adds the
+tail, the difference of the two rules (an estimate of the rule error), the
+Bessel series error integrated in closed form against the envelope, and
+the rounding of the sum.
 The module confirms, within stated tolerances, the spherical pairing
 formula, the Bochner-Hecke identity for the weighted Gaussian, the Hankel
 picture of transforms of radial multiples, the Hermite eigenfunction
@@ -36,14 +36,16 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import factorial
+from operator import mul
 from typing import Callable, Sequence
 
 from .harmonic import hermite_poly
 from .operators import DunklContext, apply_coord, heat_series, laplacian_powers
 from .poly import Poly, homogeneous_components, linear_combination, norm_sq_poly
 from .roots import RootSystem
-from .util import pochhammer
+from .util import grown_row, pochhammer
 
 _PHASES = (1 + 0j, -1j, -1 + 0j, 1j)  # (-i)^m for m mod 4
 
@@ -148,11 +150,9 @@ def z2_kappas(rs: RootSystem) -> tuple[Fraction, ...]:
     return tuple(kappas[i] for i in range(rs.dim))
 
 
-# One exact row a_0, a_1, ... per kappa, grown in place when a longer order
-# is requested and served as copies of its prefixes; cleared when full, so
-# it stays bounded for the life of the process.
+# One exact row a_0, a_1, ... per kappa, grown in place by util.grown_row
+# (never rebuilt, bounded by util.ROWS_MAX) and served as copied prefixes.
 _KERNEL_ROWS: dict[Fraction, list[Fraction]] = {}
-_KERNEL_ROWS_MAX = 1024
 
 
 def kernel_coefficients(kappa: Fraction, order: int) -> list[Fraction]:
@@ -163,15 +163,10 @@ def kernel_coefficients(kappa: Fraction, order: int) -> list[Fraction]:
     power series in the product of the two arguments.
     """
     kappa = Fraction(kappa)
-    row = _KERNEL_ROWS.get(kappa)
-    if row is None:
-        if len(_KERNEL_ROWS) >= _KERNEL_ROWS_MAX:
-            _KERNEL_ROWS.clear()
-        row = _KERNEL_ROWS[kappa] = [Fraction(1)]
-    for n in range(len(row), order + 1):
-        div = Fraction(n) + (2 * kappa if n % 2 else 0)
-        row.append(row[-1] / div)
-    return row[:order + 1]
+    return grown_row(
+        _KERNEL_ROWS, kappa, order + 1,
+        lambda row, n: row[-1] / (n + (2 * kappa if n % 2 else 0)) if n else Fraction(1),
+    )[:order + 1]
 
 
 def relative_defect(value: complex, reference: complex) -> float:
@@ -252,37 +247,26 @@ def kernel_eigen_residual(kappa, x: float, y: float) -> float:
 
 # -- spherical pairing ------------------------------------------------------
 
-# One coefficient row of the factorized pairing per (kappa, e_j), served as
-# prefixes and rebuilt longer when an order past its end is requested;
-# cleared when full, so it stays bounded for the life of the process.
-_SPHERE_MEAN_CACHE: dict[tuple[Fraction, int], tuple[float, ...]] = {}
-_SPHERE_MEAN_CACHE_MAX = 1024
+# Float rows (util.grown_row): pairing row per (kappa, e_j), 1 / (gamma)_B per gamma.
+_SPHERE_MEAN_CACHE: dict[tuple[Fraction, int] | Fraction, list[float]] = {}
 
 
-def _pairing_row(kappa: Fraction, exponent: int, order: int) -> tuple[float, ...]:
+def _pairing_row(kappa: Fraction, exponent: int, order: int) -> list[float]:
     """One coordinate's factor of the pairing, a_n (kappa+1/2)_b, as floats.
 
     Entry k belongs to b = ceil(exponent/2) + k and kernel index
-    n = 2b - exponent, for every n <= order; each is computed exactly and
-    rounded once, so a row of any order is a prefix of every longer one.
+    n = 2b - exponent, exact and rounded once.  The row is grown in place
+    to every n <= order and returned whole, so it may run past order.
     """
-    key = (kappa, exponent)
-    length = (order + exponent) // 2 - (exponent + 1) // 2 + 1
-    row = _SPHERE_MEAN_CACHE.get(key, ())
-    if len(row) < length:
-        coeffs = kernel_coefficients(kappa, order)
-        rising = Fraction(1)
-        out = []
-        for b in range((order + exponent) // 2 + 1):
-            n = 2 * b - exponent
-            if n >= 0:
-                out.append(float(coeffs[n] * rising))
-            rising *= kappa + Fraction(1, 2) + b
-        row = tuple(out)
-        if len(_SPHERE_MEAN_CACHE) >= _SPHERE_MEAN_CACHE_MAX:
-            _SPHERE_MEAN_CACHE.clear()
-        _SPHERE_MEAN_CACHE[key] = row
-    return row[:length]
+    start = (exponent + 1) // 2
+    length = (order + exponent) // 2 - start + 1
+
+    def entry(row: list[float], k: int) -> float:
+        b = start + k
+        n = 2 * b - exponent
+        return float(kernel_coefficients(kappa, n)[n] * pochhammer(kappa + Fraction(1, 2), b))
+
+    return grown_row(_SPHERE_MEAN_CACHE, (kappa, exponent), length, entry)
 
 
 def sphere_pairing(
@@ -296,7 +280,7 @@ def sphere_pairing(
     the phase (-i)^(sum n_j) and the denominator depend only on |b|, so
     each monomial of p costs one convolution of d coordinate rows in b,
     O(d N^2) for truncation order N.  Row coefficients and the reciprocal
-    denominators are computed exactly and rounded once.
+    denominators are exact values rounded once, kept in rows across calls.
     """
     kappas = z2_kappas(ctx.rs)
     d = ctx.dim
@@ -304,16 +288,8 @@ def sphere_pairing(
         raise ValueError("evaluation point has wrong dimension")
     big = max((abs(v) for v in y), default=0.0)
     order = n_terms if n_terms is not None else truncation_order(big)
-    ypows: list[list[float]] = []
-    for yj in y:
-        yj = float(yj)
-        row = [1.0]
-        for _ in range(order):
-            row.append(row[-1] * yj)
-        ypows.append(row)
+    ypows = [list(accumulate(repeat(float(yj), order), mul, initial=1.0)) for yj in y]
     gamma = sum(kappas, Fraction(0)) + Fraction(d, 2)
-    inverse_rising: list[float] = []  # 1 / (gamma)_B, grown on demand
-    rising = Fraction(1)
 
     total = 0j
     for e, c in p.terms.items():
@@ -321,19 +297,19 @@ def sphere_pairing(
         conv = [1.0]
         for kappa, ej, ypow in zip(kappas, e, ypows):
             start = (ej + 1) // 2
-            row = [
-                a * ypow[2 * (start + k) - ej]
-                for k, a in enumerate(_pairing_row(kappa, ej, order))
-            ]
+            coeffs = _pairing_row(kappa, ej, order)
+            stop = (order + ej) // 2 + 1  # past the last b with kernel index <= order
+            row = [coeffs[b - start] * ypow[2 * b - ej] for b in range(start, stop)]
             merged = [0.0] * (len(conv) + len(row) - 1)
             for i, u in enumerate(conv):
                 for k, v in enumerate(row):
                     merged[i + k] += u * v
             conv = merged
             low += start
-        while len(inverse_rising) < low + len(conv):
-            inverse_rising.append(float(1 / rising))
-            rising *= gamma + len(inverse_rising) - 1
+        inverse_rising = grown_row(
+            _SPHERE_MEAN_CACHE, gamma, low + len(conv),
+            lambda row, b: float(1 / pochhammer(gamma, b)),
+        )
         # (-i)^(2B - |e|) = (-1)^B (-i)^(-|e|)
         acc = 0.0
         for k, v in enumerate(conv):
@@ -391,24 +367,23 @@ def _gauss_factor(
 
     M is the normalized one-dimensional Gaussian moment: M(m) = 0 for odd m
     and M(2b) = 2^b (kappa+1/2)_b.  So a_n M(exponent + n) is 2^b times the
-    entry of the cached pairing row (_pairing_row) at b = (exponent + n)/2,
-    and scaling by a power of two keeps each term rounded once.  Without
-    n_terms the sum stops once its terms are negligible, by n = 400; the
-    row is requested again, at about twice the order reached, only when
-    the sum runs past its end.
+    entry of the pairing row (_pairing_row) at b = (exponent + n)/2, and
+    scaling by a power of two keeps each term rounded once.  Without n_terms
+    the sum stops once its terms are negligible, by n = 400; the row grows
+    in place, one entry at a time, only where the sum runs past its end.
     """
     z = -1j * t
     acc = 0j
     zpow = 1 + 0j
     biggest = 0.0
     limit = n_terms if n_terms is not None else 400
-    row: tuple[float, ...] = ()
+    row: list[float] = []
     start = (exponent + 1) // 2  # row[0] belongs to b = start
     for n in range(limit + 1):
         if (exponent + n) % 2 == 0:
             b = (exponent + n) // 2
             if b - start == len(row):
-                row = _pairing_row(kappa, exponent, min(limit, 2 * n + 16))
+                row = _pairing_row(kappa, exponent, n)
             term = 2.0**b * row[b - start] * zpow
             acc += term
             biggest = max(biggest, abs(term))

@@ -5,19 +5,41 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from typing import Callable
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
 
+# A table of rows that is full when a new key arrives is cleared first.
+ROWS_MAX = 1024
+
+
+def grown_row(table: dict, key, length: int, entry: Callable[[list, int], object]) -> list:
+    """The row table[key], grown in place to at least length entries and returned whole.
+
+    entry(row, n) computes entry n from the n entries before it; no entry is
+    ever recomputed, so a row of any length is a prefix of every longer one.
+    """
+    row = table.get(key)
+    if row is None:
+        if len(table) >= ROWS_MAX:
+            table.clear()
+        row = table[key] = []
+    for n in range(len(row), length):
+        row.append(entry(row, n))
+    return row
+
+
+_RISING_ROWS: dict[Fraction, list[Fraction]] = {}  # (a)_0, (a)_1, ... per a
+
 
 def pochhammer(a: Fraction | int, n: int) -> Fraction:
-    """Rising factorial a(a+1)...(a+n-1); the empty product (n=0) is 1."""
+    """Rising factorial a(a+1)...(a+n-1), read off one exact row per a; (a)_0 = 1."""
     if n < 0:
         raise ValueError("pochhammer needs a non-negative count")
-    out = Fraction(1)
     a = Fraction(a)
-    for i in range(n):
-        out *= a + i
-    return out
+    return grown_row(
+        _RISING_ROWS, a, n + 1, lambda row, k: row[-1] * (a + k - 1) if k else Fraction(1)
+    )[n]
 
 
 def _digit_limit() -> int:

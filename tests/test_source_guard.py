@@ -7,8 +7,10 @@ form acc[k] = acc.get(k, ...) + ... outside the functions listed below.
 Likewise every verification suite is a case generator, and the one runner
 in verify._suite builds the seeded generator, the case list and the report;
 every polynomial command is a body, and the one runner in cli builds the
-operator context and parses --poly.  Last, every public module-level
-function is reached from the package itself, not only from the tests.
+operator context and parses --poly.  A full table is cleared in one place
+per kind: util.grown_row for series rows, verify.get_context for operator
+contexts.  Last, every public module-level function is reached from the
+package itself, not only from the tests.
 """
 
 import ast
@@ -121,6 +123,29 @@ def test_only_the_command_runner_builds_context_and_parses_poly():
         "cli", lambda node: {_called_name(node)} & {"DunklContext", "parse_poly"}
     )
     assert found == {"_run_command": {"DunklContext", "parse_poly"}}
+
+
+# The one bound of each kind of module-level table: series rows and
+# operator contexts.
+CLEARS = {("util", "grown_row"), ("verify", "get_context")}
+
+
+def _clears(node: ast.AST) -> list[int]:
+    """The line of node when it calls .clear() on a named table."""
+    func = node.func if isinstance(node, ast.Call) else None
+    named = isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+    return [node.lineno] if named and func.attr == "clear" else []
+
+
+def test_only_the_one_bound_per_kind_clears_a_table():
+    sites = {
+        (path.stem, scope): sorted(lines)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, lines in _jobs_by_scope(path.stem, _clears).items()
+    }
+    stray = {site: lines for site, lines in sites.items() if site not in CLEARS}
+    assert stray == {}, "grow and bound a table of rows with util.grown_row"
+    assert set(sites) == CLEARS
 
 
 TRACER = SRC.parent.parent / "perfbench" / "tracer.py"

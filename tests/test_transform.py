@@ -8,6 +8,7 @@ import mpmath
 import pytest
 
 import dunklcalc.transform
+import dunklcalc.util
 import dunklcalc.verify
 from dunklcalc.harmonic import hermite_poly
 from dunklcalc.integrate import pizzetti_mean, sphere_oracle_z2d
@@ -333,14 +334,48 @@ def test_default_battery_keeps_one_pairing_row_per_kappa_and_exponent(monkeypatc
     for system, kappas in TRANSFORM_DEFAULT_RUNS:
         transforms_suite(system, kappas)
     cache = dunklcalc.transform._SPHERE_MEAN_CACHE
+    # rows grow in place, so each is copied before a longer order is read
+    rows = {key: list(row) for key, row in cache.items() if isinstance(key, tuple)}
     # kappa in {0, 1/2, 1, 3/2} and exponents 0..4 (degree 4)
-    assert sorted(cache) == sorted(
-        (Q(k, 2), e) for k in range(4) for e in range(5)
-    )
-    for (kappa, exponent), row in cache.items():
+    assert sorted(rows) == sorted((Q(k, 2), e) for k in range(4) for e in range(5))
+    # the other rows hold 1 / (gamma)_B, gamma = sum kappa + d/2
+    assert sorted(set(cache) - set(rows)) == [Q(k, 2) for k in (1, 2, 3, 4, 5, 7)]
+    for (kappa, exponent), row in rows.items():
         order_400 = _pairing_row(kappa, exponent, 400)
+        assert order_400 is cache[kappa, exponent]
         assert len(row) < len(order_400), (kappa, exponent, len(row))
         assert order_400[: len(row)] == row
+
+
+def test_series_row_entries_are_computed_once(monkeypatch):
+    """Pairing, kernel and rising-factorial entries are never recomputed.
+
+    A pairing entry is rounded once, so the float calls of the transform
+    module count the pairing entries computed; a recomputed exact entry
+    would be a new object.
+    """
+    monkeypatch.setattr(dunklcalc.transform, "_SPHERE_MEAN_CACHE", {})
+    monkeypatch.setattr(dunklcalc.transform, "_KERNEL_ROWS", {})
+    monkeypatch.setattr(dunklcalc.util, "_RISING_ROWS", {}, raising=False)
+    rounded = []
+
+    def counting_float(value):
+        rounded.append(value)
+        return float(value)
+
+    monkeypatch.setattr(dunklcalc.transform, "float", counting_float, raising=False)
+    kappa, exponent = Q(2, 3), 3
+    kernel, rising = {}, {}
+    for order in (5, 40, 12, 400):
+        row = _pairing_row(kappa, exponent, order)
+        assert len(rounded) == len(dunklcalc.transform._SPHERE_MEAN_CACHE[kappa, exponent])
+        assert len(row) >= (order + exponent) // 2 - (exponent + 1) // 2 + 1, order
+        for n, a in enumerate(kernel_coefficients(kappa, order)):
+            assert kernel.setdefault(n, a) is a, ("kernel", order, n)
+        for b in range((order + exponent) // 2 + 1):
+            value = pochhammer(kappa + Q(1, 2), b)
+            assert rising.setdefault(b, value) is value, ("rising", order, b)
+    assert len(rounded) == (400 + exponent) // 2 - (exponent + 1) // 2 + 1
 
 
 def test_hecke_identity_grid():
