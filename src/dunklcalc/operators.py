@@ -17,7 +17,8 @@ entry, or two of equal size: every root of the z2, a, b and d catalogs)
 gets its difference quotient in closed form from poly.divided_difference,
 with no substitution and no division.  Any other root expands the
 reflection with compose_reflection and divides by <alpha, x> with
-divide_exact_by_linear.
+divide_exact_by_linear.  Each root's entries, <alpha, alpha>, reflection and
+divisor are read from its compiled ReflectionAction in rs.reflections.
 """
 
 from __future__ import annotations
@@ -63,12 +64,6 @@ class DunklContext:
         self._coord_images: dict[tuple[int, Exponent], Poly] = {}
         self._laplacian_images: dict[Exponent, Poly] = {}
         self._expr_images: dict[Exponent, Poly] = {}
-        # (index, root, <alpha, alpha>, kappa) per active root, for _expr_image
-        self._expr_roots = []
-        for idx in self._active:
-            alpha = [as_coeff(a) for a in rs.positive_roots[idx]]
-            norm = as_coeff(sum(a * a for a in alpha))
-            self._expr_roots.append((idx, alpha, norm, self._kappa[idx]))
 
     @property
     def dim(self) -> int:
@@ -90,7 +85,7 @@ class DunklContext:
             else:
                 mono = Poly.monomial(self.dim, e)
                 diff = mono - compose_reflection(mono, action)
-                cached = divide_exact_by_linear(diff, self.rs.positive_roots[root_index])
+                cached = divide_exact_by_linear(diff, action)
             self._quotients[key] = cached
         return cached
 
@@ -135,13 +130,15 @@ class DunklContext:
             # x^e with one power of x_i removed, for each i with e_i > 0
             lowered = [(i, k, e[:i] + (k - 1,) + e[i + 1:]) for i, k in enumerate(e) if k]
             pairs = [(1, classical_laplacian(Poly.monomial(self.dim, e)))]
-            for idx, alpha, norm, kappa in self._expr_roots:
+            for idx in self._active:
+                action = self.rs.reflections[idx]
+                alpha = action.root
                 gradient = Poly(self.dim, {f: 2 * k * alpha[i] for i, k, f in lowered if alpha[i]})
                 numerator = linear_combination(
-                    self.dim, ((1, gradient), (-norm, self._quotient(idx, e)))
+                    self.dim, ((1, gradient), (-action.norm, self._quotient(idx, e)))
                 )
                 if numerator.terms:  # zero, for one, when x^e is free of the root's coordinates
-                    pairs.append((kappa, divide_exact_by_linear(numerator, alpha)))
+                    pairs.append((self._kappa[idx], divide_exact_by_linear(numerator, action)))
             cached = linear_combination(self.dim, pairs)
             self._expr_images[e] = cached
         return cached
@@ -252,15 +249,15 @@ def dunkl_laplacian_invariant(ctx: DunklContext, p: Poly) -> Poly:
     """
     pairs = [(1, classical_laplacian(p))]
     for idx in ctx._active:
-        alpha = ctx.rs.positive_roots[idx]
-        if p != compose_reflection(p, ctx.rs.reflections[idx]):
-            root = ", ".join(str(c) for c in alpha)
+        action = ctx.rs.reflections[idx]
+        if p != compose_reflection(p, action):
+            root = ", ".join(str(c) for c in action.root)
             raise ValueError(
                 "the invariant restriction needs a polynomial fixed by the "
                 f"reflection in the root ({root})"
             )
-        numerator = partial_derivative(p, alpha).scale(2 * ctx._kappa[idx])
-        pairs.append((1, divide_exact_by_linear(numerator, alpha)))
+        numerator = partial_derivative(p, action.root).scale(2 * ctx._kappa[idx])
+        pairs.append((1, divide_exact_by_linear(numerator, action)))
     return linear_combination(ctx.dim, pairs)
 
 

@@ -4,11 +4,12 @@ Terms live in a dict keyed by exponent tuples with nonzero coefficients,
 each an int when integral, else a Fraction (the one rule is as_coeff), so
 equality is exact structural equality of canonical forms.
 Besides ring arithmetic the module provides the primitives the Dunkl
-calculus leans on: substitution of a reflection (compiled once per root into
-a ReflectionAction), the closed-form difference quotient of a monomial for a
-root whose reflection is a signed coordinate permutation, and exact division
-by the linear form <a, x> of a root (and by the squared norm, which the
-harmonic decomposition needs).
+calculus leans on.  Each root is compiled once into a ReflectionAction that
+holds its entries, <a, a>, its reflection and its linear form <a, x>; on it
+rest substitution of the reflection, the closed-form difference quotient of
+a monomial for a root whose reflection is a signed coordinate permutation,
+and exact division by <a, x> (and by the squared norm, which the harmonic
+decomposition needs).
 """
 
 from __future__ import annotations
@@ -283,29 +284,26 @@ def classical_laplacian(p: Poly) -> Poly:
     return Poly(p.dim, out)
 
 
-def reflection_variable_images(alpha: Sequence[Fraction], dim: int) -> list[Poly]:
+def reflection_variable_images(alpha: Sequence[Coeff], norm: Coeff) -> list[Poly]:
     """Images of the coordinates under the reflection in alpha^perp.
 
-    Entry i is the linear polynomial (r_alpha x)_i.
+    Entry i is the linear polynomial (r_alpha x)_i, with norm = <alpha, alpha>.
     """
-    alpha = [Fraction(a) for a in alpha]
-    norm = sum(a * a for a in alpha)
-    if norm == 0:
-        raise PolyError("cannot reflect in a zero root")
-    images = []
-    for i in range(dim):
-        coeffs = [Fraction(0)] * dim
-        coeffs[i] = Fraction(1)
-        factor = 2 * alpha[i] / norm
-        for j in range(dim):
-            coeffs[j] -= factor * alpha[j]
-        images.append(linear_form(coeffs))
-    return images
+    dim = len(alpha)
+    return [
+        linear_form([(1 if j == i else 0) - Fraction(2 * alpha[i] * alpha[j], norm)
+                     for j in range(dim)])
+        for i in range(dim)
+    ]
 
 
 @dataclass(frozen=True)
 class ReflectionAction:
-    """The substitution x -> r_alpha x of one root, compiled once.
+    """Everything the calculus needs of one root alpha, compiled once.
+
+    root holds alpha's entries through as_coeff, norm is <alpha, alpha>, and
+    form is the linear form <alpha, x> that divide_exact_by_linear divides
+    by, clearing x_pivot: pivot is the first index of the largest |entry|.
 
     When the reflection is a signed coordinate permutation, signed[i] is the
     pair (t, s) with (r_alpha x)_i = s * x_t, and a monomial maps to one
@@ -321,10 +319,14 @@ class ReflectionAction:
     """
 
     dim: int
+    root: tuple[Coeff, ...]
+    norm: Coeff
+    pivot: int
+    form: Poly
     signed: tuple[tuple[int, int], ...] | None
     images: tuple[Poly, ...] | None
     support: tuple[int, ...]
-    scale: Fraction | None
+    scale: Coeff | None
 
     def reflect_vector(self, v: Sequence) -> tuple:
         """r_alpha v; exact for Fraction entries."""
@@ -342,22 +344,27 @@ def compile_reflection(alpha: Sequence) -> ReflectionAction:
     Any other root keeps the general linear images, and its quotient needs
     compose_reflection and divide_exact_by_linear.
     """
-    alpha = [Fraction(a) for a in alpha]
-    dim = len(alpha)
-    support = tuple(i for i, a in enumerate(alpha) if a)
+    root = tuple(as_coeff(a) for a in alpha)
+    dim = len(root)
+    norm = as_coeff(sum(a * a for a in root))
+    if not norm:
+        raise PolyError("cannot reflect in a zero root")
+    pivot = max(range(dim), key=lambda i: abs(root[i]))
+    head = (dim, root, norm, pivot, linear_form(root))
+    support = tuple(i for i, a in enumerate(root) if a)
     signed = [(i, 1) for i in range(dim)]
     if len(support) == 1:
         k = support[0]
         signed[k] = (k, -1)
-    elif len(support) == 2 and abs(alpha[support[0]]) == abs(alpha[support[1]]):
+    elif len(support) == 2 and abs(root[support[0]]) == abs(root[support[1]]):
         j, k = support
         # alpha ~ e_j + eps e_k swaps x_j and x_k with the sign -eps
-        s = -1 if (alpha[j] > 0) == (alpha[k] > 0) else 1
+        s = -1 if (root[j] > 0) == (root[k] > 0) else 1
         signed[j], signed[k] = (k, s), (j, s)
     else:
-        images = tuple(reflection_variable_images(alpha, dim))
-        return ReflectionAction(dim, None, images, (), None)
-    return ReflectionAction(dim, tuple(signed), None, support, alpha[support[0]])
+        images = tuple(reflection_variable_images(root, norm))
+        return ReflectionAction(*head, None, images, (), None)
+    return ReflectionAction(*head, tuple(signed), None, support, root[support[0]])
 
 
 def compose_reflection(p: Poly, action: ReflectionAction) -> Poly:
@@ -423,13 +430,13 @@ def divided_difference(e: Exponent, action: ReflectionAction) -> Poly:
             return Poly(dim)
         f = list(e)
         f[k] -= 1
-        return Poly(dim, {tuple(f): 2 / action.scale})
+        return Poly(dim, {tuple(f): Fraction(2, action.scale)})
     j, k = action.support
     a, b = e[j], e[k]
     if a == b:
         return Poly(dim)
     low = min(a, b)
-    unit = as_coeff(1 / action.scale if a > b else -1 / action.scale)
+    unit = as_coeff(Fraction(1 if a > b else -1, action.scale))
     # alpha = c (e_j + e_k): x_k^t brings (-1)^t relative to c (e_j - e_k)
     flip = action.signed[j][1] < 0
     terms: dict[Exponent, Coeff] = {}
@@ -469,19 +476,15 @@ def _divide_monic(p: Poly, divisor: Poly, pivot: int) -> tuple[dict, dict]:
     return quot, {e: c for level in levels.values() for e, c in level.items()}
 
 
-def divide_exact_by_linear(p: Poly, alpha: Sequence) -> Poly:
-    """Quotient q with q * <alpha, x> == p, else ExactDivisionError."""
-    alpha = [as_coeff(a) for a in alpha]
-    if len(alpha) != p.dim:
+def divide_exact_by_linear(p: Poly, action: ReflectionAction) -> Poly:
+    """Quotient q with q * <alpha, x> == p for the compiled alpha, else ExactDivisionError."""
+    if action.dim != p.dim:
         raise PolyError("root has wrong dimension")
-    if all(a == 0 for a in alpha):
-        raise PolyError("cannot divide by a zero form")
-    pivot = max(range(p.dim), key=lambda i: abs(alpha[i]))
-    quot, rem = _divide_monic(p, linear_form(alpha), pivot)
+    quot, rem = _divide_monic(p, action.form, action.pivot)
     if rem:
         raise ExactDivisionError(
             f"{format_poly(p)} is not divisible by the linear form of "
-            f"({', '.join(str(a) for a in alpha)}); remainder "
+            f"({', '.join(str(a) for a in action.root)}); remainder "
             f"{format_poly(Poly(p.dim, rem))}"
         )
     return Poly(p.dim, quot)

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import ReflectionAction, compile_reflection
+from .poly import Coeff, ReflectionAction, as_coeff, compile_reflection
 from .util import parse_rational
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[Coeff, ...]  # entries through as_coeff: ints where integral
 
 # Largest dimension of a catalog or custom system, checked before any root is
 # built: far above the d <= 5 the suites use, and a:d=N alone has N(N-1)/2
@@ -125,12 +125,10 @@ def _catalog_roots(name: str) -> tuple[int, list[Vector]]:
     _check_dim(d)
 
     def unit(i: int) -> Vector:
-        return tuple(Fraction(1 if j == i else 0) for j in range(d))
+        return tuple(1 if j == i else 0 for j in range(d))
 
     def pair(i: int, j: int, sign: int) -> Vector:
-        return tuple(
-            Fraction(1 if k == i else (sign if k == j else 0)) for k in range(d)
-        )
+        return tuple(1 if k == i else (sign if k == j else 0) for k in range(d))
 
     if kind == "z2":
         return d, [unit(i) for i in range(d)]
@@ -165,7 +163,7 @@ def load_custom_file(path: str) -> tuple[int, list[Vector], list[Fraction]]:
         for row in rows:
             if len(row) != dim:
                 raise ValueError(f"a root has {len(row)} entries, not {dim}")
-        roots = [tuple(parse_rational(str(c)) for c in row) for row in rows]
+        roots = [tuple(as_coeff(parse_rational(str(c))) for c in row) for row in rows]
         mults = [parse_rational(str(m)) for m in mults]
     except (KeyError, TypeError, ValueError) as exc:
         raise RootSystemError(f"bad custom system file {path!r}: {exc}") from exc
@@ -192,7 +190,7 @@ def build_root_system(
             dim, roots = _catalog_roots(source)
     else:
         _check_count(len(source))
-        roots = [tuple(Fraction(c) for c in row) for row in source]
+        roots = [tuple(as_coeff(c) for c in row) for row in source]
         if not roots:
             raise RootSystemError("empty root list")
         dim = len(roots[0])
@@ -203,11 +201,11 @@ def build_root_system(
         if all(c == 0 for c in r):
             raise RootSystemError("zero vector is not a root")
     # the first root on each line through the origin, keyed by its
-    # direction scaled to a leading 1
+    # direction scaled to a leading 1 (exactly: c / lead is a float on ints)
     lines: dict[Vector, Vector] = {}
     for r in roots:
         lead = next(c for c in r if c)
-        key = tuple(c / lead for c in r)
+        key = tuple(Fraction(c, lead) for c in r)
         if key in lines:
             raise RootSystemError(
                 f"not reduced: {_fmt_vec(lines[key])} and {_fmt_vec(r)} are proportional"

@@ -38,8 +38,7 @@ def _drop_first_root(monkeypatch):
     def dropped(ctx, rs):
         init(ctx, rs)
         if ctx._active:
-            first = ctx._active.pop(0)
-            ctx._expr_roots = [entry for entry in ctx._expr_roots if entry[0] != first]
+            ctx._active.pop(0)
 
     monkeypatch.setattr(DunklContext, "__init__", dropped)
 

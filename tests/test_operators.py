@@ -223,10 +223,30 @@ def test_expr_route_reads_no_coordinate_or_laplacian_image(monkeypatch):
     monkeypatch.setattr(
         dunklcalc.operators,
         "divide_exact_by_linear",
-        lambda p, alpha: divisions.append(alpha) or divide(p, alpha),
+        lambda p, action: divisions.append(action) or divide(p, action),
     )
     assert [dunkl_laplacian_expr(ctx, p) for p in polys] == want
     assert divisions == []
+
+
+def test_divisions_read_the_compiled_divisor(monkeypatch):
+    # <alpha, x> is built once per root, with the root system; no operator
+    # route builds it again
+    ctx = DunklContext(build_root_system([(3, 4), (-4, 3)], ["1/2", "1"]))
+    calls = []
+    linear_form = dunklcalc.poly.linear_form
+    monkeypatch.setattr(
+        dunklcalc.poly, "linear_form", lambda coeffs: calls.append(coeffs) or linear_form(coeffs)
+    )
+    r2 = norm_sq_poly(2)
+    p = random_poly(random.Random(4), 2, 5)
+    assert dunkl_laplacian_expr(ctx, p) == dunkl_laplacian_sq(ctx, p)
+    before = len(ctx._quotients)
+    ctx._quotient(0, (4, 3))
+    ctx._quotient(1, (4, 3))
+    assert len(ctx._quotients) == before + 2  # both general-root misses
+    assert dunkl_laplacian_invariant(ctx, r2) == dunkl_laplacian_sq(ctx, r2)
+    assert calls == []
 
 
 def test_rotated_system_commutativity():

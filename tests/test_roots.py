@@ -273,7 +273,7 @@ EXPONENTS = {
 
 def _expand_through_images(p, alpha):
     """The generic substitution: each monomial expanded in the linear images."""
-    images = reflection_variable_images(alpha, p.dim)
+    images = reflection_variable_images(alpha, dot(alpha, alpha))
     out = Poly.zero(p.dim)
     for e, c in p.terms.items():
         term = Poly.const(p.dim, c)
@@ -353,6 +353,34 @@ def test_reflections_leave_equality_and_repr_alone():
     assert "reflections" not in repr(rs)
     again = build_root_system("b:d=2", [1, 2])
     assert rs == again and hash(rs) == hash(again)
+
+
+@pytest.mark.parametrize("source, kappas", [("d:d=4", [1]), ([(3, 4), (-4, 3)], [1, 2])])
+def test_integral_root_entries_are_ints(source, kappas):
+    rs = build_root_system(source, kappas)
+    for root, action in zip(rs.positive_roots, rs.reflections):
+        assert {type(c) for c in root} == {int}
+        assert action.root == root and type(action.norm) is int
+
+
+def test_rational_root_entry_stays_a_fraction():
+    rs = build_root_system([("1/2", 3)], [1])
+    assert [type(c) for c in rs.positive_roots[0]] == [Fraction, int]
+    assert rs.reflections[0].norm == Q(37, 4)
+
+
+@pytest.mark.parametrize("source, kappas", [("a:d=3", [1]), ([(3, 4), (-4, 3)], [1, 2])])
+def test_fraction_entries_build_the_same_system(source, kappas):
+    rs = build_root_system(source, kappas)
+    fractions = build_root_system([[Q(c) for c in r] for r in rs.positive_roots], kappas)
+    assert fractions == rs and hash(fractions) == hash(rs)
+
+
+def test_reduced_check_keys_lines_exactly():
+    # the two directions agree to double precision, so a float key would
+    # call them one line; exactly they are two, and the set is not closed
+    with pytest.raises(RootSystemError, match="not closed"):
+        build_root_system([(1, 10**17), (1, 10**17 + 1)], [1, 1])
 
 
 # -- dimension cap -------------------------------------------------------------

@@ -9,8 +9,11 @@ in verify._suite builds the seeded generator, the case list and the report;
 every polynomial command is a body, and the one runner in cli builds the
 operator context and parses --poly.  A full table is cleared in one place
 per kind: util.grown_row for series rows, verify.get_context for operator
-contexts.  Last, every public module-level function is reached from the
-package itself, not only from the tests.
+contexts.  The linear form <alpha, x> of a root is built once, when
+poly.compile_reflection compiles the root (with its reflection images), and
+every division by it reads the compiled form.  Last, every public
+module-level function is reached from the package itself, not only from the
+tests.
 """
 
 import ast
@@ -146,6 +149,21 @@ def test_only_the_one_bound_per_kind_clears_a_table():
     stray = {site: lines for site, lines in sites.items() if site not in CLEARS}
     assert stray == {}, "grow and bound a table of rows with util.grown_row"
     assert set(sites) == CLEARS
+
+
+# The scopes that build a root's linear form: its compiled divisor and the
+# linear images of its reflection.
+LINEAR_FORMS = {("poly", "compile_reflection"), ("poly", "reflection_variable_images")}
+
+
+def test_only_root_compilation_builds_a_linear_form():
+    sites = {
+        (path.stem, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for scope in _jobs_by_scope(path.stem, lambda node: {_called_name(node)} & {"linear_form"})
+    }
+    assert sites - LINEAR_FORMS == set(), "read the divisor off the root's ReflectionAction"
+    assert sites == LINEAR_FORMS
 
 
 TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
