@@ -11,7 +11,8 @@ on the polynomial factor alone and the chain rule contributes
 That closure makes both sides of Hobson's expansion of p(D) applied to a
 radial function exactly computable, which is how the identity is verified
 here: not for a single numeric sample but as a structural equality of
-canonical forms.
+canonical forms, each reached in one fold per profile family that divides
+only lowest parts by |x|^2 (WeightedFunction._folds).
 """
 
 from __future__ import annotations
@@ -148,11 +149,12 @@ class WeightedFunction:
     Internally each summand is flattened to a single power: the parts map
     sends (exponent s, gaussian rate a) to the polynomial factor of
     P(x) r^s exp(a r^2).  Since P r^s equals P |x|^2 r^(s-2), the parts
-    are kept as built and the canonical form is computed only at output,
-    by terms(), str() and as_polynomial(): each (rate, exponent parity)
-    family is folded into one polynomial at its lowest exponent, and
-    squared-norm factors are pulled back out of it.  Two weighted functions
-    are equal exactly when every fold of their difference is zero, and
+    are kept as built, and the canonical form is reached only when read,
+    in one fold per (rate, exponent parity) family (_folds): |x|^2 is
+    stripped from the lowest part up, and what is left is summed into one
+    polynomial that |x|^2 does not divide.  is_zero, ==, terms(), str()
+    and as_polynomial() all read that fold.  Two weighted functions are
+    equal exactly when their difference has no nonzero fold, and
     WeightedFunction(dim) is the zero function.
     """
 
@@ -200,17 +202,31 @@ class WeightedFunction:
     # -- canonical form, computed at output ----------------------------------
 
     def _folds(self) -> Iterator[tuple[Coeff, Coeff, Poly]]:
-        """(lowest exponent s, rate a, P) per (rate, exponent parity) family.
+        """(exponent s, rate a, P) per nonzero (rate, exponent parity) family.
 
-        P is the sum of P_t |x|^(t - s) over the family's parts P_t r^t, by
-        Horner in |x|^2 from the top exponent down: each step multiplies the
-        running sum by |x|^2 and adds the part at the next exponent.  A
-        family whose parts cancel gives the zero polynomial.
+        P r^s sums the family's parts P_t r^t with s as high as it goes.
+        |x|^2 divides that sum exactly when it divides its lowest part, so
+        only the lowest part is divided: its quotient joins the part at
+        s + 2, a zero lowest part is passed over, and the parts left are
+        summed by Horner in |x|^2 from the top exponent down.  A family
+        whose parts cancel yields nothing.
         """
         families: dict[tuple, dict[Coeff, Poly]] = {}
         for (s, a), poly in self.parts.items():
             families.setdefault(_family(s, a), {})[s] = poly
         for (a, _), family in families.items():
+            s, carry = min(family), []
+            while family or carry:
+                if s in family:
+                    carry.append((1, family.pop(s)))
+                low = linear_combination(self.dim, carry)
+                if not low.is_zero() and (quotient := try_divide_norm_sq(low)) is None:
+                    family[s] = low
+                    break
+                carry = [] if low.is_zero() else [(1, quotient)]
+                s += 2
+            else:
+                continue  # the parts cancel
             s = max(family)
             total = family.pop(s)
             while family:
@@ -222,7 +238,7 @@ class WeightedFunction:
             yield s, a, total
 
     def is_zero(self) -> bool:
-        return all(total.is_zero() for _, _, total in self._folds())
+        return next(self._folds(), None) is None
 
     def __eq__(self, other):
         if not isinstance(other, WeightedFunction):
@@ -234,15 +250,10 @@ class WeightedFunction:
     def terms(self) -> tuple[tuple[Poly, RadialProfile], ...]:
         """Canonical (polynomial, single-power profile) presentation.
 
-        Each nonzero fold with every squared-norm factor moved into r^s,
-        ordered by rate, then exponent.
+        One pair per fold, ordered by rate, then exponent.
         """
-        canon = sorted(
-            ((a, *_strip_norm_sq(s, total)) for s, a, total in self._folds()
-             if not total.is_zero()),
-            key=lambda part: part[:2],
-        )
-        return tuple((poly, RadialProfile.power_gauss(s, a)) for a, s, poly in canon)
+        folds = sorted(self._folds(), key=lambda fold: (fold[1], fold[0]))
+        return tuple((poly, RadialProfile.power_gauss(s, a)) for s, a, poly in folds)
 
     def as_polynomial(self) -> Poly:
         """Extract P when the function is the polynomial P(x).
@@ -252,9 +263,6 @@ class WeightedFunction:
         """
         pairs = []
         for s, a, total in self._folds():
-            if total.is_zero():
-                continue
-            s, total = _strip_norm_sq(s, total)
             half, rem = divmod(s, 2)
             if a != 0 or rem != 0 or half < 0 or half.denominator != 1:
                 raise InvariantError(
@@ -296,13 +304,6 @@ def _times_var(poly: Poly, j: int, k: int = 1) -> Poly:
 def _norm_sq_shifts(poly: Poly) -> list[tuple[int, Poly]]:
     """poly * |x|^2 as linear_combination pairs, with no coefficient products."""
     return [(1, _times_var(poly, j, 2)) for j in range(poly.dim)]
-
-
-def _strip_norm_sq(s: Coeff, total: Poly) -> tuple[Coeff, Poly]:
-    """(s + 2k, total / |x|^(2k)) for the largest k; total must be nonzero."""
-    while (quotient := try_divide_norm_sq(total)) is not None:
-        total, s = quotient, s + 2
-    return s, total
 
 
 def _apply_coord_weighted(

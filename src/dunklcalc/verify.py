@@ -483,10 +483,8 @@ def pizzetti_suite(ctx: DunklContext, rng: random.Random, degree: int = 8) -> Ca
                 rhs += pizzetti_mean(ctx, component) * 2**l * pochhammer(lam + 1, l)
         yield _equal_case(f"gaussian-consistency/{i}", lhs, rhs)
 
-    yield CaseResult(
-        "sign-convention",
-        "pass",
-        "0",
+    yield _equal_case(
+        "sign-convention", pizzetti_mean(ctx, norm_sq_poly(ctx.dim)), 1,
         "series implemented with positive coefficients 1/(4^l l! (lam+1)_l); "
         "forced by the exact Dirichlet oracle and by positivity of means of "
         "even monomials, and matches the classical unweighted limit",

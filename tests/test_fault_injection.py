@@ -1,4 +1,4 @@
-"""Every suite notices a broken operator context.
+"""Every suite notices a broken operator context or broken numerics.
 
 Two faults are injected into DunklContext, one at a time: the difference
 quotient of the first active root is doubled, or that root is dropped
@@ -11,13 +11,37 @@ multiplicity, under which the purely operator-side identities still
 hold, so the exact suites run on the a:d=3 default run.  The pizzetti and
 transforms suites have only z2 default runs, and read the Bessel index,
 so they run on their first run with a nonzero multiplicity.
+
+The pizzetti suite's sign-convention case must fail when the odd-l terms
+of the Pizzetti series change sign; it runs on b:d=2, which has no
+Dirichlet-oracle case to notice the sign instead.
+
+Six faults are injected into dunklcalc.transform, one at a time, and the
+transforms suite must report a failing case or raise QuadratureError:
+
+- kernel_coefficients returns a_3 * (1 + 1e-7);
+- the value of hankel_quadrature is scaled by 1 + 1e-9;
+- scaled_normalized_bessel is scaled by 1 + 1e-8;
+- entry 2 of a copy of a _pairing_row row is scaled by 1 + 1e-7;
+- _bessel_series stops at relative 1e-9 instead of 1e-18, and the
+  Hankel quadrature rules then disagree (QuadratureError);
+- dunkl_transform_gauss_poly reads kappa_1 for every coordinate, which
+  changes only a run whose kappas differ, so it runs on z2:d=2 (1/2, 1).
+
+The others run on z2:d=1 (1/2).  Each fault test starts from empty
+transform rows and operator contexts, so no poisoned row outlives it.
+Two known faults fail no case yet and are left out: sphere_pairing run
+4 terms short, and truncation_order lowered by 3.
 """
+
+from dataclasses import replace
 
 import pytest
 
+import dunklcalc.transform as transform
 import dunklcalc.verify as verify
 from dunklcalc.operators import DunklContext
-from dunklcalc.poly import InvariantError
+from dunklcalc.poly import InvariantError, homogeneous_components, linear_combination
 
 EXACT_RUN = ("a:d=3", ("1",))
 
@@ -69,3 +93,117 @@ def test_the_fault_runs_pass_without_a_fault():
     for suite in verify.SUITES:
         system, kappas = _fault_run(suite)
         assert verify.SUITES[suite](system, kappas).passed, suite
+
+
+def test_sign_convention_fails_under_the_opposite_sign(monkeypatch):
+    monkeypatch.setattr(verify, "_CONTEXTS", {})
+    mean = verify.pizzetti_mean
+
+    def opposite(ctx, p):
+        # the l-th term of the series reads only the degree-2l part of p
+        parts = [((-1) ** (k // 2), part) for k, part in homogeneous_components(p)]
+        return mean(ctx, linear_combination(p.dim, parts))
+
+    monkeypatch.setattr(verify, "pizzetti_mean", opposite)
+    report = verify.SUITES["pizzetti"]("b:d=2", ("1", "2"))
+    assert [c.status for c in report.cases if c.name == "sign-convention"] == ["fail"]
+
+
+# -- faults in the transform numerics -----------------------------------------
+
+
+def _perturb_kernel_coefficient(monkeypatch):
+    coefficients = transform.kernel_coefficients
+
+    def perturbed(kappa, order):
+        row = coefficients(kappa, order)  # a copied prefix
+        if len(row) > 3:
+            row[3] *= 1 + 1e-7
+        return row
+
+    monkeypatch.setattr(transform, "kernel_coefficients", perturbed)
+
+
+def _perturb_hankel_value(monkeypatch):
+    quadrature = transform.hankel_quadrature
+
+    def perturbed(*args, **kwargs):
+        value, bound = quadrature(*args, **kwargs)
+        return value * (1 + 1e-9), bound
+
+    monkeypatch.setattr(transform, "hankel_quadrature", perturbed)
+
+
+def _perturb_scaled_bessel(monkeypatch):
+    bessel = transform.scaled_normalized_bessel
+    monkeypatch.setattr(
+        transform, "scaled_normalized_bessel", lambda *args: bessel(*args) * (1 + 1e-8)
+    )
+
+
+def _perturb_pairing_entry(monkeypatch):
+    pairing_row = transform._pairing_row
+
+    def perturbed(kappa, exponent, order):
+        row = list(pairing_row(kappa, exponent, order))
+        if len(row) > 2:
+            row[2] *= 1 + 1e-7
+        return row
+
+    monkeypatch.setattr(transform, "_pairing_row", perturbed)
+
+
+def _stop_bessel_series_early(monkeypatch):
+    def series(nu, x, term):
+        """transform._bessel_series, stopping at relative 1e-9."""
+        if x == 0.0:
+            return term
+        step = -0.25 * x * x
+        total = term
+        for j in range(1, 500):
+            term *= step / (j * (nu + j))
+            total += term
+            if 2 * j > x and abs(term) < 1e-9 * max(1.0, abs(total)):
+                return total
+        raise transform.TruncationError("Bessel series did not converge")
+
+    monkeypatch.setattr(transform, "_bessel_series", series)
+
+
+def _gauss_reads_first_kappa(monkeypatch):
+    gauss = transform.dunkl_transform_gauss_poly
+
+    def first_kappa(ctx, p, y, **kwargs):
+        kappas = ctx.rs.multiplicities
+        rs = replace(ctx.rs, multiplicities=(kappas[0],) * len(kappas))
+        return gauss(DunklContext(rs), p, y, **kwargs)
+
+    monkeypatch.setattr(transform, "dunkl_transform_gauss_poly", first_kappa)
+    monkeypatch.setattr(verify, "dunkl_transform_gauss_poly", first_kappa)
+
+
+TRANSFORM_RUN = ("z2:d=1", ("1/2",))
+
+
+@pytest.mark.parametrize("fault, run", [
+    (_perturb_kernel_coefficient, TRANSFORM_RUN),
+    (_perturb_hankel_value, TRANSFORM_RUN),
+    (_perturb_scaled_bessel, TRANSFORM_RUN),
+    (_perturb_pairing_entry, TRANSFORM_RUN),
+    (_stop_bessel_series_early, TRANSFORM_RUN),
+    (_gauss_reads_first_kappa, ("z2:d=2", ("1/2", "1"))),
+])
+def test_the_transform_battery_fails_under_a_numeric_fault(monkeypatch, fault, run):
+    for module, table in (
+        (transform, "_SPHERE_MEAN_CACHE"), (transform, "_KERNEL_ROWS"), (verify, "_CONTEXTS")
+    ):
+        monkeypatch.setattr(module, table, {})
+    fault(monkeypatch)
+    system, kappas = run
+    assert run in verify.default_runs("transforms")
+    try:
+        report = verify.SUITES["transforms"](system, kappas)
+    except transform.QuadratureError:
+        return
+    failing = [case.name for case in report.cases if case.status == "fail"]
+    assert failing, f"transforms on {system} {kappas} passed under {fault.__name__}"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dunklcalc.radial as radial
 from dunklcalc.operators import DunklContext, poly_of_dunkl
 from dunklcalc.poly import (
     InvariantError,
@@ -253,6 +254,42 @@ def test_canonical_form_matches_oracle(case):
         else:
             assert f.as_polynomial() == expected
     assert (w == v) == (oracle_canonical(dim, w.parts) == oracle_canonical(dim, v.parts))
+
+
+def _dividends_while_printing(monkeypatch, w):
+    """str(w), and the dividends that radial.try_divide_norm_sq receives meanwhile."""
+    dividends = []
+
+    def recording(p):
+        dividends.append(p)
+        return try_divide_norm_sq(p)
+
+    monkeypatch.setattr(radial, "try_divide_norm_sq", recording)
+    return str(w), dividends
+
+
+def test_canonical_fold_divides_only_a_lowest_part(monkeypatch):
+    # x1^2 + x2 r^2: |x|^2 does not divide x1^2, so the fold
+    # x2 |x|^2 + x1^2 is summed and never divided
+    w = WeightedFunction(
+        2, [(parse_poly("x1^2", 2), RadialProfile.power(0)),
+            (parse_poly("x2", 2), RadialProfile.power(2))],
+    )
+    text, dividends = _dividends_while_printing(monkeypatch, w)
+    assert dividends == [parse_poly("x1^2", 2)]
+    assert text == str(parse_poly("x1^2 + x1^2*x2 + x2^3", 2))
+
+
+def test_canonical_fold_carries_a_quotient_up(monkeypatch):
+    # x1 |x|^2 + x2 r^2: the quotient x1 joins the part at r^2, and
+    # x1 + x2 is the next lowest part
+    lowest = parse_poly("x1", 2) * norm_sq_poly(2)
+    w = WeightedFunction(
+        2, [(lowest, RadialProfile.power(0)), (parse_poly("x2", 2), RadialProfile.power(2))],
+    )
+    text, dividends = _dividends_while_printing(monkeypatch, w)
+    assert text == "[x1 + x2] * r^(2)"
+    assert dividends == [lowest, parse_poly("x1 + x2", 2)]
 
 
 def test_context_holds_no_radial_state():

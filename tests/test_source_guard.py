@@ -11,9 +11,11 @@ operator context and parses --poly.  A full table is cleared in one place
 per kind: util.grown_row for series rows, verify.get_context for operator
 contexts.  The linear form <alpha, x> of a root is built once, when
 poly.compile_reflection compiles the root (with its reflection images), and
-every division by it reads the compiled form.  Last, every public
-module-level function is reached from the package itself, not only from the
-tests.
+every division by it reads the compiled form.  A weighted function's
+canonical form is reached in one fold, radial.WeightedFunction._folds, so
+that fold and poly.divide_exact_by_norm_sq are the only callers of
+try_divide_norm_sq.  Last, every public module-level function is reached
+from the package itself, not only from the tests.
 """
 
 import ast
@@ -151,19 +153,34 @@ def test_only_the_one_bound_per_kind_clears_a_table():
     assert set(sites) == CLEARS
 
 
+def _call_sites(name: str) -> set[tuple[str, str]]:
+    """(module, dotted scope) of every call of name in the package."""
+    return {
+        (path.stem, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for scope in _jobs_by_scope(path.stem, lambda node: {_called_name(node)} & {name})
+    }
+
+
 # The scopes that build a root's linear form: its compiled divisor and the
 # linear images of its reflection.
 LINEAR_FORMS = {("poly", "compile_reflection"), ("poly", "reflection_variable_images")}
 
 
 def test_only_root_compilation_builds_a_linear_form():
-    sites = {
-        (path.stem, scope)
-        for path in sorted(SRC.glob("*.py"))
-        for scope in _jobs_by_scope(path.stem, lambda node: {_called_name(node)} & {"linear_form"})
-    }
+    sites = _call_sites("linear_form")
     assert sites - LINEAR_FORMS == set(), "read the divisor off the root's ReflectionAction"
     assert sites == LINEAR_FORMS
+
+
+# The scopes that divide by |x|^2 and may find that it does not divide.
+NORM_SQ_DIVISIONS = {("radial", "WeightedFunction._folds"), ("poly", "divide_exact_by_norm_sq")}
+
+
+def test_only_the_canonical_fold_tries_a_norm_square_division():
+    sites = _call_sites("try_divide_norm_sq")
+    assert sites - NORM_SQ_DIVISIONS == set(), "strip |x|^2 in WeightedFunction._folds"
+    assert sites == NORM_SQ_DIVISIONS
 
 
 TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
