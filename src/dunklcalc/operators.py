@@ -5,9 +5,9 @@ memo tables that make repeated applications cheap.  Each entry is a pure
 function of an exponent vector, so it is computed once per context:
 
 - _quotients: the reflection difference quotient of x^e per active root;
-- _coord_images: the image of x^e under each coordinate operator D_j;
-- _laplacian_images: the sum of squared operators applied to x^e, read off
-  _coord_images (the defining route);
+- _coord_images: q times the image of x^e under each coordinate operator D_j;
+- _laplacian_images: q^2 times the sum of squared operators applied to x^e,
+  read off _coord_images (the defining route);
 - _expr_images: the explicit second-order expression applied to x^e, built
   from _quotients alone, so that the two Laplacian routes stay independent
   checks of each other.
@@ -19,12 +19,19 @@ with no substitution and no division.  Any other root expands the
 reflection with compose_reflection and divides by <alpha, x> with
 divide_exact_by_linear.  Each root's entries, <alpha, alpha>, reflection and
 divisor are read from its compiled ReflectionAction in rs.reflections.
+
+The integer scale q is the lcm of the denominators of the root weights that
+the coordinate images take: 2 kappa for a sign flip, kappa for a signed
+transposition, kappa alpha_j for a general root.  It is 1 when the images are
+integral already; otherwise it makes them integral for every signed root, so
+that the tables are summed in int arithmetic.  apply_coord, dunkl_apply and
+dunkl_laplacian_sq divide it back out, once per output term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Sequence
 
 from .poly import (
@@ -60,6 +67,15 @@ class DunklContext:
         # always >= -1/2
         self.bessel_index = sum(self._kappa, Fraction(rs.dim - 2, 2))
         self._active = [i for i, k in enumerate(self._kappa) if k != 0]
+        q = 1  # the scale of the module docstring
+        for idx in self._active:
+            k, action = self._kappa[idx], rs.reflections[idx]
+            if action.signed is None:
+                q = lcm(q, *((k * a).denominator for a in action.root))
+            else:
+                q = lcm(q, (2 * k if len(action.support) == 1 else k).denominator)
+        self._scale = q
+        self._weights = self._kappa if q == 1 else [as_coeff(q * k) for k in self._kappa]
         self._quotients: dict[tuple[int, Exponent], Poly] = {}
         self._coord_images: dict[tuple[int, Exponent], Poly] = {}
         self._laplacian_images: dict[Exponent, Poly] = {}
@@ -90,18 +106,18 @@ class DunklContext:
         return cached
 
     def _coord_image(self, j: int, e: Exponent) -> Poly:
-        """D_j applied to the monomial x^e."""
+        """q times D_j applied to the monomial x^e."""
         key = (j, e)
         cached = self._coord_images.get(key)
         if cached is None:
             pairs = []
             if e[j]:
                 f = tuple(v - 1 if i == j else v for i, v in enumerate(e))
-                pairs.append((e[j], Poly.monomial(self.dim, f)))
+                pairs.append((self._scale * e[j], Poly.monomial(self.dim, f)))
             for idx in self._active:
                 aj = self.rs.positive_roots[idx][j]
                 if aj:
-                    pairs.append((self._kappa[idx] * aj, self._quotient(idx, e)))
+                    pairs.append((self._weights[idx] * aj, self._quotient(idx, e)))
             cached = linear_combination(self.dim, pairs)
             self._coord_images[key] = cached
         return cached
@@ -117,6 +133,23 @@ class DunklContext:
             )
             self._laplacian_images[e] = cached
         return cached
+
+    def _unscaled(self, pairs, power: int = 1) -> Poly:
+        """The sum of c * image over the (c, image) pairs, divided by q^power.
+
+        The images are summed with the integer numerators of the c over their
+        common denominator, and each output term is divided once.
+        """
+        if self._scale == 1:
+            return linear_combination(self.dim, pairs)
+        pairs = list(pairs)
+        den = lcm(*(c.denominator for c, _ in pairs))
+        total = linear_combination(
+            self.dim, ((c.numerator * (den // c.denominator), image) for c, image in pairs)
+        )
+        den *= self._scale**power
+        return Poly(self.dim, {e: v // den if v % den == 0 else Fraction(v, den)
+                               for e, v in total.terms.items()})
 
     def _expr_image(self, e: Exponent) -> Poly:
         """The explicit second-order expression applied to the monomial x^e.
@@ -162,9 +195,7 @@ def check_budget(ctx: DunklContext, degree: int, repeats: int = 1) -> None:
 
 def apply_coord(ctx: DunklContext, j: int, p: Poly) -> Poly:
     """D_j p via the per-monomial cache."""
-    return linear_combination(
-        ctx.dim, ((c, ctx._coord_image(j, e)) for e, c in p.terms.items())
-    )
+    return ctx._unscaled((c, ctx._coord_image(j, e)) for e, c in p.terms.items())
 
 
 def dunkl_apply(ctx: DunklContext, xi: Sequence, p: Poly) -> Poly:
@@ -178,20 +209,17 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence, p: Poly) -> Poly:
     xi = [as_coeff(c) for c in xi]
     if len(xi) != ctx.dim:
         raise ValueError("direction has wrong dimension")
-    return linear_combination(
-        ctx.dim,
-        ((coeff * c, ctx._coord_image(j, e))
-         for j, coeff in enumerate(xi)
-         if coeff
-         for e, c in p.terms.items()),
+    return ctx._unscaled(
+        (coeff * c, ctx._coord_image(j, e))
+        for j, coeff in enumerate(xi)
+        if coeff
+        for e, c in p.terms.items()
     )
 
 
 def dunkl_laplacian_sq(ctx: DunklContext, p: Poly) -> Poly:
     """Sum of squared coordinate Dunkl operators (the defining route)."""
-    return linear_combination(
-        ctx.dim, ((c, ctx._laplacian_image(e)) for e, c in p.terms.items())
-    )
+    return ctx._unscaled(((c, ctx._laplacian_image(e)) for e, c in p.terms.items()), 2)
 
 
 def laplacian_powers(ctx: DunklContext, p: Poly, n: int) -> list[Poly]:

@@ -312,10 +312,10 @@ class ReflectionAction:
 
     A signed action also keeps what divided_difference needs: support holds
     the indices of the root's nonzero entries, (k,) for a sign flip
-    alpha = scale * e_k or (j, k) with j < k for a transposition, and scale
-    is the root's entry at support[0].  The sign s of signed[support[0]]
-    completes the root: alpha = scale * (e_j - s * e_k).  General actions
-    keep support () and scale None.
+    alpha = c * e_k or (j, k) with j < k for a transposition, and unit is
+    2/c or 1/c, c the entry at support[0].  The sign s of signed[support[0]]
+    completes the root: alpha = c * (e_j - s * e_k).  General actions keep
+    support () and unit None.
     """
 
     dim: int
@@ -326,7 +326,7 @@ class ReflectionAction:
     signed: tuple[tuple[int, int], ...] | None
     images: tuple[Poly, ...] | None
     support: tuple[int, ...]
-    scale: Coeff | None
+    unit: Coeff | None
 
     def reflect_vector(self, v: Sequence) -> tuple:
         """r_alpha v; exact for Fraction entries."""
@@ -364,7 +364,8 @@ def compile_reflection(alpha: Sequence) -> ReflectionAction:
     else:
         images = tuple(reflection_variable_images(root, norm))
         return ReflectionAction(*head, None, images, (), None)
-    return ReflectionAction(*head, tuple(signed), None, support, root[support[0]])
+    unit = as_coeff(Fraction(2 if len(support) == 1 else 1, root[support[0]]))
+    return ReflectionAction(*head, tuple(signed), None, support, unit)
 
 
 def compose_reflection(p: Poly, action: ReflectionAction) -> Poly:
@@ -411,13 +412,13 @@ def divided_difference(e: Exponent, action: ReflectionAction) -> Poly:
 
     The Bernstein-Gelfand-Gelfand / Demazure divided difference, built term
     by term with no division.  Write x^e = m * x_j^a * x_k^b with m the
-    other coordinates and c = action.scale.  A sign flip alpha = c e_k
-    gives (2/c) x^(e - e_k) for odd a and 0 for even a.  A transposition
-    alpha = c (e_j - e_k) gives sign(a - b) (m/c) (x_j x_k)^min(a, b) times
+    other coordinates.  A sign flip alpha = c e_k gives action.unit = 2/c
+    times x^(e - e_k) for odd a and 0 for even a.  A transposition
+    alpha = c (e_j - e_k) gives sign(a - b) m (x_j x_k)^min(a, b) times
     h_(|a-b|-1)(x_j, x_k), the complete homogeneous polynomial with every
-    coefficient 1, and 0 for a = b; alpha = c (e_j + e_k) is the same with
-    x_k replaced by -x_k.  The terms come in descending powers of x_j, the
-    order in which divide_exact_by_linear finds them.
+    coefficient action.unit = 1/c, and 0 for a = b; alpha = c (e_j + e_k)
+    is the same with x_k replaced by -x_k.  The terms come in descending
+    powers of x_j, the order in which divide_exact_by_linear finds them.
     """
     if action.signed is None:
         raise PolyError("the closed-form quotient needs a signed-permutation root")
@@ -430,13 +431,13 @@ def divided_difference(e: Exponent, action: ReflectionAction) -> Poly:
             return Poly(dim)
         f = list(e)
         f[k] -= 1
-        return Poly(dim, {tuple(f): Fraction(2, action.scale)})
+        return Poly(dim, {tuple(f): action.unit})
     j, k = action.support
     a, b = e[j], e[k]
     if a == b:
         return Poly(dim)
     low = min(a, b)
-    unit = as_coeff(Fraction(1 if a > b else -1, action.scale))
+    unit = action.unit if a > b else -action.unit
     # alpha = c (e_j + e_k): x_k^t brings (-1)^t relative to c (e_j - e_k)
     flip = action.signed[j][1] < 0
     terms: dict[Exponent, Coeff] = {}

@@ -28,6 +28,7 @@ from dunklcalc.poly import (
     classical_laplacian,
     compile_reflection,
     compose_reflection,
+    divide_exact_by_linear,
     linear_combination,
     linear_form,
     norm_sq_poly,
@@ -199,6 +200,84 @@ def test_memo_table_keys_and_order():
     ]
     assert list(ctx._laplacian_images) == [(2, 1), (0, 3)]
     assert list(ctx._expr_images) == [(2, 1), (0, 3)]
+
+
+# Catalog systems whose root weights carry denominators, so q > 1: kappa =
+# 1/3, 3/2 on the transpositions of b and 1/2 on those of d.  Unscaled, only
+# a:d=4 has images with denominators; on b and d the halves of the roots
+# e_j - e_k and e_j + e_k add up to integers.
+SCALED_SYSTEMS = [("a:d=4", ["1/3"]), ("b:d=3", ["3/2", "1/2"]), ("d:d=4", ["1/2"])]
+
+
+def reference_coord(rs, j, p):
+    """D_j p = d_j p + sum of kappa alpha_j (p - p o r_alpha) / <alpha, x>, with no table."""
+    pairs = [(1, partial_derivative(p, [int(i == j) for i in range(rs.dim)]))]
+    for alpha, kappa in zip(rs.positive_roots, rs.kappa_by_root()):
+        if kappa and alpha[j]:
+            action = compile_reflection(alpha)
+            quotient = divide_exact_by_linear(p - compose_reflection(p, action), action)
+            pairs.append((kappa * alpha[j], quotient))
+    return linear_combination(rs.dim, pairs)
+
+
+def reference_laplacian(rs, p):
+    return linear_combination(
+        rs.dim, ((1, reference_coord(rs, j, reference_coord(rs, j, p))) for j in range(rs.dim))
+    )
+
+
+def canonical(p):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in p.terms.values())
+
+
+@pytest.mark.parametrize("system, kappas", SCALED_SYSTEMS)
+def test_scaled_memo_tables_hold_integers(system, kappas):
+    ctx = make_ctx(system, kappas)
+    rng = random.Random(31)
+    for i in range(5):
+        p = random_poly(rng, ctx.dim, 6)
+        dunkl_laplacian_sq(ctx, p)
+        apply_coord(ctx, i % ctx.dim, p)
+    assert ctx._coord_images and ctx._laplacian_images
+    for table in (ctx._coord_images, ctx._laplacian_images):
+        for key, value in table.items():
+            assert all(type(c) is int for c in value.terms.values()), key
+
+
+def test_unscaled_memo_tables_hold_the_images():
+    # z2 with kappa in 1/2 Z has integral images, so q = 1 scales nothing
+    ctx = make_ctx("z2:d=2", ["1", "3/2"])
+    rng = random.Random(37)
+    for i in range(5):
+        p = random_poly(rng, 2, 6)
+        dunkl_laplacian_sq(ctx, p)
+        apply_coord(ctx, i % 2, p)
+    for (j, e), value in ctx._coord_images.items():
+        assert value == reference_coord(ctx.rs, j, Poly.monomial(2, e))
+    for e, value in ctx._laplacian_images.items():
+        assert value == reference_laplacian(ctx.rs, Poly.monomial(2, e))
+
+
+@pytest.mark.parametrize("roots, kappas", SCALED_SYSTEMS + [
+    ([(3, 0), (0, Q(1, 2))], ["1/3", "1"]),  # sign flips whose entries are not 1
+    ([(3, 4), (-4, 3)], ["1/2", "1"]),  # general roots: quotients with denominators
+])
+def test_operators_match_a_table_free_reference(roots, kappas):
+    rs = build_root_system(roots, kappas)
+    ctx = DunklContext(rs)
+    rng = random.Random(41)
+    for _ in range(3):
+        p = random_poly(rng, rs.dim, 5)
+        xi = dunklcalc.verify.random_direction(rng, rs.dim)
+        coords = [reference_coord(rs, j, p) for j in range(rs.dim)]
+        assert [apply_coord(ctx, j, p) for j in range(rs.dim)] == coords
+        assert dunkl_apply(ctx, xi, p) == linear_combination(rs.dim, zip(xi, coords))
+        laplacian = dunkl_laplacian_sq(ctx, p)
+        assert laplacian == reference_laplacian(rs, p) == dunkl_laplacian_expr(ctx, p)
+        assert canonical(laplacian)
+    for table in (ctx._coord_images, ctx._laplacian_images):
+        assert table and all(canonical(value) for value in table.values())
 
 
 def test_expr_route_reads_no_coordinate_or_laplacian_image(monkeypatch):
