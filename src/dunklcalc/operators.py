@@ -24,8 +24,9 @@ The integer scale q is the lcm of the denominators of the root weights that
 the coordinate images take: 2 kappa for a sign flip, kappa for a signed
 transposition, kappa alpha_j for a general root.  It is 1 when the images are
 integral already; otherwise it makes them integral for every signed root, so
-that the tables are summed in int arithmetic.  apply_coord, dunkl_apply and
-dunkl_laplacian_sq divide it back out, once per output term.
+that the tables are summed in int arithmetic.  Every context, q = 1 too,
+takes one scaled path: apply_coord, dunkl_apply and dunkl_laplacian_sq sum
+integer numerators and divide q back out once per output term.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class DunklContext:
             else:
                 q = lcm(q, (2 * k if len(action.support) == 1 else k).denominator)
         self._scale = q
-        self._weights = self._kappa if q == 1 else [as_coeff(q * k) for k in self._kappa]
+        self._weights = [as_coeff(q * k) for k in self._kappa]
         self._quotients: dict[tuple[int, Exponent], Poly] = {}
         self._coord_images: dict[tuple[int, Exponent], Poly] = {}
         self._laplacian_images: dict[Exponent, Poly] = {}
@@ -138,16 +139,17 @@ class DunklContext:
         """The sum of c * image over the (c, image) pairs, divided by q^power.
 
         The images are summed with the integer numerators of the c over their
-        common denominator, and each output term is divided once.
+        common denominator, and each output term is divided once, unless
+        that denominator times q^power is 1.
         """
-        if self._scale == 1:
-            return linear_combination(self.dim, pairs)
         pairs = list(pairs)
         den = lcm(*(c.denominator for c, _ in pairs))
         total = linear_combination(
             self.dim, ((c.numerator * (den // c.denominator), image) for c, image in pairs)
         )
         den *= self._scale**power
+        if den == 1:
+            return total
         return Poly(self.dim, {e: v // den if v % den == 0 else Fraction(v, den)
                                for e, v in total.terms.items()})
 

@@ -1,11 +1,13 @@
 """Reduced root systems with rational coordinates and their reflection data.
 
 A root system here is a finite set of positive roots in Q^d, closed (up to
-sign) under its own reflections, together with a non-negative rational
-multiplicity attached to each reflection-group orbit.  Built-in families
-cover the rank-one powers (sign flips per coordinate), the symmetric-group
-system embedded via coordinate differences, and the hyperoctahedral B/D
-families; anything else can be supplied as an explicit rational root list.
+sign) under its own reflections and with no two roots on one line, together
+with a non-negative rational multiplicity attached to each reflection-group
+orbit; one walk over the compiled reflections checks both properties and
+finds the orbits.  Built-in families cover the rank-one powers (sign flips
+per coordinate), the symmetric-group system embedded via coordinate
+differences, and the hyperoctahedral B/D families; anything else can be
+supplied as an explicit rational root list.
 """
 
 from __future__ import annotations
@@ -57,15 +59,17 @@ class RootSystem:
 def _orbit_partition(
     roots: Sequence[Vector], actions: Sequence[ReflectionAction]
 ) -> tuple[tuple[int, ...], ...]:
-    """Partition root indices into orbits, checking reflection closure.
+    """Closure, reduction and orbits, in one walk of every root reflected in every root.
 
-    Two positive roots are in one orbit when some chain of reflections in
-    roots of the system links them (signs discarded); actions[i] is the
-    compiled reflection in roots[i].
+    Each root and its negative are indexed (the first root keeps each key),
+    so one lookup finds an image up to sign; for j != i, r_i(beta_j) =
+    -beta_j exactly when the two roots are proportional.  Roots linked by a
+    chain of reflections share an orbit; actions[i] reflects in roots[i].
     """
     index: dict[Vector, int] = {}
     for i, r in enumerate(roots):
-        index[r] = i
+        index.setdefault(r, i)
+        index.setdefault(tuple(-c for c in r), i)
     parent = list(range(len(roots)))
 
     def find(i: int) -> int:
@@ -74,16 +78,19 @@ def _orbit_partition(
             i = parent[i]
         return i
 
-    for alpha, action in zip(roots, actions):
+    for i, (alpha, action) in enumerate(zip(roots, actions)):
         for j, beta in enumerate(roots):
             image = action.reflect_vector(beta)
             k = index.get(image)
             if k is None:
-                k = index.get(tuple(-c for c in image))
-            if k is None:
                 raise RootSystemError(
                     f"system is not closed: reflecting {_fmt_vec(beta)} in "
                     f"{_fmt_vec(alpha)} leaves the root set"
+                )
+            if k == j and j != i and image != beta:  # image == beta: alpha is orthogonal
+                raise RootSystemError(
+                    f"not reduced: {_fmt_vec(roots[min(i, j)])} and "
+                    f"{_fmt_vec(roots[max(i, j)])} are proportional"
                 )
             ri, rj = find(j), find(k)
             if ri != rj:
@@ -200,18 +207,6 @@ def build_root_system(
             raise RootSystemError("roots of mixed dimension")
         if all(c == 0 for c in r):
             raise RootSystemError("zero vector is not a root")
-    # the first root on each line through the origin, keyed by its
-    # direction scaled to a leading 1 (exactly: c / lead is a float on ints)
-    lines: dict[Vector, Vector] = {}
-    for r in roots:
-        lead = next(c for c in r if c)
-        key = tuple(Fraction(c, lead) for c in r)
-        if key in lines:
-            raise RootSystemError(
-                f"not reduced: {_fmt_vec(lines[key])} and {_fmt_vec(r)} are proportional"
-            )
-        lines[key] = r
-
     actions = tuple(compile_reflection(r) for r in roots)
     orbits = _orbit_partition(roots, actions)
 
@@ -236,9 +231,9 @@ def build_root_system(
             per_orbit.append(values.pop())
         per_orbit = tuple(per_orbit)
     else:
-        raise RootSystemError(
-            f"expected {len(orbits)} multiplicities (one per orbit) or "
-            f"{len(roots)} (one per root), got {len(mults)}"
-        )
+        counts = f"{len(orbits)} multiplicities (one per orbit)"
+        if len(roots) != len(orbits):
+            counts += f" or {len(roots)} (one per root)"
+        raise RootSystemError(f"expected {counts}, got {len(mults)}")
 
     return RootSystem(dim, tuple(roots), orbits, per_orbit, actions)

@@ -134,17 +134,16 @@ def z2_kappas(rs: RootSystem) -> tuple[Fraction, ...]:
     """Per-coordinate multiplicities of a sign-flip system.
 
     Raises ValueError unless every positive root is a multiple of a
-    standard basis vector and each coordinate carries exactly one root.
+    standard basis vector (compiled support (k,)) and each coordinate
+    carries exactly one root.
     """
     kappas: dict[int, Fraction] = {}
-    by_root = rs.kappa_by_root()
-    for root, kappa in zip(rs.positive_roots, by_root):
-        support = [i for i, c in enumerate(root) if c]
-        if len(support) != 1:
+    for action, kappa in zip(rs.reflections, rs.kappa_by_root()):
+        if len(action.support) != 1:
             raise ValueError("kernel factorization needs a sign-flip system")
-        if support[0] in kappas:
+        if action.support[0] in kappas:
             raise ValueError("repeated coordinate root")
-        kappas[support[0]] = kappa
+        kappas[action.support[0]] = kappa
     if sorted(kappas) != list(range(rs.dim)):
         raise ValueError("each coordinate needs exactly one root")
     return tuple(kappas[i] for i in range(rs.dim))

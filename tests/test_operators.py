@@ -262,6 +262,8 @@ def test_unscaled_memo_tables_hold_the_images():
 @pytest.mark.parametrize("roots, kappas", SCALED_SYSTEMS + [
     ([(3, 0), (0, Q(1, 2))], ["1/3", "1"]),  # sign flips whose entries are not 1
     ([(3, 4), (-4, 3)], ["1/2", "1"]),  # general roots: quotients with denominators
+    ("z2:d=2", ["1", "3/2"]),  # q = 1, and the images are integral
+    ("a:d=3", ["1"]),  # q = 1 on signed transpositions
 ])
 def test_operators_match_a_table_free_reference(roots, kappas):
     rs = build_root_system(roots, kappas)

@@ -126,9 +126,57 @@ def test_custom_closure_failure():
         build_root_system([(1, 0), (0, 1), (1, 1)], [1, 1, 1])
 
 
-def test_non_reduced_rejected():
+@pytest.mark.parametrize("roots", [
+    [(1, 0), (2, 0)],
+    [(1, 0), (-1, 0)],
+    [(1, 2), (1, 2)],
+    [(Q(1, 2), 1), (1, 2)],
+    [(1, 0), (0, 1), (2, 0)],
+])
+def test_non_reduced_rejected(roots):
     with pytest.raises(RootSystemError, match="not reduced"):
-        build_root_system([(1, 0), (2, 0)], [1, 1])
+        build_root_system(roots, [1] * len(roots))
+
+
+@pytest.mark.parametrize("roots, named", [
+    # (2, 0) and (-2, 0) share one +- key, which the earlier (2, 0) keeps
+    ([(1, 0), (2, 0), (-2, 0)], r"\(1, 0\) and \(2, 0\)"),
+    # found reflecting the earlier root in the later one, still named first
+    ([(1, 0), (-1, 0)], r"\(1, 0\) and \(-1, 0\)"),
+])
+def test_non_reduced_names_the_earlier_root_first(roots, named):
+    with pytest.raises(RootSystemError, match=f"not reduced: {named} are proportional"):
+        build_root_system(roots, [1] * len(roots))
+
+
+def test_input_with_both_defects_is_rejected():
+    # b2 plus (2, 2) is neither reduced nor closed ((2, 2) reflected in
+    # (1, 0) is (-2, 2), which is no root up to sign); the walk reports
+    # whichever defect it reaches first, and both are a RootSystemError
+    roots = build_root_system("b:d=2", [1, 1]).positive_roots + ((2, 2),)
+    with pytest.raises(RootSystemError, match="not reduced|not closed"):
+        build_root_system([list(r) for r in roots], [1] * len(roots))
+
+
+SMALL_CATALOG = ["z2:d=1", "z2:d=3", "a:d=3", "b:d=2", "b:d=3", "d:d=3"]
+
+
+@given(
+    name=st.sampled_from(SMALL_CATALOG),
+    data=st.data(),
+    factor=st.builds(Q, st.integers(-6, 6).filter(bool), st.integers(1, 4)),
+)
+@settings(max_examples=60, deadline=None)
+def test_inserted_multiple_of_a_root_is_rejected(name, data, factor):
+    roots = list(dunklcalc.roots._catalog_roots(name)[1])
+    alpha = data.draw(st.sampled_from(roots))
+    at = data.draw(st.integers(0, len(roots)))
+    roots.insert(at, tuple(factor * c for c in alpha))
+    # a +-1 copy keeps the set closed, so the walk must call it not reduced;
+    # another multiple may leave the set first, and either defect is an error
+    match = "not reduced" if abs(factor) == 1 else "not reduced|not closed"
+    with pytest.raises(RootSystemError, match=match):
+        build_root_system(roots, [1] * len(roots))
 
 
 def test_non_reduced_names_both_roots_of_the_line():
@@ -165,6 +213,17 @@ def test_per_root_multiplicities_accepted_when_constant():
 def test_multiplicity_count_mismatch():
     with pytest.raises(RootSystemError, match="expected"):
         build_root_system("b:d=2", [1, 2, 3])
+
+
+def test_multiplicity_count_names_both_counts_when_they_differ():
+    with pytest.raises(RootSystemError, match=r"expected 2 multiplicities \(one per orbit\) "
+                       r"or 4 \(one per root\), got 3$"):
+        build_root_system("b:d=2", [1, 2, 3])
+
+
+def test_multiplicity_count_named_once_when_every_root_is_an_orbit():
+    with pytest.raises(RootSystemError, match=r"expected 2 multiplicities \(one per orbit\), got 1$"):
+        build_root_system("z2:d=2", ["1"])
 
 
 def test_rotated_sign_flip_system():
