@@ -62,29 +62,44 @@ class DunklContext:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self._kappa = [as_coeff(k) for k in rs.kappa_by_root()]
+        self.dim = rs.dim
+        kappas = [as_coeff(k) for k in rs.multiplicities]  # one per orbit
+        self._kappa = [0] * len(rs.positive_roots)
+        self._weights = [0] * len(rs.positive_roots)
+        q = 1  # the scale of the module docstring
+        for orbit, k in zip(rs.orbits, kappas):
+            if not k:
+                continue
+            den = k.denominator
+            flip = den if den % 2 else den // 2  # the denominator of 2 kappa
+            for idx in orbit:
+                self._kappa[idx] = k
+                action = rs.reflections[idx]
+                if action.signed is None:
+                    q = lcm(q, *((k * a).denominator for a in action.root))
+                else:
+                    q = lcm(q, flip if len(action.support) == 1 else den)
+        for orbit, k in zip(rs.orbits, kappas):
+            num, den = q * k.numerator, k.denominator
+            weight = num // den if num % den == 0 else Fraction(num, den)
+            for idx in orbit:
+                self._weights[idx] = weight
         # lambda = gamma + (d-2)/2, gamma the sum of the multiplicities over
         # the positive roots: the order of every Bessel function downstream,
-        # always >= -1/2
-        self.bessel_index = sum(self._kappa, Fraction(rs.dim - 2, 2))
-        self._active = [i for i, k in enumerate(self._kappa) if k != 0]
-        q = 1  # the scale of the module docstring
-        for idx in self._active:
-            k, action = self._kappa[idx], rs.reflections[idx]
-            if action.signed is None:
-                q = lcm(q, *((k * a).denominator for a in action.root))
-            else:
-                q = lcm(q, (2 * k if len(action.support) == 1 else k).denominator)
+        # always >= -1/2; summed in ints over one common denominator
+        den = lcm(2, *(k.denominator for k in kappas))
+        self.bessel_index = Fraction(
+            (rs.dim - 2) * den // 2
+            + sum(len(orbit) * k.numerator * (den // k.denominator)
+                  for orbit, k in zip(rs.orbits, kappas)),
+            den,
+        )
+        self._active = [i for i, k in enumerate(self._kappa) if k]
         self._scale = q
-        self._weights = [as_coeff(q * k) for k in self._kappa]
         self._quotients: dict[tuple[int, Exponent], Poly] = {}
         self._coord_images: dict[tuple[int, Exponent], Poly] = {}
         self._laplacian_images: dict[Exponent, Poly] = {}
         self._expr_images: dict[Exponent, Poly] = {}
-
-    @property
-    def dim(self) -> int:
-        return self.rs.dim
 
     # -- monomial-level building blocks ------------------------------------
 
@@ -113,7 +128,7 @@ class DunklContext:
         if cached is None:
             pairs = []
             if e[j]:
-                f = tuple(v - 1 if i == j else v for i, v in enumerate(e))
+                f = e[:j] + (e[j] - 1,) + e[j + 1:]
                 pairs.append((self._scale * e[j], Poly.monomial(self.dim, f)))
             for idx in self._active:
                 aj = self.rs.positive_roots[idx][j]
@@ -144,9 +159,9 @@ class DunklContext:
         """
         pairs = list(pairs)
         den = lcm(*(c.denominator for c, _ in pairs))
-        total = linear_combination(
-            self.dim, ((c.numerator * (den // c.denominator), image) for c, image in pairs)
-        )
+        if den != 1:
+            pairs = [(c.numerator * (den // c.denominator), image) for c, image in pairs]
+        total = linear_combination(self.dim, pairs)
         den *= self._scale**power
         if den == 1:
             return total

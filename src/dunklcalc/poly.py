@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import prod
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -242,14 +244,10 @@ def linear_combination(dim: int, pairs: Iterable[tuple[Coeff, Poly]]) -> Poly:
 
 
 def linear_form(coeffs: Sequence) -> Poly:
-    """The polynomial <c, x> for a coefficient vector c."""
+    """The polynomial <c, x> for a coefficient vector c (Poly drops the zero entries)."""
     dim = len(coeffs)
-    terms: dict[Exponent, Coeff] = {}
-    for i, c in enumerate(coeffs):
-        c = as_coeff(c)
-        if c:
-            terms[tuple(1 if j == i else 0 for j in range(dim))] = c
-    return Poly(dim, terms)
+    zero = (0,) * dim
+    return Poly(dim, {zero[:i] + (1,) + zero[i + 1:]: c for i, c in enumerate(coeffs)})
 
 
 def norm_sq_poly(dim: int) -> Poly:
@@ -331,7 +329,7 @@ class ReflectionAction:
     def reflect_vector(self, v: Sequence) -> tuple:
         """r_alpha v; exact for Fraction entries."""
         if self.signed is not None:
-            return tuple(v[t] if s > 0 else -v[t] for t, s in self.signed)
+            return tuple([v[t] if s > 0 else -v[t] for t, s in self.signed])
         return tuple(img.evaluate(v) for img in self.images)
 
 
@@ -344,19 +342,22 @@ def compile_reflection(alpha: Sequence) -> ReflectionAction:
     Any other root keeps the general linear images, and its quotient needs
     compose_reflection and divide_exact_by_linear.
     """
-    root = tuple(as_coeff(a) for a in alpha)
+    root = tuple(alpha)
+    if set(map(type, root)) != {int}:  # int entries are taken as they are
+        root = tuple(map(as_coeff, root))
     dim = len(root)
-    norm = as_coeff(sum(a * a for a in root))
+    norm = as_coeff(sum(map(mul, root, root)))
     if not norm:
         raise PolyError("cannot reflect in a zero root")
-    pivot = max(range(dim), key=lambda i: abs(root[i]))
+    sizes = list(map(abs, root))
+    pivot = sizes.index(max(sizes))
     head = (dim, root, norm, pivot, linear_form(root))
-    support = tuple(i for i, a in enumerate(root) if a)
+    support = tuple(compress(range(dim), root))
     signed = [(i, 1) for i in range(dim)]
     if len(support) == 1:
         k = support[0]
         signed[k] = (k, -1)
-    elif len(support) == 2 and abs(root[support[0]]) == abs(root[support[1]]):
+    elif len(support) == 2 and sizes[support[0]] == sizes[support[1]]:
         j, k = support
         # alpha ~ e_j + eps e_k swaps x_j and x_k with the sign -eps
         s = -1 if (root[j] > 0) == (root[k] > 0) else 1
@@ -364,7 +365,8 @@ def compile_reflection(alpha: Sequence) -> ReflectionAction:
     else:
         images = tuple(reflection_variable_images(root, norm))
         return ReflectionAction(*head, None, images, (), None)
-    unit = as_coeff(Fraction(2 if len(support) == 1 else 1, root[support[0]]))
+    n, c = 2 if len(support) == 1 else 1, root[support[0]]
+    unit = n // c if type(c) is int and n % c == 0 else as_coeff(Fraction(n, c))
     return ReflectionAction(*head, tuple(signed), None, support, unit)
 
 
@@ -577,8 +579,11 @@ class _Scanner:
         except ValueError:  # past the interpreter's int digit limit
             raise self.error("number too long", start) from None
 
-    def rational(self, signed: bool = False) -> Fraction:
-        """integer ['/' integer]; if signed, a sign may touch the digits."""
+    def rational(self, signed: bool = False) -> Coeff:
+        """integer ['/' integer]: an int, or a Fraction after a '/'.
+
+        If signed, a sign may touch the digits.
+        """
         lead = self.peek()
         if signed and lead in ("+", "-"):
             self.pos += 1
@@ -586,7 +591,7 @@ class _Scanner:
         if signed and lead == "-":
             num = -num
         if self.peek() != "/":
-            return Fraction(num)
+            return num
         slash = self.pos
         self.pos += 1
         self.peek()

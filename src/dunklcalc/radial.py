@@ -12,14 +12,16 @@ That closure makes both sides of Hobson's expansion of p(D) applied to a
 radial function exactly computable, which is how the identity is verified
 here: not for a single numeric sample but as a structural equality of
 canonical forms, each reached in one fold per profile family that divides
-only lowest parts by |x|^2 (WeightedFunction._folds).
+only lowest parts by |x|^2 (WeightedFunction._folds).  The fold runs in
+integers, scaled once per family and divided once per output term, and
+each of its Horner steps in |x|^2 is one dict of shifted exponents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Mapping
 
 from .operators import (
@@ -32,6 +34,7 @@ from .operators import (
 )
 from .poly import (
     Coeff,
+    Exponent,
     InvariantError,
     Poly,
     _Scanner,
@@ -205,21 +208,30 @@ class WeightedFunction:
         """(exponent s, rate a, P) per nonzero (rate, exponent parity) family.
 
         P r^s sums the family's parts P_t r^t with s as high as it goes.
-        |x|^2 divides that sum exactly when it divides its lowest part, so
-        only the lowest part is divided: its quotient joins the part at
-        s + 2, a zero lowest part is passed over, and the parts left are
-        summed by Horner in |x|^2 from the top exponent down.  A family
-        whose parts cancel yields nothing.
+        The family is folded in integers: its parts are scaled once by the
+        lcm of their coefficient denominators, and each term of P is divided
+        by that scale once at the end.  |x|^2 divides the family's sum
+        exactly when it divides its lowest part, so only the lowest part is
+        divided (by try_divide_norm_sq, whose monic divisor keeps integer
+        quotients): its quotient joins the part at s + 2, a zero lowest part
+        is passed over, and the parts left are summed by Horner in |x|^2
+        from the top exponent down, one dict per step (_times_norm_sq).  A
+        family whose parts cancel yields nothing.
         """
+        dim = self.dim
         families: dict[tuple, dict[Coeff, Poly]] = {}
         for (s, a), poly in self.parts.items():
             families.setdefault(_family(s, a), {})[s] = poly
         for (a, _), family in families.items():
+            scale = lcm(*(c.denominator for poly in family.values()
+                          for c in poly.terms.values() if type(c) is not int))
+            if scale != 1:
+                family = {s: _scaled(poly, scale) for s, poly in family.items()}
             s, carry = min(family), []
             while family or carry:
                 if s in family:
                     carry.append((1, family.pop(s)))
-                low = linear_combination(self.dim, carry)
+                low = linear_combination(dim, carry)
                 if not low.is_zero() and (quotient := try_divide_norm_sq(low)) is None:
                     family[s] = low
                     break
@@ -228,14 +240,15 @@ class WeightedFunction:
             else:
                 continue  # the parts cancel
             s = max(family)
-            total = family.pop(s)
+            total = family.pop(s).terms
             while family:
                 s -= 2
-                pairs = _norm_sq_shifts(total)
-                if s in family:
-                    pairs.append((1, family.pop(s)))
-                total = linear_combination(self.dim, pairs)
-            yield s, a, total
+                part = family.pop(s, None)
+                total = _times_norm_sq(dim, total, part.terms if part else None)
+            if scale != 1:
+                total = {e: v // scale if v % scale == 0 else Fraction(v, scale)
+                         for e, v in total.items()}
+            yield s, a, Poly(dim, total)
 
     def is_zero(self) -> bool:
         return next(self._folds(), None) is None
@@ -268,9 +281,10 @@ class WeightedFunction:
                 raise InvariantError(
                     f"weighted function is not a polynomial (found exponent {s}, rate {a})"
                 )
+            terms = total.terms
             for _ in range(int(half)):
-                total = linear_combination(self.dim, _norm_sq_shifts(total))
-            pairs.append((1, total))
+                terms = _times_norm_sq(self.dim, terms)
+            pairs.append((1, Poly(self.dim, terms)))
         return linear_combination(self.dim, pairs)
 
     def __str__(self) -> str:
@@ -296,14 +310,36 @@ def _combine_parts(
     return parts
 
 
-def _times_var(poly: Poly, j: int, k: int = 1) -> Poly:
-    """poly * x_j^k, a shift of exponents."""
-    return Poly(poly.dim, {e[:j] + (e[j] + k,) + e[j + 1:]: c for e, c in poly.terms.items()})
+def _times_var(poly: Poly, j: int) -> Poly:
+    """poly * x_j, a shift of exponents."""
+    return Poly(poly.dim, {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in poly.terms.items()})
 
 
-def _norm_sq_shifts(poly: Poly) -> list[tuple[int, Poly]]:
-    """poly * |x|^2 as linear_combination pairs, with no coefficient products."""
-    return [(1, _times_var(poly, j, 2)) for j in range(poly.dim)]
+def _scaled(poly: Poly, scale: int) -> Poly:
+    """poly * scale, for a scale that clears every denominator: int coefficients."""
+    return Poly(poly.dim, {
+        e: c * scale if type(c) is int else c.numerator * (scale // c.denominator)
+        for e, c in poly.terms.items()
+    })
+
+
+def _times_norm_sq(
+    dim: int, terms: Mapping[Exponent, Coeff], part: Mapping[Exponent, Coeff] | None = None
+) -> dict[Exponent, Coeff]:
+    """part + terms * |x|^2 in one dict, for nonempty terms: each x^e moves to every x^(e + 2 e_j).
+
+    A monomial to monomial map: the shifted exponents are zipped from the
+    coordinate columns of all the terms at once, no Poly is built and no
+    coefficient is re-checked; zero coefficients may stay until the caller
+    builds a Poly.
+    """
+    out = dict(part) if part else {}
+    columns, values = list(zip(*terms)), list(terms.values())
+    for j in range(dim):
+        shifted = zip(*columns[:j], [k + 2 for k in columns[j]], *columns[j + 1:])
+        for f, c in zip(shifted, values):
+            out[f] = out.get(f, 0) + c
+    return out
 
 
 def _apply_coord_weighted(
@@ -401,7 +437,7 @@ def parse_profile(text: str) -> RadialProfile:
     """
     scanner = _Scanner(text)
 
-    def factor() -> tuple[Fraction, Fraction, Fraction]:
+    def factor() -> tuple[Coeff, Coeff, Coeff]:
         """(coefficient, r exponent, gaussian rate) of one factor."""
         if scanner.take("exp"):
             scanner.expect("(")
@@ -409,25 +445,25 @@ def parse_profile(text: str) -> RadialProfile:
             mark = scanner.pos
             scanner.take("+") or scanner.take("-")
             if scanner.take("r^2"):  # unit rate: exp(r^2), exp(-r^2)
-                rate = Fraction(-1 if scanner.text[mark] == "-" else 1)
+                rate = -1 if scanner.text[mark] == "-" else 1
             else:
                 scanner.pos = mark
                 rate = scanner.rational(signed=True)
                 scanner.expect("*r^2")
             scanner.expect(")")
-            return Fraction(1), Fraction(0), rate
+            return 1, 0, rate
         if scanner.take("r"):
-            exponent = Fraction(1)
+            exponent = 1
             if scanner.take("^"):
                 if scanner.take("("):
                     exponent = scanner.rational(signed=True)
                     scanner.expect(")")
                 else:
                     exponent = scanner.rational()
-            return Fraction(1), exponent, Fraction(0)
+            return 1, exponent, 0
         ch = scanner.peek()
         if ch.isdecimal():
-            return scanner.rational(), Fraction(0), Fraction(0)
+            return scanner.rational(), 0, 0
         raise scanner.error(f"unexpected character {ch!r}")
 
     pieces = []

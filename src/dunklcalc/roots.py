@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import neg
 from typing import Sequence
 
 from .poly import Coeff, ReflectionAction, as_coeff, compile_reflection
@@ -62,14 +63,16 @@ def _orbit_partition(
     """Closure, reduction and orbits, in one walk of every root reflected in every root.
 
     Each root and its negative are indexed (the first root keeps each key),
-    so one lookup finds an image up to sign; for j != i, r_i(beta_j) =
-    -beta_j exactly when the two roots are proportional.  Roots linked by a
-    chain of reflections share an orbit; actions[i] reflects in roots[i].
+    so one lookup finds an image up to sign; the whole root list is
+    reflected in roots[i] (by actions[i]) and looked up at once.  For
+    j != i, r_i(beta_j) = -beta_j exactly when the two roots are
+    proportional.  Roots linked by a chain of reflections share an orbit;
+    a reflection swaps its pairs of roots, so each pair is joined once.
     """
     index: dict[Vector, int] = {}
     for i, r in enumerate(roots):
         index.setdefault(r, i)
-        index.setdefault(tuple(-c for c in r), i)
+        index.setdefault(tuple(map(neg, r)), i)
     parent = list(range(len(roots)))
 
     def find(i: int) -> int:
@@ -79,22 +82,22 @@ def _orbit_partition(
         return i
 
     for i, (alpha, action) in enumerate(zip(roots, actions)):
-        for j, beta in enumerate(roots):
-            image = action.reflect_vector(beta)
-            k = index.get(image)
+        images = list(map(action.reflect_vector, roots))
+        for j, k in enumerate(map(index.get, images)):
             if k is None:
                 raise RootSystemError(
-                    f"system is not closed: reflecting {_fmt_vec(beta)} in "
+                    f"system is not closed: reflecting {_fmt_vec(roots[j])} in "
                     f"{_fmt_vec(alpha)} leaves the root set"
                 )
-            if k == j and j != i and image != beta:  # image == beta: alpha is orthogonal
+            if k > j:  # r_i swaps beta_j and beta_k up to sign, so k < j repeats a pair
+                ri, rj = find(j), find(k)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+            elif k == j and j != i and images[j] != roots[j]:  # equal: alpha is orthogonal
                 raise RootSystemError(
                     f"not reduced: {_fmt_vec(roots[min(i, j)])} and "
                     f"{_fmt_vec(roots[max(i, j)])} are proportional"
                 )
-            ri, rj = find(j), find(k)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
 
     groups: dict[int, list[int]] = {}
     for i in range(len(roots)):
@@ -131,11 +134,13 @@ def _catalog_roots(name: str) -> tuple[int, list[Vector]]:
         raise RootSystemError(f"catalog name {name!r} needs an integer d parameter")
     _check_dim(d)
 
+    zero = (0,) * d
+
     def unit(i: int) -> Vector:
-        return tuple(1 if j == i else 0 for j in range(d))
+        return zero[:i] + (1,) + zero[i + 1:]
 
     def pair(i: int, j: int, sign: int) -> Vector:
-        return tuple(1 if k == i else (sign if k == j else 0) for k in range(d))
+        return zero[:i] + (1,) + zero[i + 1:j] + (sign,) + zero[j + 1:]
 
     if kind == "z2":
         return d, [unit(i) for i in range(d)]
@@ -205,14 +210,17 @@ def build_root_system(
     for r in roots:
         if len(r) != dim:
             raise RootSystemError("roots of mixed dimension")
-        if all(c == 0 for c in r):
+        if not any(r):
             raise RootSystemError("zero vector is not a root")
     actions = tuple(compile_reflection(r) for r in roots)
     orbits = _orbit_partition(roots, actions)
 
     if multiplicities is None:
         raise RootSystemError("multiplicities are required (one per orbit)")
-    mults = [Fraction(m) if not isinstance(m, str) else parse_rational(m) for m in multiplicities]
+    mults = [
+        m if type(m) is Fraction else parse_rational(m) if isinstance(m, str) else Fraction(m)
+        for m in multiplicities
+    ]
     for m in mults:
         if m < 0:
             raise RootSystemError(f"negative multiplicity {m}")

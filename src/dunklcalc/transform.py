@@ -11,13 +11,14 @@ O(N^d).  Every series row (kernel and pairing coefficients, reciprocal
 rising factorials) comes from one helper, util.grown_row: one row per key,
 grown in place and never rebuilt, every table under one bound.  Gaussian
 moments are the spherical ones times powers of two, so Gaussian transforms
-read the same pairing rows.  Hankel transforms use a fixed composite
-20-point Gauss-Legendre rule at two panel counts on a window chosen from a
-Gaussian tail bound, with the first panel graded toward the origin when
-r^(2 nu + 1) has a branch point there; the error bound they state adds the
-tail, the difference of the two rules (an estimate of the rule error), the
-Bessel series error integrated in closed form against the envelope, and
-the rounding of the sum.
+read the same pairing rows, and each one-coordinate Gaussian factor is
+summed once per key, held as a one-entry row of the same helper.  Hankel
+transforms use a fixed composite 20-point Gauss-Legendre rule at two panel
+counts on a window chosen from a Gaussian tail bound, with the first panel
+graded toward the origin when r^(2 nu + 1) has a branch point there; the
+error bound they state adds the tail, the difference of the two rules (an
+estimate of the rule error), the Bessel series error integrated in closed
+form against the envelope, and the rounding of the sum.
 The module confirms, within stated tolerances, the spherical pairing
 formula, the Bochner-Hecke identity for the weighted Gaussian, the Hankel
 picture of transforms of radial multiples, the Hermite eigenfunction
@@ -359,9 +360,23 @@ def sphere_pairing_residual(ctx: DunklContext, p: Poly, ys: Points) -> list[floa
 
 # -- Gaussian transforms ----------------------------------------------------
 
+# One factor per (kappa, exponent, t, n_terms), held as a one-entry row by
+# util.grown_row (bounded by util.ROWS_MAX): the default transforms runs ask
+# for about 200 distinct factors about 2000 times.
+_GAUSS_FACTORS: dict[tuple, list[complex]] = {}
+
+
 def _gauss_factor(
     kappa: Fraction, exponent: int, t: float, n_terms: int | None
 ) -> complex:
+    """_gauss_sum, memoized per (kappa, exponent, t, n_terms) in _GAUSS_FACTORS."""
+    return grown_row(
+        _GAUSS_FACTORS, (kappa, exponent, t, n_terms), 1,
+        lambda row, n: _gauss_sum(kappa, exponent, t, n_terms),
+    )[0]
+
+
+def _gauss_sum(kappa: Fraction, exponent: int, t: float, n_terms: int | None) -> complex:
     """One-coordinate factor sum_n a_n (-i t)^n M(exponent + n).
 
     M is the normalized one-dimensional Gaussian moment: M(m) = 0 for odd m

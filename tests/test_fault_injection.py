@@ -29,7 +29,8 @@ transforms suite must report a failing case or raise QuadratureError:
   changes only a run whose kappas differ, so it runs on z2:d=2 (1/2, 1).
 
 The others run on z2:d=1 (1/2).  Each fault test starts from empty
-transform rows and operator contexts, so no poisoned row outlives it.
+transform rows, Gaussian factors and operator contexts, so no poisoned
+row outlives it and no clean one hides the fault.
 Two known faults fail no case yet and are left out: sphere_pairing run
 4 terms short, and truncation_order lowered by 3.
 """
@@ -195,7 +196,8 @@ TRANSFORM_RUN = ("z2:d=1", ("1/2",))
 ])
 def test_the_transform_battery_fails_under_a_numeric_fault(monkeypatch, fault, run):
     for module, table in (
-        (transform, "_SPHERE_MEAN_CACHE"), (transform, "_KERNEL_ROWS"), (verify, "_CONTEXTS")
+        (transform, "_SPHERE_MEAN_CACHE"), (transform, "_KERNEL_ROWS"),
+        (transform, "_GAUSS_FACTORS"), (verify, "_CONTEXTS"),
     ):
         monkeypatch.setattr(module, table, {})
     fault(monkeypatch)

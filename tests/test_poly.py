@@ -25,6 +25,7 @@ from dunklcalc.poly import (
     parse_poly,
     partial_derivative,
     try_divide_norm_sq,
+    _Scanner,
 )
 from dunklcalc.roots import _catalog_roots
 
@@ -154,6 +155,43 @@ def test_poly_grammar_rejects(text, position):
     with pytest.raises(PolyParseError) as err:
         parse_poly(text, 2)
     assert err.value.position == position
+
+
+def parent_rational(scanner, signed=False):
+    """_Scanner.rational as it was before integer tokens stayed ints."""
+    lead = scanner.peek()
+    if signed and lead in ("+", "-"):
+        scanner.pos += 1
+    num = scanner.digits("a number")
+    if signed and lead == "-":
+        num = -num
+    if scanner.peek() != "/":
+        return Fraction(num)
+    slash = scanner.pos
+    scanner.pos += 1
+    scanner.peek()
+    den = scanner.digits("a denominator")
+    if not den:
+        raise scanner.error("zero denominator", slash)
+    return Fraction(num, den)
+
+
+@given(st.text(alphabet="0123456789/+- \u2212x", max_size=8), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_integer_tokens_read_as_ints_where_the_parent_read_fractions(text, signed):
+    def outcome(read):
+        scanner = _Scanner(text)
+        try:
+            value = read(scanner)
+        except PolyParseError as exc:
+            return str(exc), exc.position
+        return value, scanner.pos
+
+    got = outcome(lambda scanner: scanner.rational(signed=signed))
+    assert got == outcome(lambda scanner: parent_rational(scanner, signed))
+    value, end = got
+    if not isinstance(value, str):
+        assert (type(value) is int) == ("/" not in text[:end])
 
 
 def test_format_canonical_order():

@@ -660,3 +660,126 @@ def test_integral_profile_keys_are_ints():
     integral = [v for key in keys for v in key if v == int(v)]
     assert len(integral) > 100
     assert all(type(v) is int for v in integral)
+
+
+# -- the integer fold against the Poly Horner fold it replaced -----------------
+
+
+def horner_folds(w):
+    """(s, a, P) per family, folded with one Poly and one re-check per Horner step.
+
+    The canonical fold as it ran before it moved to integers: the same
+    strip of |x|^2 from the lowest part up, then Horner with d shifted
+    Polys summed by linear_combination per step.
+    """
+    families = {}
+    for (s, a), poly in w.parts.items():
+        families.setdefault((a, s % 2), {})[s] = poly
+    for (a, _), family in families.items():
+        s, carry = min(family), []
+        while family or carry:
+            if s in family:
+                carry.append((1, family.pop(s)))
+            low = linear_combination(w.dim, carry)
+            if not low.is_zero() and (quotient := try_divide_norm_sq(low)) is None:
+                family[s] = low
+                break
+            carry = [] if low.is_zero() else [(1, quotient)]
+            s += 2
+        else:
+            continue
+        s = max(family)
+        total = family.pop(s)
+        while family:
+            s -= 2
+            pairs = horner_shifts(total)
+            if s in family:
+                pairs.append((1, family.pop(s)))
+            total = linear_combination(w.dim, pairs)
+        yield s, a, total
+
+
+def horner_shifts(poly):
+    """poly * |x|^2 as linear_combination pairs, one shifted Poly per coordinate."""
+    return [
+        (1, Poly(poly.dim, {e[:j] + (e[j] + 2,) + e[j + 1:]: c for e, c in poly.terms.items()}))
+        for j in range(poly.dim)
+    ]
+
+
+def horner_str(w):
+    pieces = []
+    for s, a, poly in sorted(horner_folds(w), key=lambda fold: (fold[1], fold[0])):
+        text = format_profile(RadialProfile.power_gauss(s, a))
+        pieces.append(str(poly) if text == "1" else f"[{poly}] * {text}")
+    return " + ".join(pieces) if pieces else "0"
+
+
+def horner_as_polynomial(w):
+    pairs = []
+    for s, a, total in horner_folds(w):
+        half, rem = divmod(s, 2)
+        if a != 0 or rem != 0 or half < 0 or half.denominator != 1:
+            raise InvariantError(
+                f"weighted function is not a polynomial (found exponent {s}, rate {a})"
+            )
+        for _ in range(int(half)):
+            total = linear_combination(w.dim, horner_shifts(total))
+        pairs.append((1, total))
+    return linear_combination(w.dim, pairs)
+
+
+@st.composite
+def fraction_weighted_pairs(draw):
+    """(dim, w, v) as weighted_pairs draws them, with Fraction coefficients.
+
+    Exponents may be negative or fractional, rates take four values, and v
+    moves some parts of w across r^2 and may add parts, so w - v often
+    cancels family by family.
+    """
+    dim = draw(st.integers(1, 3))
+    r2 = norm_sq_poly(dim)
+    coeffs = st.builds(Q, st.integers(-6, 6), st.integers(1, 6))
+    polys = st.builds(
+        lambda terms, k: Poly(dim, terms) * r2**k,
+        st.dictionaries(st.tuples(*[st.integers(0, 2)] * dim), coeffs, max_size=4),
+        st.integers(0, 2),
+    )
+    parts = st.tuples(
+        polys,
+        st.integers(-4, 4),
+        st.sampled_from([Q(0), Q(1, 3), Q(-1, 2)]),
+        st.sampled_from([Q(0), Q(-1, 2), Q(1), Q(2, 3)]),
+        st.booleans(),
+    )
+    w_terms, v_terms = [], []
+    for poly, s, offset, rate, moved in draw(st.lists(parts, max_size=5)):
+        s += offset
+        w_terms.append((poly, RadialProfile.power_gauss(s, rate)))
+        v_terms.append(
+            (poly * r2, RadialProfile.power_gauss(s - 2, rate))
+            if moved else (poly, RadialProfile.power_gauss(s, rate))
+        )
+    for poly, s, offset, rate, _ in draw(st.lists(parts, max_size=2)):
+        v_terms.append((poly, RadialProfile.power_gauss(s + offset, rate)))
+    return dim, WeightedFunction(dim, w_terms), WeightedFunction(dim, v_terms)
+
+
+@given(fraction_weighted_pairs())
+@settings(max_examples=300, deadline=None)
+def test_integer_fold_matches_the_poly_horner_fold(case):
+    dim, w, v = case
+    for f in (w, v, w - v, w + v, w.scale(Q(-2, 3)) + v):
+        folds = {(s, a): poly for s, a, poly in f._folds()}
+        assert folds == {(s, a): poly for s, a, poly in horner_folds(f)}
+        for poly in folds.values():  # coefficients canonical: int when integral
+            assert all(type(c) is int or c.denominator != 1 for c in poly.terms.values())
+        assert str(f) == horner_str(f)
+        try:
+            expected = horner_as_polynomial(f)
+        except InvariantError as exc:
+            with pytest.raises(InvariantError) as err:
+                f.as_polynomial()
+            assert str(err.value) == str(exc)
+        else:
+            assert f.as_polynomial() == expected

@@ -1,6 +1,7 @@
 import itertools
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from dunklcalc.operators import DunklContext
 from dunklcalc.poly import (
     Poly,
     PolyError,
+    as_coeff,
     compile_reflection,
     compose_reflection,
     reflection_variable_images,
@@ -488,3 +490,196 @@ def test_custom_root_count_capped_before_any_entry(tmp_path, monkeypatch):
 
 def test_root_cap_is_inclusive():
     assert len(build_root_system(f"b:d={MAX_DIM}", [1, 1]).positive_roots) == MAX_ROOTS
+
+
+# -- the lean build against the build it replaced ------------------------------
+
+
+def parent_compile(alpha):
+    """(root, norm, pivot, support, signed, unit) as compile_reflection computed them.
+
+    A copy of the compilation before int entries were taken as they are and
+    the unit was computed in ints.
+    """
+    root = tuple(as_coeff(a) for a in alpha)
+    dim = len(root)
+    norm = as_coeff(sum(a * a for a in root))
+    pivot = max(range(dim), key=lambda i: abs(root[i]))
+    support = tuple(i for i, a in enumerate(root) if a)
+    signed = [(i, 1) for i in range(dim)]
+    if len(support) == 1:
+        k = support[0]
+        signed[k] = (k, -1)
+    elif len(support) == 2 and abs(root[support[0]]) == abs(root[support[1]]):
+        j, k = support
+        s = -1 if (root[j] > 0) == (root[k] > 0) else 1
+        signed[j], signed[k] = (k, s), (j, s)
+    else:
+        return root, norm, pivot, (), None, None
+    unit = as_coeff(Fraction(2 if len(support) == 1 else 1, root[support[0]]))
+    return root, norm, pivot, support, tuple(signed), unit
+
+
+def parent_orbits(roots):
+    """The orbits of a root list, or its RootSystemError, as the walk found them.
+
+    A copy of the checks and the one reflection walk before the images were
+    reflected and looked up with map and only distinct roots were joined.
+    """
+    roots = [tuple(as_coeff(c) for c in r) for r in roots]
+    for r in roots:
+        if len(r) != len(roots[0]):
+            raise RootSystemError("roots of mixed dimension")
+        if all(c == 0 for c in r):
+            raise RootSystemError("zero vector is not a root")
+    actions = [compile_reflection(r) for r in roots]
+    index = {}
+    for i, r in enumerate(roots):
+        index.setdefault(r, i)
+        index.setdefault(tuple(-c for c in r), i)
+    parent = list(range(len(roots)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    fmt = dunklcalc.roots._fmt_vec
+    for i, (alpha, action) in enumerate(zip(roots, actions)):
+        for j, beta in enumerate(roots):
+            image = action.reflect_vector(beta)
+            k = index.get(image)
+            if k is None:
+                raise RootSystemError(
+                    f"system is not closed: reflecting {fmt(beta)} in {fmt(alpha)} "
+                    "leaves the root set"
+                )
+            if k == j and j != i and image != beta:
+                raise RootSystemError(
+                    f"not reduced: {fmt(roots[min(i, j)])} and {fmt(roots[max(i, j)])} "
+                    "are proportional"
+                )
+            ri, rj = find(j), find(k)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(roots)):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+
+
+def parent_context_constants(rs):
+    """(kappa per root, active roots, q, weights, Bessel index), computed per root."""
+    kappa = [as_coeff(k) for k in rs.kappa_by_root()]
+    bessel = sum(kappa, Fraction(rs.dim - 2, 2))
+    active = [i for i, k in enumerate(kappa) if k != 0]
+    q = 1
+    for idx in active:
+        k, action = kappa[idx], rs.reflections[idx]
+        if action.signed is None:
+            q = lcm(q, *((k * a).denominator for a in action.root))
+        else:
+            q = lcm(q, (2 * k if len(action.support) == 1 else k).denominator)
+    return kappa, active, q, [as_coeff(q * k) for k in kappa], bessel
+
+
+def _signs(n):
+    return itertools.product((1, -1), repeat=n)
+
+
+# F4: the short roots e_i and (1, +-1, +-1, +-1)/2 form one orbit, which mixes
+# sign flips with roots whose reflection is no signed permutation
+F4 = (
+    [tuple(1 if j == i else 0 for j in range(4)) for i in range(4)]
+    + [tuple(1 if k == i else (s if k == j else 0) for k in range(4))
+       for i in range(4) for j in range(i + 1, 4) for s in (-1, 1)]
+    + [(Q(1, 2),) + tuple(Q(s, 2) for s in signs) for signs in _signs(3)]
+)
+CUSTOM_SYSTEMS = [
+    ROTATED_B2, F4, [(3, 0), (0, Q(1, 2))], [(3, 4), (-4, 3)], [("1/2", 3)],
+    *([root] for root in GENERAL_ROOTS + SCALED_ROOTS),
+]
+KAPPAS = [Q(0), Q(1, 2), Q(1, 3), Q(1), Q(3, 2), Q(2, 3), Q(2)]
+
+
+@pytest.mark.parametrize("source", CATALOG + CUSTOM_SYSTEMS, ids=str)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_lean_build_matches_the_parent_build(source, data):
+    roots = (dunklcalc.roots._catalog_roots(source)[1] if isinstance(source, str)
+             else list(source))
+    orbits = parent_orbits(roots)
+    kappas = data.draw(st.lists(st.sampled_from(KAPPAS), min_size=len(orbits),
+                                max_size=len(orbits)))
+    if data.draw(st.booleans()):  # one multiplicity per root, as strings
+        per_root = [None] * len(roots)
+        for orbit, kappa in zip(orbits, kappas):
+            for i in orbit:
+                per_root[i] = str(kappa)
+        kappas = per_root
+    rs = build_root_system(source, kappas)
+    assert rs.orbits == orbits
+    for root, action in zip(rs.positive_roots, rs.reflections):
+        fields = (action.root, action.norm, action.pivot, action.support, action.signed,
+                  action.unit)
+        assert fields == parent_compile(root)
+    ctx = DunklContext(rs)
+    kappa, active, q, weights, bessel = parent_context_constants(rs)
+    assert (ctx._kappa, ctx._active, ctx._scale, ctx._weights) == (kappa, active, q, weights)
+    assert [type(k) for k in ctx._kappa + ctx._weights] == [type(k) for k in kappa + weights]
+    assert ctx.bessel_index == bessel and type(ctx.bessel_index) is Fraction
+
+
+BAD_ROOT_LISTS = [
+    [(1, 0), (0, 1), (1, 1)],
+    [(1, 0), (2, 0)],
+    [(1, 0), (-1, 0)],
+    [(1, 2), (1, 2)],
+    [(Q(1, 2), 1), (1, 2)],
+    [(1, 0), (0, 1), (2, 0)],
+    [(1, 0), (2, 0), (-2, 0)],
+    [(1, 0), (0, 1), (1, 1), (1, -1), (2, 2)],
+    [(1, 2), (-2, -4)],
+    [(1, 1), (2, 2), (0, 0)],
+    [(1, 10**17), (1, 10**17 + 1)],
+]
+
+
+@pytest.mark.parametrize("roots", BAD_ROOT_LISTS, ids=str)
+def test_lean_build_rejects_as_the_parent_build(roots):
+    with pytest.raises(RootSystemError) as parent_err:
+        parent_orbits(roots)
+    with pytest.raises(RootSystemError) as err:
+        build_root_system(roots, [1] * len(roots))
+    assert str(err.value) == str(parent_err.value)
+
+
+@given(
+    name=st.sampled_from(SMALL_CATALOG),
+    data=st.data(),
+    factor=st.builds(Q, st.integers(-6, 6).filter(bool), st.integers(1, 4)),
+)
+@settings(max_examples=60, deadline=None)
+def test_lean_build_names_the_same_defect_as_the_parent_build(name, data, factor):
+    roots = list(dunklcalc.roots._catalog_roots(name)[1])
+    alpha = data.draw(st.sampled_from(roots))
+    roots.insert(data.draw(st.integers(0, len(roots))), tuple(factor * c for c in alpha))
+    with pytest.raises(RootSystemError) as parent_err:
+        parent_orbits(roots)
+    with pytest.raises(RootSystemError) as err:
+        build_root_system(roots, [1] * len(roots))
+    assert str(err.value) == str(parent_err.value)
+
+
+@given(st.lists(st.one_of(st.integers(-4, 4), rational, st.booleans()), min_size=1, max_size=5)
+       .filter(any))
+@settings(max_examples=200, deadline=None)
+def test_compiled_fields_match_the_parent_compilation(alpha):
+    action = compile_reflection(alpha)
+    fields = (action.root, action.norm, action.pivot, action.support, action.signed, action.unit)
+    expected = parent_compile(alpha)
+    assert fields == expected
+    assert [type(v) for v in action.root + (action.norm, action.unit)] == [
+        type(v) for v in expected[0] + (expected[1], expected[5])
+    ]

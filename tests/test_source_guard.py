@@ -32,6 +32,7 @@ ALLOWED = {
     ("poly", "_divide_monic"): "remainder of an exact division",
     ("poly", "parse_poly"): "term collection while parsing",
     ("radial", "_profile"): "profile coefficients",
+    ("radial", "_times_norm_sq"): "monomial to monomial map",
 }
 
 

@@ -329,6 +329,22 @@ def test_gauss_factor_matches_exact_recurrence():
                     assert got == want, (kappa, exponent, t, n_terms)
 
 
+def test_gauss_factor_is_summed_once_per_key(monkeypatch):
+    monkeypatch.setattr(dunklcalc.transform, "_GAUSS_FACTORS", {})
+    summed = []
+    gauss_sum = dunklcalc.transform._gauss_sum
+
+    def counted(*key):
+        summed.append(key)
+        return gauss_sum(*key)
+
+    monkeypatch.setattr(dunklcalc.transform, "_gauss_sum", counted)
+    for system, kappas in TRANSFORM_DEFAULT_RUNS[:3]:
+        transforms_suite(system, kappas)
+    assert summed and len(summed) == len(set(summed))
+    assert set(summed) == set(dunklcalc.transform._GAUSS_FACTORS)
+
+
 def test_default_battery_keeps_one_pairing_row_per_kappa_and_exponent(monkeypatch):
     monkeypatch.setattr(dunklcalc.transform, "_SPHERE_MEAN_CACHE", {})
     for system, kappas in TRANSFORM_DEFAULT_RUNS:
