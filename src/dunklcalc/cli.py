@@ -157,8 +157,9 @@ def _cmd_hobson(args, ctx: DunklContext, p: Poly) -> Result:
     rhs = hobson_rhs(ctx, p, profile)
     residual = lhs - rhs
     ok = residual.is_zero()
-    # each str() of a WeightedFunction computes its canonical form, so format once
-    lhs_text, rhs_text = str(lhs), str(rhs)
+    # each str() of a WeightedFunction folds it; a zero residual means equal texts
+    lhs_text = str(lhs)
+    rhs_text = lhs_text if ok else str(rhs)
     payload = {
         "poly": str(p),
         "profile": str(profile),

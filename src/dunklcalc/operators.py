@@ -2,31 +2,32 @@
 
 The context object pairs a root system with its Bessel index and owns the
 memo tables that make repeated applications cheap.  Each entry is a pure
-function of an exponent vector, so it is computed once per context:
+function of an exponent vector, so it is computed once per context.  The
+first three hold term dicts with no zero entry; an operator call builds one
+Poly from them:
 
-- _quotients: the reflection difference quotient of x^e per active root;
+- _quotients: the reflection difference quotient of x^e per active root,
+  over the root's unit (1 for a general root), so with +-1 entries if signed;
 - _coord_images: q times the image of x^e under each coordinate operator D_j;
 - _laplacian_images: q^2 times the sum of squared operators applied to x^e,
   read off _coord_images (the defining route);
-- _expr_images: the explicit second-order expression applied to x^e, built
-  from _quotients alone, so that the two Laplacian routes stay independent
-  checks of each other.
+- _expr_images: the explicit second-order expression applied to x^e, a Poly
+  built from _quotients alone, so that the two Laplacian routes stay
+  independent checks of each other.
 
 A root whose reflection is a signed coordinate permutation (one nonzero
 entry, or two of equal size: every root of the z2, a, b and d catalogs)
-gets its difference quotient in closed form from poly.divided_difference,
-with no substitution and no division.  Any other root expands the
-reflection with compose_reflection and divides by <alpha, x> with
-divide_exact_by_linear.  Each root's entries, <alpha, alpha>, reflection and
-divisor are read from its compiled ReflectionAction in rs.reflections.
+gets its quotient in closed form from poly.divided_difference, with no
+substitution and no division.  Any other root expands the reflection with
+compose_reflection and divides by <alpha, x> with divide_exact_by_linear.
+Each root's entries, <alpha, alpha>, unit, reflection and divisor are read
+from its compiled ReflectionAction in rs.reflections.
 
-The integer scale q is the lcm of the denominators of the root weights that
-the coordinate images take: 2 kappa for a sign flip, kappa for a signed
-transposition, kappa alpha_j for a general root.  It is 1 when the images are
-integral already; otherwise it makes them integral for every signed root, so
-that the tables are summed in int arithmetic.  Every context, q = 1 too,
-takes one scaled path: apply_coord, dunkl_apply and dunkl_laplacian_sq sum
-integer numerators and divide q back out once per output term.
+The integer scale q is the lcm of the denominators of the weights of the
+unit-free quotients in D_j: 2 kappa for a sign flip, +-kappa for a signed
+transposition, kappa alpha_j for a general root.  Times q they are ints, so
+for signed roots the tables hold ints, summed in int arithmetic; apply_coord,
+dunkl_apply and dunkl_laplacian_sq divide q back out once per output term.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .poly import (
     Poly,
     as_coeff,
     classical_laplacian,
+    combine_terms,
     compose_reflection,
     divide_exact_by_linear,
     divided_difference,
@@ -65,7 +67,7 @@ class DunklContext:
         self.dim = rs.dim
         kappas = [as_coeff(k) for k in rs.multiplicities]  # one per orbit
         self._kappa = [0] * len(rs.positive_roots)
-        self._weights = [0] * len(rs.positive_roots)
+        self._rows: list[list[int] | None] = [None] * len(rs.positive_roots)
         q = 1  # the scale of the module docstring
         for orbit, k in zip(rs.orbits, kappas):
             if not k:
@@ -79,11 +81,12 @@ class DunklContext:
                     q = lcm(q, *((k * a).denominator for a in action.root))
                 else:
                     q = lcm(q, flip if len(action.support) == 1 else den)
+        # the int weights q kappa alpha_j unit of each active root's quotient in q D_j
         for orbit, k in zip(rs.orbits, kappas):
             num, den = q * k.numerator, k.denominator
-            weight = num // den if num % den == 0 else Fraction(num, den)
-            for idx in orbit:
-                self._weights[idx] = weight
+            for idx in orbit if k else ():
+                action = rs.reflections[idx]
+                self._rows[idx] = [num * a * (action.unit or 1) // den for a in action.root]
         # lambda = gamma + (d-2)/2, gamma the sum of the multiplicities over
         # the positive roots: the order of every Bessel function downstream,
         # always >= -1/2; summed in ints over one common denominator
@@ -96,17 +99,18 @@ class DunklContext:
         )
         self._active = [i for i, k in enumerate(self._kappa) if k]
         self._scale = q
-        self._quotients: dict[tuple[int, Exponent], Poly] = {}
-        self._coord_images: dict[tuple[int, Exponent], Poly] = {}
-        self._laplacian_images: dict[Exponent, Poly] = {}
+        self._quotients: dict[tuple[int, Exponent], dict] = {}
+        self._coord_images: dict[tuple[int, Exponent], dict] = {}
+        self._laplacian_images: dict[Exponent, dict] = {}
         self._expr_images: dict[Exponent, Poly] = {}
 
     # -- monomial-level building blocks ------------------------------------
 
-    def _quotient(self, root_index: int, e: Exponent) -> Poly:
-        """(x^e - x^e composed with r_alpha) / <alpha, x>, exact.
+    def _quotient(self, root_index: int, e: Exponent) -> dict:
+        """(x^e - x^e composed with r_alpha) / <alpha, x> over the root's unit.
 
-        Closed form for signed-permutation roots, exact division otherwise.
+        Closed form for signed-permutation roots, exact division (unit 1)
+        otherwise; the terms of the quotient, as a dict.
         """
         key = (root_index, e)
         cached = self._quotients.get(key)
@@ -115,58 +119,52 @@ class DunklContext:
             if action.signed is not None:
                 cached = divided_difference(e, action)
             else:
-                mono = Poly.monomial(self.dim, e)
-                diff = mono - compose_reflection(mono, action)
-                cached = divide_exact_by_linear(diff, action)
+                p = Poly.monomial(self.dim, e)
+                cached = divide_exact_by_linear(p - compose_reflection(p, action), action).terms
             self._quotients[key] = cached
         return cached
 
-    def _coord_image(self, j: int, e: Exponent) -> Poly:
-        """q times D_j applied to the monomial x^e."""
+    def _coord_image(self, j: int, e: Exponent) -> dict:
+        """The terms of q times D_j applied to the monomial x^e."""
         key = (j, e)
         cached = self._coord_images.get(key)
         if cached is None:
             pairs = []
             if e[j]:
-                f = e[:j] + (e[j] - 1,) + e[j + 1:]
-                pairs.append((self._scale * e[j], Poly.monomial(self.dim, f)))
+                pairs.append((self._scale * e[j], {e[:j] + (e[j] - 1,) + e[j + 1:]: 1}))
             for idx in self._active:
-                aj = self.rs.positive_roots[idx][j]
-                if aj:
-                    pairs.append((self._weights[idx] * aj, self._quotient(idx, e)))
-            cached = linear_combination(self.dim, pairs)
+                weight = self._rows[idx][j]
+                if weight:
+                    pairs.append((weight, self._quotient(idx, e)))
+            cached = {f: v for f, v in combine_terms(pairs).items() if v}
             self._coord_images[key] = cached
         return cached
 
-    def _laplacian_image(self, e: Exponent) -> Poly:
+    def _laplacian_image(self, e: Exponent) -> dict:
         cached = self._laplacian_images.get(e)
         if cached is None:
-            cached = linear_combination(
-                self.dim,
-                ((c, self._coord_image(j, f))
-                 for j in range(self.dim)
-                 for f, c in self._coord_image(j, e).terms.items()),
-            )
+            terms = combine_terms((c, self._coord_image(j, f)) for j in range(self.dim)
+                                  for f, c in self._coord_image(j, e).items())
+            cached = {f: v for f, v in terms.items() if v}
             self._laplacian_images[e] = cached
         return cached
 
     def _unscaled(self, pairs, power: int = 1) -> Poly:
-        """The sum of c * image over the (c, image) pairs, divided by q^power.
+        """The sum of c * image over the (c, image term dict) pairs, divided by q^power.
 
         The images are summed with the integer numerators of the c over their
-        common denominator, and each output term is divided once, unless
-        that denominator times q^power is 1.
+        common denominator, each output term is divided once, unless that
+        denominator times q^power is 1, and the call's one Poly is built last.
         """
         pairs = list(pairs)
         den = lcm(*(c.denominator for c, _ in pairs))
         if den != 1:
             pairs = [(c.numerator * (den // c.denominator), image) for c, image in pairs]
-        total = linear_combination(self.dim, pairs)
+        total = combine_terms(pairs)
         den *= self._scale**power
-        if den == 1:
-            return total
-        return Poly(self.dim, {e: v // den if v % den == 0 else Fraction(v, den)
-                               for e, v in total.terms.items()})
+        if den != 1:
+            total = {e: v // den if v % den == 0 else Fraction(v, den) for e, v in total.items()}
+        return Poly(self.dim, total)
 
     def _expr_image(self, e: Exponent) -> Poly:
         """The explicit second-order expression applied to the monomial x^e.
@@ -182,11 +180,10 @@ class DunklContext:
             pairs = [(1, classical_laplacian(Poly.monomial(self.dim, e)))]
             for idx in self._active:
                 action = self.rs.reflections[idx]
-                alpha = action.root
-                gradient = Poly(self.dim, {f: 2 * k * alpha[i] for i, k, f in lowered if alpha[i]})
-                numerator = linear_combination(
-                    self.dim, ((1, gradient), (-action.norm, self._quotient(idx, e)))
-                )
+                alpha, unit = action.root, action.unit or 1  # a general root's unit is 1
+                gradient = {f: 2 * k * alpha[i] for i, k, f in lowered if alpha[i]}
+                numerator = Poly(self.dim, combine_terms(
+                    ((1, gradient), (-action.norm * unit, self._quotient(idx, e)))))
                 if numerator.terms:  # zero, for one, when x^e is free of the root's coordinates
                     pairs.append((self._kappa[idx], divide_exact_by_linear(numerator, action)))
             cached = linear_combination(self.dim, pairs)

@@ -214,33 +214,42 @@ class Poly:
         return f"Poly({self.dim}, {format_poly(self)!r})"
 
 
-def linear_combination(dim: int, pairs: Iterable[tuple[Coeff, Poly]]) -> Poly:
-    """The sum of c * q over the (c, q) pairs, collected in one dict.
+def combine_terms(pairs: Iterable[tuple[Coeff, Mapping[Exponent, Coeff]]]) -> dict:
+    """The sum of c * terms over the (c, term dict) pairs, collected in one dict.
 
-    Every operator of the calculus is linear and extended from monomials,
-    so this is how all of them assemble their output.  Each c goes through
-    as_coeff first, so an integral factor multiplies as an int.  Terms keep
-    the order in which their monomials first appear; zero coefficients drop
-    at the end.
+    Every operator of the calculus is linear and extended from monomials, so
+    this is how all of them assemble their output: the operator memo tables
+    sum term dicts, linear_combination Polys.  Each c goes through as_coeff
+    first, so an integral factor multiplies as an int.  Terms keep the order
+    in which their monomials first appear; zero sums stay for the caller.
     """
     out: dict[Exponent, Coeff] = {}
     get = out.get
-    for c, q in pairs:
-        if q.dim != dim:
-            raise PolyError(f"dimension mismatch: {dim} vs {q.dim}")
+    for c, terms in pairs:
         if type(c) is not int:
             c = as_coeff(c)
         if not c:
             continue
         if c == 1:  # no multiply: Fraction * int allocates
-            for e, v in q.terms.items():
+            for e, v in terms.items():
                 old = get(e)
                 out[e] = v if old is None else old + v
         else:
-            for e, v in q.terms.items():
+            for e, v in terms.items():
                 old = get(e)
                 out[e] = c * v if old is None else old + c * v
-    return Poly(dim, out)
+    return out
+
+
+def linear_combination(dim: int, pairs: Iterable[tuple[Coeff, Poly]]) -> Poly:
+    """combine_terms over (c, q) pairs of Polys of dimension dim, as a Poly."""
+    def terms():
+        for c, q in pairs:
+            if q.dim != dim:
+                raise PolyError(f"dimension mismatch: {dim} vs {q.dim}")
+            yield c, q.terms
+
+    return Poly(dim, combine_terms(terms()))
 
 
 def linear_form(coeffs: Sequence) -> Poly:
@@ -308,10 +317,10 @@ class ReflectionAction:
     signed monomial.  Otherwise images[i] is the linear polynomial
     (r_alpha x)_i, and substitution expands products of them.
 
-    A signed action also keeps what divided_difference needs: support holds
-    the indices of the root's nonzero entries, (k,) for a sign flip
-    alpha = c * e_k or (j, k) with j < k for a transposition, and unit is
-    2/c or 1/c, c the entry at support[0].  The sign s of signed[support[0]]
+    A signed action also keeps support, the indices of the root's nonzero
+    entries, (k,) for a sign flip alpha = c * e_k or (j, k) with j < k for a
+    transposition, and unit, 2/c or 1/c with c the entry at support[0], by
+    which divided_difference is scaled.  The sign s of signed[support[0]]
     completes the root: alpha = c * (e_j - s * e_k).  General actions keep
     support () and unit None.
     """
@@ -409,45 +418,37 @@ def compose_reflection(p: Poly, action: ReflectionAction) -> Poly:
     )
 
 
-def divided_difference(e: Exponent, action: ReflectionAction) -> Poly:
-    """(x^e - x^e composed with r_alpha) / <alpha, x> for a signed action.
+def divided_difference(e: Exponent, action: ReflectionAction) -> dict:
+    """(x^e - x^e composed with r_alpha) / <alpha, x> / action.unit, for a signed root.
 
     The Bernstein-Gelfand-Gelfand / Demazure divided difference, built term
-    by term with no division.  Write x^e = m * x_j^a * x_k^b with m the
-    other coordinates.  A sign flip alpha = c e_k gives action.unit = 2/c
-    times x^(e - e_k) for odd a and 0 for even a.  A transposition
-    alpha = c (e_j - e_k) gives sign(a - b) m (x_j x_k)^min(a, b) times
-    h_(|a-b|-1)(x_j, x_k), the complete homogeneous polynomial with every
-    coefficient action.unit = 1/c, and 0 for a = b; alpha = c (e_j + e_k)
-    is the same with x_k replaced by -x_k.  The terms come in descending
-    powers of x_j, the order in which divide_exact_by_linear finds them.
+    by term with no division, as a term dict of +-1 coefficients.  Write
+    x^e = m * x_j^a * x_k^b with m the other coordinates.  A sign flip
+    alpha = c e_k gives x^(e - e_k) for odd a and {} for even a.  A
+    transposition alpha = c (e_j - e_k) gives sign(a - b) m (x_j x_k)^min(a, b)
+    times h_(|a-b|-1)(x_j, x_k), the complete homogeneous polynomial, and {}
+    for a = b; alpha = c (e_j + e_k) is the same with x_k replaced by -x_k.
+    The terms come in descending powers of x_j, the order in which
+    divide_exact_by_linear finds them.
     """
     if action.signed is None:
         raise PolyError("the closed-form quotient needs a signed-permutation root")
-    dim = action.dim
-    if len(e) != dim:
+    if len(e) != action.dim:
         raise PolyError("exponent has wrong dimension")
     if len(action.support) == 1:
         k = action.support[0]
-        if e[k] % 2 == 0:
-            return Poly(dim)
-        f = list(e)
-        f[k] -= 1
-        return Poly(dim, {tuple(f): action.unit})
+        return {e[:k] + (e[k] - 1,) + e[k + 1:]: 1} if e[k] % 2 else {}
     j, k = action.support
     a, b = e[j], e[k]
-    if a == b:
-        return Poly(dim)
-    low = min(a, b)
-    unit = action.unit if a > b else -action.unit
+    sign = 1 if a > b else -1
     # alpha = c (e_j + e_k): x_k^t brings (-1)^t relative to c (e_j - e_k)
     flip = action.signed[j][1] < 0
     terms: dict[Exponent, Coeff] = {}
     f = list(e)
-    for t in range(low, max(a, b)):
+    for t in range(min(a, b), max(a, b)):
         f[j], f[k] = a + b - 1 - t, t
-        terms[tuple(f)] = -unit if flip and (b + t) % 2 else unit
-    return Poly(dim, terms)
+        terms[tuple(f)] = -sign if flip and (b + t) % 2 else sign
+    return terms
 
 
 def _divide_monic(p: Poly, divisor: Poly, pivot: int) -> tuple[dict, dict]:
@@ -640,14 +641,15 @@ def format_poly(p: Poly) -> str:
             for i, k in enumerate(e)
             if k
         )
-        mag = abs(c)
+        mag = str(c)  # sign and magnitude read off the text: abs() builds a Fraction
+        sign, mag = ("-", mag[1:]) if mag[0] == "-" else ("+", mag)
         if not var_part:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = var_part
         else:
             body = f"{mag}*{var_part}"
-        pieces.append(("-" if c < 0 else "+", body))
+        pieces.append((sign, body))
     sign, first = pieces[0]
     text = ("-" if sign == "-" else "") + first
     for sign, body in pieces[1:]:

@@ -422,7 +422,11 @@ def test_hobson_cli_computes_each_side_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_hobson_cli_formats_each_side_once(capsys, monkeypatch):
+HOBSON_ARGV = ("hobson", "--system", "b:d=2", "--kappa", "1,2",
+               "--poly", "x1^2*x2", "--profile", "r^(-3)*exp(-1/2*r^2)")
+
+
+def count_weighted_formats(monkeypatch):
     calls = []
     original = dunklcalc.radial.WeightedFunction.__str__
 
@@ -431,13 +435,30 @@ def test_hobson_cli_formats_each_side_once(capsys, monkeypatch):
         return original(self)
 
     monkeypatch.setattr(dunklcalc.radial.WeightedFunction, "__str__", counted)
-    code, out, _ = run_cli(
-        capsys, "hobson", "--system", "b:d=2", "--kappa", "1,2",
-        "--poly", "x1^2*x2", "--profile", "r^(-3)*exp(-1/2*r^2)",
-    )
+    return calls
+
+
+def test_hobson_cli_formats_each_side_once(capsys, monkeypatch):
+    # the sides agree, so one canonical text serves both
+    calls = count_weighted_formats(monkeypatch)
+    code, out, _ = run_cli(capsys, *HOBSON_ARGV)
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert out.startswith("lhs = ") and "\nrhs = " in out
+    lhs, rhs = (line.split(" = ", 1)[1] for line in out.splitlines()[:2])
+    assert lhs == rhs
+
+
+def test_hobson_cli_formats_both_sides_when_they_differ(capsys, monkeypatch):
+    rhs = dunklcalc.cli.hobson_rhs
+    monkeypatch.setattr(dunklcalc.cli, "hobson_rhs",
+                        lambda ctx, p, profile: rhs(ctx, p.scale(2), profile))
+    calls = count_weighted_formats(monkeypatch)
+    code, out, _ = run_cli(capsys, *HOBSON_ARGV)
+    assert code == dunklcalc.cli.FAILURE_EXIT
+    assert len(calls) == 3  # each side, and the nonzero residual
+    lhs, rhs = (line.split(" = ", 1)[1] for line in out.splitlines()[:2])
+    assert lhs != rhs and "residual = 0" not in out
 
 
 @pytest.mark.parametrize(

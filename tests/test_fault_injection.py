@@ -52,7 +52,9 @@ def _double_first_quotient(monkeypatch):
 
     def doubled(ctx, root_index, e):
         value = quotient(ctx, root_index, e)
-        return value.scale(2) if root_index == ctx._active[0] else value
+        if root_index != ctx._active[0]:
+            return value
+        return {e: 2 * c for e, c in value.items()}
 
     monkeypatch.setattr(DunklContext, "_quotient", doubled)
 

@@ -167,7 +167,8 @@ def test_quotient_miss_uses_the_compiled_reflection(monkeypatch):
     divisions = count_divisions(monkeypatch)
     mono = Poly.monomial(3, (3, 1, 2))
     for idx, alpha in enumerate(ctx.rs.positive_roots):
-        q = ctx._quotient(idx, (3, 1, 2))
+        # the table holds the quotient over the root's unit
+        q = Poly(3, ctx._quotient(idx, (3, 1, 2))).scale(ctx.rs.reflections[idx].unit)
         assert q * linear_form(alpha) == mono - compose_reflection(mono, compile_reflection(alpha))
     assert len(ctx._quotients) == len(ctx.rs.positive_roots)  # every call missed
     assert calls == []
@@ -226,9 +227,9 @@ def reference_laplacian(rs, p):
     )
 
 
-def canonical(p):
+def canonical(terms):
     return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
-               for c in p.terms.values())
+               for c in terms.values())
 
 
 @pytest.mark.parametrize("system, kappas", SCALED_SYSTEMS)
@@ -239,10 +240,12 @@ def test_scaled_memo_tables_hold_integers(system, kappas):
         p = random_poly(rng, ctx.dim, 6)
         dunkl_laplacian_sq(ctx, p)
         apply_coord(ctx, i % ctx.dim, p)
-    assert ctx._coord_images and ctx._laplacian_images
-    for table in (ctx._coord_images, ctx._laplacian_images):
+    assert ctx._quotients and ctx._coord_images and ctx._laplacian_images
+    for table in (ctx._quotients, ctx._coord_images, ctx._laplacian_images):
         for key, value in table.items():
-            assert all(type(c) is int for c in value.terms.values()), key
+            assert all(type(c) is int and c for c in value.values()), key
+    # the signed quotients are stored over their unit, so every entry is +-1
+    assert {c for value in ctx._quotients.values() for c in value.values()} == {1, -1}
 
 
 def test_unscaled_memo_tables_hold_the_images():
@@ -254,9 +257,9 @@ def test_unscaled_memo_tables_hold_the_images():
         dunkl_laplacian_sq(ctx, p)
         apply_coord(ctx, i % 2, p)
     for (j, e), value in ctx._coord_images.items():
-        assert value == reference_coord(ctx.rs, j, Poly.monomial(2, e))
+        assert Poly(2, value) == reference_coord(ctx.rs, j, Poly.monomial(2, e))
     for e, value in ctx._laplacian_images.items():
-        assert value == reference_laplacian(ctx.rs, Poly.monomial(2, e))
+        assert Poly(2, value) == reference_laplacian(ctx.rs, Poly.monomial(2, e))
 
 
 @pytest.mark.parametrize("roots, kappas", SCALED_SYSTEMS + [
@@ -277,9 +280,44 @@ def test_operators_match_a_table_free_reference(roots, kappas):
         assert dunkl_apply(ctx, xi, p) == linear_combination(rs.dim, zip(xi, coords))
         laplacian = dunkl_laplacian_sq(ctx, p)
         assert laplacian == reference_laplacian(rs, p) == dunkl_laplacian_expr(ctx, p)
-        assert canonical(laplacian)
+        assert canonical(laplacian.terms)
     for table in (ctx._coord_images, ctx._laplacian_images):
         assert table and all(canonical(value) for value in table.values())
+
+
+# Orbit counts alongside: kappa_i = (i + 1) / den on orbit i.
+DIFFERENTIAL_SYSTEMS = [
+    ("z2:d=2", 2), ("a:d=3", 1), ("b:d=3", 2), ("d:d=4", 1),
+    ([(1, 2)], 1),  # one root whose reflection is no signed permutation
+]
+
+
+@pytest.mark.parametrize("den", [2, 3, 4])
+@pytest.mark.parametrize("roots, orbits", DIFFERENTIAL_SYSTEMS, ids=str)
+def test_operators_match_the_reference_cold_and_warm(roots, orbits, den):
+    rs = build_root_system(roots, [Q(i + 1, den) for i in range(orbits)])
+    rng = random.Random(den)
+    cases = []
+    for _ in range(3):
+        p = random_poly(rng, rs.dim, 4)
+        xi = dunklcalc.verify.random_direction(rng, rs.dim)
+        coords = [reference_coord(rs, j, p) for j in range(rs.dim)]
+        cases.append((p, xi, coords, linear_combination(rs.dim, zip(xi, coords)),
+                      reference_laplacian(rs, p)))
+
+    def check(ctx, p, xi, coords, directional, laplacian):
+        assert [apply_coord(ctx, j, p) for j in range(rs.dim)] == coords
+        assert dunkl_apply(ctx, xi, p) == directional
+        assert dunkl_laplacian_sq(ctx, p) == laplacian == dunkl_laplacian_expr(ctx, p)
+
+    warm = DunklContext(rs)
+    for case in cases:
+        check(DunklContext(rs), *case)  # every table cold
+        check(warm, *case)  # the tables fill across the cases
+    sizes = [len(warm._quotients), len(warm._coord_images), len(warm._laplacian_images)]
+    for case in cases:
+        check(warm, *case)  # every image read back from a warm table
+    assert [len(warm._quotients), len(warm._coord_images), len(warm._laplacian_images)] == sizes
 
 
 def test_expr_route_reads_no_coordinate_or_laplacian_image(monkeypatch):

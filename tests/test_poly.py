@@ -201,6 +201,22 @@ def test_format_canonical_order():
     assert format_poly(P("-x1")) == "-x1"
 
 
+@pytest.mark.parametrize("c, constant, monomial", [
+    (-1, "-1", "-x1*x2^2"),
+    (Q(-1, 2), "-1/2", "-1/2*x1*x2^2"),
+    (Q(3, 4), "3/4", "3/4*x1*x2^2"),
+    (-7, "-7", "-7*x1*x2^2"),
+])
+def test_format_reads_sign_and_magnitude_off_the_coefficient(c, constant, monomial):
+    assert format_poly(Poly.const(2, c)) == constant
+    assert format_poly(Poly(2, {(1, 2): c})) == monomial
+    # after a leading term the sign becomes the joint
+    joint = f" - {monomial[1:]}" if monomial[0] == "-" else f" + {monomial}"
+    assert format_poly(Poly(2, {(3, 0): 1, (1, 2): c})) == "x1^3" + joint
+    joint = f" - {constant[1:]}" if constant[0] == "-" else f" + {constant}"
+    assert format_poly(Poly(2, {(3, 0): 1, (0, 0): c})) == "x1^3" + joint
+
+
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))
 coeffs = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
 polys = st.dictionaries(exponents, coeffs, max_size=5).map(lambda t: Poly(2, t))
@@ -299,9 +315,11 @@ def test_divided_difference_matches_division(root, scale, data):
     assert action.signed is not None
     closed = divided_difference(e, action)
     oracle = quotient_by_division(e, alpha)
-    assert closed == oracle
+    # the closed form is the quotient over the root's unit
+    assert Poly(len(e), closed).scale(action.unit) == oracle
+    assert set(closed.values()) <= {1, -1}
     # the same term order too, so sums over the memo tables keep theirs
-    assert list(closed.terms) == list(oracle.terms)
+    assert list(closed) == list(oracle.terms)
 
 
 @pytest.mark.parametrize("alpha, e", [
@@ -311,7 +329,7 @@ def test_divided_difference_matches_division(root, scale, data):
     ((0, 2, 2), (7, 2, 2)),  # signed transposition, a = b
 ])
 def test_divided_difference_zero_cases(alpha, e):
-    assert divided_difference(e, compile_reflection(alpha)).is_zero()
+    assert divided_difference(e, compile_reflection(alpha)) == {}
     assert quotient_by_division(e, alpha).is_zero()
 
 
@@ -450,8 +468,9 @@ def test_norm_sq_division_matches_old_loop(case):
 
 
 def assert_canonical(p):
-    """Every coefficient is an int when integral, else a Fraction: no float, no bool."""
-    for e, c in p.terms.items():
+    """Every coefficient of a Poly or a term dict is an int when integral, else a
+    Fraction: no float, no bool."""
+    for e, c in (p.terms if isinstance(p, Poly) else p).items():
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (e, repr(c))
 
 
@@ -498,7 +517,9 @@ def test_every_result_has_canonical_coefficients(case, c, n):
         parse_poly(format_poly(p), dim),
     ]
     if action.signed is not None:
-        results.append(divided_difference(e, action))
+        closed = divided_difference(e, action)
+        assert_canonical(closed)
+        results.append(Poly(dim, closed).scale(action.unit))
     divided = try_divide_norm_sq(q)
     if divided is not None:
         results.append(divided)

@@ -300,7 +300,9 @@ def test_context_holds_no_radial_state():
     assert set(vars(ctx)) == names
     for table in vars(ctx).values():
         if isinstance(table, dict):  # the operator memo tables hold polynomials only
-            assert all(isinstance(value, Poly) for value in table.values())
+            # as Polys, or as the canonical term dicts of Polys
+            assert all(isinstance(value, Poly) or Poly(ctx.dim, value).terms == value
+                       for value in table.values())
 
 
 def test_hobson_constant():

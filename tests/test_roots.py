@@ -570,7 +570,7 @@ def parent_orbits(roots):
 
 
 def parent_context_constants(rs):
-    """(kappa per root, active roots, q, weights, Bessel index), computed per root."""
+    """(kappa per root, active roots, q, weight rows, Bessel index), computed per root."""
     kappa = [as_coeff(k) for k in rs.kappa_by_root()]
     bessel = sum(kappa, Fraction(rs.dim - 2, 2))
     active = [i for i, k in enumerate(kappa) if k != 0]
@@ -581,7 +581,11 @@ def parent_context_constants(rs):
             q = lcm(q, *((k * a).denominator for a in action.root))
         else:
             q = lcm(q, (2 * k if len(action.support) == 1 else k).denominator)
-    return kappa, active, q, [as_coeff(q * k) for k in kappa], bessel
+    # row j of an active root: the weight of its unit-free quotient in q D_j
+    units = [action.unit or 1 for action in rs.reflections]
+    rows = [[as_coeff(q * k * a * unit) for a in root] if k else None
+            for root, k, unit in zip(rs.positive_roots, kappa, units)]
+    return kappa, active, q, rows, bessel
 
 
 def _signs(n):
@@ -625,9 +629,11 @@ def test_lean_build_matches_the_parent_build(source, data):
                   action.unit)
         assert fields == parent_compile(root)
     ctx = DunklContext(rs)
-    kappa, active, q, weights, bessel = parent_context_constants(rs)
-    assert (ctx._kappa, ctx._active, ctx._scale, ctx._weights) == (kappa, active, q, weights)
-    assert [type(k) for k in ctx._kappa + ctx._weights] == [type(k) for k in kappa + weights]
+    kappa, active, q, rows, bessel = parent_context_constants(rs)
+    assert (ctx._kappa, ctx._active, ctx._scale, ctx._rows) == (kappa, active, q, rows)
+    assert [type(k) for k in ctx._kappa] == [type(k) for k in kappa]
+    # every weight is an int: q clears the denominators of each root's row
+    assert {type(w) for idx in active for w in ctx._rows[idx]} <= {int}
     assert ctx.bessel_index == bessel and type(ctx.bessel_index) is Fraction
 
 

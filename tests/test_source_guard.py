@@ -1,7 +1,8 @@
 """Source guards: jobs that have one place in the package stay there.
 
 Every operator of the calculus sums c * q over (c, q) pairs, and
-poly.linear_combination is the one place that does it.  This test parses
+poly.combine_terms (over term dicts, which poly.linear_combination wraps for
+Polys) is the one place that does it.  This test parses
 the package and fails on a new hand-written accumulate statement of the
 form acc[k] = acc.get(k, ...) + ... outside the functions listed below.
 Likewise every verification suite is a case generator, and the one runner
@@ -76,7 +77,7 @@ def _accumulate_sites() -> set[tuple[str, str]]:
 
 def test_no_new_hand_written_accumulate_loops():
     sites = _accumulate_sites()
-    assert sites - ALLOWED.keys() == set(), "use poly.linear_combination"
+    assert sites - ALLOWED.keys() == set(), "use poly.combine_terms or linear_combination"
     # the list stays tight: every allowed site still accumulates by hand
     assert ALLOWED.keys() - sites == set()
 
