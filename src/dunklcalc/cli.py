@@ -12,7 +12,10 @@ builds its context, parses --poly, and prints its JSON payload or text.
 The argument parser is built once per process, on the first call of main,
 and holds no functions: main looks up what to run by the command's name at
 call time, so a body replaced in COMMANDS, SUITES or a route table after
-that first call is the one that runs.
+that first call is the one that runs.  When the first argument names a
+command, main parses the rest with that command's subparser alone; any
+other first argument, or arguments that the subparser leaves over, go to
+the full parser, so every usage error reads as the full parser's.
 """
 
 from __future__ import annotations
@@ -85,7 +88,8 @@ PROJECTION_ROUTES = {
     "maxwell": clebsch_project_maxwell,
 }
 
-# What a command body returns: JSON payload, text output and exit code.
+# What a command body returns: JSON payload, text output and exit code.  A
+# Poly or profile in the payload is formatted only when JSON is printed.
 Result = tuple[dict, str, int]
 
 # Polynomial commands by name in definition order: (help, options, body).
@@ -122,7 +126,9 @@ def _run_command(args) -> int:
         raise UsageError("--poly is required")
     body = COMMANDS[args.command][2]
     payload, text, code = body(args, ctx, parse_poly(args.poly, ctx.dim))
-    print(json.dumps({"system": args.system, **payload}, indent=2) if args.json else text)
+    if args.json:
+        text = json.dumps({"system": args.system, **payload}, indent=2, default=str)
+    print(text)
     return code
 
 
@@ -135,7 +141,7 @@ def _cmd_apply(args, ctx: DunklContext, p: Poly) -> Result:
     if not xi or len(xi) != ctx.dim:
         raise UsageError(f"--xi needs {ctx.dim} comma-separated rationals")
     text = str(dunkl_apply(ctx, xi, p))
-    return {"input": str(p), "result": text}, text, 0
+    return {"input": p, "result": text}, text, 0
 
 
 @_command("laplacian", "apply the Dunkl Laplacian", _route_option(LAPLACIAN_ROUTES))
@@ -161,8 +167,8 @@ def _cmd_hobson(args, ctx: DunklContext, p: Poly) -> Result:
     lhs_text = str(lhs)
     rhs_text = lhs_text if ok else str(rhs)
     payload = {
-        "poly": str(p),
-        "profile": str(profile),
+        "poly": p,
+        "profile": profile,
         "lhs": lhs_text,
         "rhs": rhs_text,
         "residual": "0" if ok else str(residual),
@@ -182,7 +188,7 @@ def _cmd_project(args, ctx: DunklContext, p: Poly) -> Result:
 def _cmd_decompose(args, ctx: DunklContext, p: Poly) -> Result:
     layers = harmonic_decompose(ctx, p)
     components = [{"norm_power": j, "harmonic": str(h)} for j, h in layers]
-    text = "\n".join(f"|x|^{2 * j} * ({h})" for j, h in layers) or "0"
+    text = "\n".join(f"|x|^{2 * c['norm_power']} * ({c['harmonic']})" for c in components) or "0"
     return {"components": components}, text, 0
 
 
@@ -209,12 +215,12 @@ def _cmd_pizzetti(args, ctx: DunklContext, p: Poly) -> Result:
         oracle_value = total
         oracle_match = total == value
     payload = {
-        "poly": str(p),
+        "poly": p,
         "value": str(value),
         "oracle": None if oracle_value is None else str(oracle_value),
         "oracle_match": oracle_match,
     }
-    return payload, str(value), INTERNAL_EXIT if oracle_match is False else 0
+    return payload, payload["value"], INTERNAL_EXIT if oracle_match is False else 0
 
 
 @_command(
@@ -230,7 +236,7 @@ def _cmd_transform(args, ctx: DunklContext, p: Poly) -> Result:
     if not all(math.isfinite(v) for v in y):
         raise UsageError("--y coordinates must be finite")
     value = dunkl_transform_gauss_poly(ctx, p, y)
-    payload = {"poly": str(p), "y": y, "value": [value.real, value.imag]}
+    payload = {"poly": p, "y": y, "value": [value.real, value.imag]}
     text = f"{value.real:+.15e} {value.imag:+.15e}i"
     ok = True
     if p.is_homogeneous() and not p.is_zero():
@@ -301,9 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Dunkl-operator calculus and its verification suites",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}  # name -> subparser, for main's dispatch
 
     for name, (help_text, options, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = parser.commands[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--system", help="catalog name, e.g. z2:d=2, b:d=2, custom:<file>")
         p.add_argument("--kappa", help="comma-separated rational multiplicities, one per orbit")
         p.add_argument("--poly", help="polynomial text, e.g. '3/2*x1^2*x2 - x3'")
@@ -311,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
+    p = parser.commands["verify"] = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--system")
     p.add_argument("--kappa")
@@ -325,8 +332,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """The arguments of argv, parsed as build_parser().parse_args would.
+
+    A command's subparser reads the arguments after its name; the full
+    parser reads argv when argv[0] names no command, or again when the
+    subparser leaves arguments over, so that its error keeps the
+    "dunklcalc:" prefix.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return _cmd_verify(args) if args.command == "verify" else _run_command(args)
     except (ValueError, OSError) as exc:  # bad input, or a file it names is unusable

@@ -43,6 +43,7 @@ from .poly import (
     combine_terms,
     compose_reflection,
     divide_exact_by_linear,
+    divide_numerators,
     divided_difference,
     linear_combination,
     partial_derivative,
@@ -69,10 +70,11 @@ class DunklContext:
         self._kappa = [0] * len(rs.positive_roots)
         self._rows: list[list[int] | None] = [None] * len(rs.positive_roots)
         q = 1  # the scale of the module docstring
+        weights = []  # (index, kappa's numerator times unit, kappa's denominator, root)
         for orbit, k in zip(rs.orbits, kappas):
             if not k:
                 continue
-            den = k.denominator
+            num, den = k.numerator, k.denominator
             flip = den if den % 2 else den // 2  # the denominator of 2 kappa
             for idx in orbit:
                 self._kappa[idx] = k
@@ -81,12 +83,10 @@ class DunklContext:
                     q = lcm(q, *((k * a).denominator for a in action.root))
                 else:
                     q = lcm(q, flip if len(action.support) == 1 else den)
+                weights.append((idx, num * (action.unit or 1), den, action.root))
         # the int weights q kappa alpha_j unit of each active root's quotient in q D_j
-        for orbit, k in zip(rs.orbits, kappas):
-            num, den = q * k.numerator, k.denominator
-            for idx in orbit if k else ():
-                action = rs.reflections[idx]
-                self._rows[idx] = [num * a * (action.unit or 1) // den for a in action.root]
+        for idx, w, den, root in weights:
+            self._rows[idx] = [q * w * a // den for a in root]
         # lambda = gamma + (d-2)/2, gamma the sum of the multiplicities over
         # the positive roots: the order of every Bessel function downstream,
         # always >= -1/2; summed in ints over one common denominator
@@ -163,7 +163,7 @@ class DunklContext:
         total = combine_terms(pairs)
         den *= self._scale**power
         if den != 1:
-            total = {e: v // den if v % den == 0 else Fraction(v, den) for e, v in total.items()}
+            total = divide_numerators(total, den)
         return Poly(self.dim, total)
 
     def _expr_image(self, e: Exponent) -> Poly:

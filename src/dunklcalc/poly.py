@@ -14,12 +14,12 @@ decomposition needs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from itertools import compress
 from math import prod
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -252,11 +252,16 @@ def linear_combination(dim: int, pairs: Iterable[tuple[Coeff, Poly]]) -> Poly:
     return Poly(dim, combine_terms(terms()))
 
 
+def divide_numerators(terms: Mapping[Exponent, int], den: int) -> dict[Exponent, Coeff]:
+    """Each int coefficient divided by den once: an int where den divides it, else a Fraction."""
+    return {e: v // den if v % den == 0 else Fraction(v, den) for e, v in terms.items()}
+
+
 def linear_form(coeffs: Sequence) -> Poly:
-    """The polynomial <c, x> for a coefficient vector c (Poly drops the zero entries)."""
+    """The polynomial <c, x> for a coefficient vector c."""
     dim = len(coeffs)
     zero = (0,) * dim
-    return Poly(dim, {zero[:i] + (1,) + zero[i + 1:]: c for i, c in enumerate(coeffs)})
+    return Poly(dim, {zero[:i] + (1,) + zero[i + 1:]: c for i, c in enumerate(coeffs) if c})
 
 
 def norm_sq_poly(dim: int) -> Poly:
@@ -304,9 +309,11 @@ def reflection_variable_images(alpha: Sequence[Coeff], norm: Coeff) -> list[Poly
     ]
 
 
-@dataclass(frozen=True)
-class ReflectionAction:
+class ReflectionAction(NamedTuple):
     """Everything the calculus needs of one root alpha, compiled once.
+
+    An immutable record, as a frozen dataclass would be, but cheaper to build:
+    every command compiles each root of its system afresh.
 
     root holds alpha's entries through as_coeff, norm is <alpha, alpha>, and
     form is the linear form <alpha, x> that divide_exact_by_linear divides
@@ -355,7 +362,9 @@ def compile_reflection(alpha: Sequence) -> ReflectionAction:
     if set(map(type, root)) != {int}:  # int entries are taken as they are
         root = tuple(map(as_coeff, root))
     dim = len(root)
-    norm = as_coeff(sum(map(mul, root, root)))
+    norm = sum(map(mul, root, root))
+    if type(norm) is not int:
+        norm = as_coeff(norm)
     if not norm:
         raise PolyError("cannot reflect in a zero root")
     sizes = list(map(abs, root))
@@ -460,9 +469,9 @@ def _divide_monic(p: Poly, divisor: Poly, pivot: int) -> tuple[dict, dict]:
     below degree k is the remainder, empty exactly when the division is exact.
     """
     k = max(e[pivot] for e in divisor.terms)
-    lead = tuple(k if i == pivot else 0 for i in range(p.dim))
-    inv = as_coeff(Fraction(1, divisor.terms[lead]))  # 1 / lead, never a float
-    rest = [(e, -c) for e, c in divisor.terms.items() if e != lead]
+    head = tuple(k if i == pivot else 0 for i in range(p.dim))
+    lead = divisor.terms[head]
+    rest = [(e, -c) for e, c in divisor.terms.items() if e != head]
     levels: dict[int, dict[Exponent, Coeff]] = {}
     for e, c in p.terms.items():
         levels.setdefault(e[pivot], {})[e] = c
@@ -470,7 +479,9 @@ def _divide_monic(p: Poly, divisor: Poly, pivot: int) -> tuple[dict, dict]:
     while levels and (top := max(levels)) >= k:
         for e, c in levels.pop(top).items():
             qe = e[:pivot] + (top - k,) + e[pivot + 1:]
-            qc = quot[qe] = c * inv
+            if lead != 1:  # exact, never a float
+                c = c // lead if type(c) is int and not c % lead else Fraction(c, lead)
+            qc = quot[qe] = c
             for shift, w in rest:
                 f = tuple(a + b for a, b in zip(qe, shift))
                 level = levels.setdefault(f[pivot], {})
@@ -534,11 +545,40 @@ def homogeneous_components(p: Poly) -> list[tuple[int, Poly]]:
 MAX_DEGREE = 256
 
 
+# Text made only of the usual token shapes of a grammar is read with one
+# match per factor (_factor_step).  \s and \d follow str.isspace and
+# str.isdecimal, as the character-level reads do.  A number has at most 640
+# digits (the least int digit limit Python allows), so int() never raises,
+# and a zero denominator does not match.  Any other text is read character
+# by character, which reports every error: a factor matched short leaves
+# text that no step matches.
+_SPACE = re.compile(r"\s*")
+_DIGITS = re.compile(r"\d*")
+_INT = r"\d{1,640}"
+# integer ['/' integer]: groups num, den
+_RATIONAL = rf"({_INT})(?:\s*/\s*((?=0*[1-9]){_INT}))?"
+
+
+def _factor_step(factor: str) -> re.Pattern:
+    """A factor with the operator before it (group 1) and the whitespace around both.
+
+    The factor starts at group 2, which is empty; its own groups follow.
+    """
+    return re.compile(rf"\s*([-+*]?)\s*()(?:{factor})\s*")
+
+
+# a rational, or groups index and power of x_index^power
+_POLY_STEP = _factor_step(rf"{_RATIONAL}|x({_INT})(?:\s*\^\s*({_INT}))?")
+
+
 class _Scanner:
     """Cursor over grammar text.
 
     Every error is a PolyParseError at the first character of the offending
-    token, or at len(text) at the end of input.
+    token, or at len(text) at the end of input.  read_sum reads text in a
+    grammar's usual shapes with one match per factor (_factor_step); other
+    text goes character by character through peek, take, digits, rational
+    and the grammar's factor(), which raise every error.
     """
 
     def __init__(self, text: str):
@@ -550,11 +590,8 @@ class _Scanner:
 
     def peek(self) -> str:
         """Skip whitespace; the next character, or "" at the end of input."""
-        text, pos = self.text, self.pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        self.pos = pos
-        return text[pos : pos + 1]
+        pos = self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[pos : pos + 1]
 
     def take(self, token: str) -> bool:
         """Consume token if it comes next, after whitespace."""
@@ -570,13 +607,12 @@ class _Scanner:
 
     def digits(self, what: str) -> int:
         """An unsigned integer that starts right at the cursor."""
-        text, start = self.text, self.pos
-        while self.pos < len(text) and text[self.pos].isdecimal():
-            self.pos += 1
+        start = self.pos
+        self.pos = _DIGITS.match(self.text, start).end()
         if self.pos == start:
             raise self.error(f"expected {what}")
         try:
-            return int(text[start : self.pos])
+            return int(self.text[start : self.pos])
         except ValueError:  # past the interpreter's int digit limit
             raise self.error("number too long", start) from None
 
@@ -601,12 +637,39 @@ class _Scanner:
             raise self.error("zero denominator", slash)
         return Fraction(num, den)
 
-    def read_sum(self, factor: Callable[[], tuple]) -> list[tuple[int, int, list[tuple]]]:
-        """The whole text as a sum of products of factor() results.
+    def read_sum(
+        self,
+        factor: Callable[[], tuple],
+        step: re.Pattern,
+        token: Callable[..., tuple | None],
+    ) -> list[tuple[int, int, list[tuple]]]:
+        """The whole text as a sum of products of factors.
 
         Returns (sign, position, factors) per term, where position is the
-        start of the term's first factor.
+        start of the term's first factor.  While the text comes in the
+        grammar's usual shapes, each factor is token(*groups) of one match
+        of step; when it does not, or when token gives None (a variable out
+        of range), the whole text is read again character by character, each
+        factor by factor().
         """
+        text, pos, terms = self.text, 0, []
+        while pos < len(text):
+            match = step.match(text, pos)
+            read = match and token(*match.groups()[2:])
+            if read is None:
+                break
+            op = match[1]
+            if op == "*" and terms:
+                factors.append(read)
+            elif op != "*" and (op or not terms):  # only the first term may go unsigned
+                factors = [read]
+                terms.append((-1 if op == "-" else 1, match.start(2), factors))
+            else:
+                break
+            pos = match.end()
+        else:
+            if terms:
+                return terms
         if not self.peek():
             raise self.error("empty input")
         terms = []
@@ -665,11 +728,18 @@ def parse_poly(text: str, dim: int) -> Poly:
     """
     scanner = _Scanner(text)
 
-    def factor() -> tuple[Coeff, int, int]:
-        """(coefficient, 0-based variable, power) of one factor."""
+    def token(num, den, index, power) -> tuple[int, int, int, int] | None:
+        if index is None:
+            return int(num), int(den) if den else 1, 0, 0
+        i = int(index)
+        return (1, 1, i - 1, int(power) if power else 1) if 1 <= i <= dim else None
+
+    def factor() -> tuple[int, int, int, int]:
+        """(numerator, denominator, 0-based variable, power) of one factor."""
         ch, at = scanner.peek(), scanner.pos
         if ch.isdecimal():
-            return scanner.rational(), 0, 0
+            c = scanner.rational()
+            return c.numerator, c.denominator, 0, 0
         if not scanner.take("x"):
             raise scanner.error(f"unexpected character {ch!r}")
         index = scanner.digits("variable index")
@@ -679,16 +749,18 @@ def parse_poly(text: str, dim: int) -> Poly:
         if scanner.take("^"):
             scanner.peek()
             power = scanner.digits("exponent")
-        return 1, index - 1, power
+        return 1, 1, index - 1, power
 
+    # each term's coefficient is built in ints, and made a Fraction once
     terms: dict[Exponent, Coeff] = {}
-    for sign, start, factors in scanner.read_sum(factor):
-        coeff, exps = sign, [0] * dim
-        for c, i, k in factors:
-            coeff *= c
+    for sign, start, factors in scanner.read_sum(factor, _POLY_STEP, token):
+        num, den, exps = sign, 1, [0] * dim
+        for n, d, i, k in factors:
+            num *= n
+            den *= d
             exps[i] += k
         if sum(exps) > MAX_DEGREE:
             raise scanner.error(f"term degree {sum(exps)} exceeds {MAX_DEGREE}", start)
         e = tuple(exps)
-        terms[e] = terms.get(e, 0) + coeff
+        terms[e] = terms.get(e, 0) + (num if den == 1 else Fraction(num, den))
     return Poly(dim, terms)

@@ -19,6 +19,7 @@ each of its Horner steps in |x|^2 is one dict of shifted exponents.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
@@ -37,8 +38,11 @@ from .poly import (
     Exponent,
     InvariantError,
     Poly,
+    _RATIONAL,
     _Scanner,
+    _factor_step,
     as_coeff,
+    divide_numerators,
     linear_combination,
     try_divide_norm_sq,
 )
@@ -246,8 +250,7 @@ class WeightedFunction:
                 part = family.pop(s, None)
                 total = _times_norm_sq(dim, total, part.terms if part else None)
             if scale != 1:
-                total = {e: v // scale if v % scale == 0 else Fraction(v, scale)
-                         for e, v in total.items()}
+                total = divide_numerators(total, scale)
             yield s, a, Poly(dim, total)
 
     def is_zero(self) -> bool:
@@ -425,6 +428,16 @@ def hobson_residual(
     return hobson_lhs(ctx, p, profile) - hobson_rhs(ctx, p, profile)
 
 
+# The usual shapes of a factor of parse_profile, with no whitespace inside
+# the r and exp forms: a rational (groups 1-2); r, r^p/q or r^(+-p/q)
+# (groups 3-4 bare, 5-7 in parentheses); exp(+-p/q*r^2) or exp(+-r^2)
+# (groups 8-10).
+_PROFILE_STEP = _factor_step(
+    rf"{_RATIONAL}|r(?:\^(?:{_RATIONAL}|\(([-+]?){_RATIONAL}\)))?"
+    rf"|exp\(([-+]?)(?:{_RATIONAL}\*)?r\^2\)"
+)
+
+
 def parse_profile(text: str) -> RadialProfile:
     """Parse profile text like "r^(-3)*exp(-1/2*r^2)" or "r^2 + 2*r^4".
 
@@ -436,6 +449,22 @@ def parse_profile(text: str) -> RadialProfile:
     differences even), else ValueError.
     """
     scanner = _Scanner(text)
+
+    def value(num: str, den: str | None) -> Coeff:
+        return int(num) if den is None else Fraction(int(num), int(den))
+
+    def token(num, den, bare, bare_den, sign, r_num, r_den, e_sign, e_num, e_den):
+        if num is not None:
+            return value(num, den), 0, 0
+        if bare is not None:
+            return 1, value(bare, bare_den), 0
+        if r_num is not None:
+            exponent = value(r_num, r_den)
+            return 1, -exponent if sign == "-" else exponent, 0
+        if e_sign is None:
+            return 1, 1, 0  # r
+        rate = 1 if e_num is None else value(e_num, e_den)
+        return 1, 0, -rate if e_sign == "-" else rate
 
     def factor() -> tuple[Coeff, Coeff, Coeff]:
         """(coefficient, r exponent, gaussian rate) of one factor."""
@@ -467,7 +496,7 @@ def parse_profile(text: str) -> RadialProfile:
         raise scanner.error(f"unexpected character {ch!r}")
 
     pieces = []
-    for sign, _, factors in scanner.read_sum(factor):
+    for sign, _, factors in scanner.read_sum(factor, _PROFILE_STEP, token):
         coeff, exponent, rate = sign, 0, 0
         for c, e, a in factors:
             coeff *= c

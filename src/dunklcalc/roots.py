@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import neg
+from itertools import compress
+from operator import and_, eq, ne, neg
 from typing import Sequence
 
 from .poly import Coeff, ReflectionAction, as_coeff, compile_reflection
@@ -64,45 +65,58 @@ def _orbit_partition(
 
     Each root and its negative are indexed (the first root keeps each key),
     so one lookup finds an image up to sign; the whole root list is
-    reflected in roots[i] (by actions[i]) and looked up at once.  For
-    j != i, r_i(beta_j) = -beta_j exactly when the two roots are
-    proportional.  Roots linked by a chain of reflections share an orbit;
-    a reflection swaps its pairs of roots, so each pair is joined once.
+    reflected in roots[i] (by actions[i]) and looked up at once.  A signed
+    reflection permutes and negates the coordinate columns of the list,
+    which are zipped back into rows; a general one maps each row with
+    reflect_vector.  For j != i, r_i(beta_j) = -beta_j exactly when the two
+    roots are proportional, and the first defect in j is reported.  The
+    orbit of a root is then every root its images reach.
     """
+    n = len(roots)
     index: dict[Vector, int] = {}
+    negatives = []
     for i, r in enumerate(roots):
+        negatives.append(tuple(map(neg, r)))
         index.setdefault(r, i)
-        index.setdefault(tuple(map(neg, r)), i)
-    parent = list(range(len(roots)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+        index.setdefault(negatives[i], i)
+    columns = {1: list(zip(*roots)), -1: list(zip(*negatives))}  # by sign, then coordinate
+    moves = []  # moves[i][j]: the index of r_i(beta_j), up to sign
 
     for i, (alpha, action) in enumerate(zip(roots, actions)):
-        images = list(map(action.reflect_vector, roots))
-        for j, k in enumerate(map(index.get, images)):
-            if k is None:
-                raise RootSystemError(
-                    f"system is not closed: reflecting {_fmt_vec(roots[j])} in "
-                    f"{_fmt_vec(alpha)} leaves the root set"
-                )
-            if k > j:  # r_i swaps beta_j and beta_k up to sign, so k < j repeats a pair
-                ri, rj = find(j), find(k)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-            elif k == j and j != i and images[j] != roots[j]:  # equal: alpha is orthogonal
+        if action.signed is None:
+            images = list(map(action.reflect_vector, roots))
+        else:
+            images = list(zip(*[columns[s][t] for t, s in action.signed]))
+        targets = list(map(index.get, images))
+        left = targets.index(None) if None in targets else n
+        # the j below left with r_i(beta_j) = -beta_j: i itself, or a defect
+        flipped = map(and_, map(eq, targets, range(left)), map(ne, images, roots))
+        for j in compress(range(left), flipped):
+            if j != i:
                 raise RootSystemError(
                     f"not reduced: {_fmt_vec(roots[min(i, j)])} and "
                     f"{_fmt_vec(roots[max(i, j)])} are proportional"
                 )
+        if left < n:
+            raise RootSystemError(
+                f"system is not closed: reflecting {_fmt_vec(roots[left])} in "
+                f"{_fmt_vec(alpha)} leaves the root set"
+            )
+        moves.append(targets)
 
-    groups: dict[int, list[int]] = {}
-    for i in range(len(roots)):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+    images_of = list(zip(*moves))  # images_of[j]: beta_j's image under each reflection
+    orbits: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for first in range(n):
+        if first not in seen:
+            orbit, frontier = {first}, [first]
+            while frontier:
+                new = set(images_of[frontier.pop()]) - orbit
+                orbit |= new
+                frontier += new
+            seen |= orbit
+            orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 def _fmt_vec(v: Vector) -> str:
@@ -212,7 +226,7 @@ def build_root_system(
             raise RootSystemError("roots of mixed dimension")
         if not any(r):
             raise RootSystemError("zero vector is not a root")
-    actions = tuple(compile_reflection(r) for r in roots)
+    actions = tuple(map(compile_reflection, roots))
     orbits = _orbit_partition(roots, actions)
 
     if multiplicities is None:
@@ -222,7 +236,7 @@ def build_root_system(
         for m in multiplicities
     ]
     for m in mults:
-        if m < 0:
+        if m.numerator < 0:
             raise RootSystemError(f"negative multiplicity {m}")
 
     if len(mults) == len(orbits):

@@ -8,6 +8,8 @@ from fractions import Fraction
 from typing import Callable
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
+# 'p' or 'p/q', the usual shape of a rational, read without Fraction's own parser
+_PLAIN = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 # A table of rows that is full when a new key arrives is cleared first.
 ROWS_MAX = 1024
@@ -58,6 +60,9 @@ def parse_rational(text: str) -> Fraction:
     """
     cleaned = text.strip().replace("−", "-")
     try:
+        plain = _PLAIN.fullmatch(cleaned)
+        if plain:
+            return Fraction(int(plain[1]), int(plain[2] or 1))
         exponent = _EXPONENT.search(cleaned)
         if exponent and int(exponent[1]) >= _digit_limit():
             raise ValueError("decimal exponent too large")

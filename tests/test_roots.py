@@ -689,3 +689,33 @@ def test_compiled_fields_match_the_parent_compilation(alpha):
     assert [type(v) for v in action.root + (action.norm, action.unit)] == [
         type(v) for v in expected[0] + (expected[1], expected[5])
     ]
+
+
+# F4 mixes roots whose reflection is a signed permutation (e_i, e_i +- e_j)
+# with general ones ((1, +-1, +-1, +-1)/2); without its last root it is not
+# closed, and with the negative of that root added it is not reduced.
+WALKED_SYSTEMS = {
+    "mixed": (list(F4), None),
+    "not closed": (list(F4[:-1]), "system is not closed"),
+    "not reduced": ([*F4, tuple(-c for c in F4[-1])], "not reduced"),
+}
+
+
+@pytest.mark.parametrize("name", WALKED_SYSTEMS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_column_walk_matches_the_per_vector_walk(name, data):
+    roots, defect = WALKED_SYSTEMS[name]
+    order = data.draw(st.permutations(range(len(roots))))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(roots), max_size=len(roots)))
+    roots = [tuple(-c for c in roots[i]) if flip else roots[i] for i, flip in zip(order, flips)]
+    try:
+        expected = parent_orbits(roots)
+    except RootSystemError as exc:
+        assert defect and str(exc).startswith(defect)
+        with pytest.raises(RootSystemError) as err:
+            build_root_system(roots, [1] * len(roots))
+        assert str(err.value) == str(exc)
+    else:
+        assert defect is None
+        assert build_root_system(roots, [1] * len(expected)).orbits == expected
