@@ -2,17 +2,17 @@
 
 The context object pairs a root system with its Bessel index and owns the
 memo tables that make repeated applications cheap.  Each entry is a pure
-function of an exponent vector, so it is computed once per context.  The
-first three hold term dicts with no zero entry; an operator call builds one
-Poly from them:
+function of an exponent vector, so it is computed once per context.  All
+four hold term dicts with no zero entry; an operator call builds one Poly
+from them:
 
 - _quotients: the reflection difference quotient of x^e per active root,
   over the root's unit (1 for a general root), so with +-1 entries if signed;
 - _coord_images: q times the image of x^e under each coordinate operator D_j;
 - _laplacian_images: q^2 times the sum of squared operators applied to x^e,
   read off _coord_images (the defining route);
-- _expr_images: the explicit second-order expression applied to x^e, a Poly
-  built from _quotients alone, so that the two Laplacian routes stay
+- _expr_images: s times the explicit second-order expression applied to
+  x^e, built from _quotients alone, so that the two Laplacian routes stay
   independent checks of each other.
 
 A root whose reflection is a signed coordinate permutation (one nonzero
@@ -28,6 +28,10 @@ unit-free quotients in D_j: 2 kappa for a sign flip, +-kappa for a signed
 transposition, kappa alpha_j for a general root.  Times q they are ints, so
 for signed roots the tables hold ints, summed in int arithmetic; apply_coord,
 dunkl_apply and dunkl_laplacian_sq divide q back out once per output term.
+The explicit route has its own scale s, the lcm of the denominators of the
+active multiplicities: the weights s kappa_alpha of its per-root terms are
+ints, so on signed roots its images are ints too, and dunkl_laplacian_expr
+divides s back out once per output term.
 """
 
 from __future__ import annotations
@@ -99,10 +103,13 @@ class DunklContext:
         )
         self._active = [i for i, k in enumerate(self._kappa) if k]
         self._scale = q
+        # the scale s of the explicit route, and its int weights s kappa per root
+        s = self._expr_scale = lcm(*(k.denominator for k in kappas))
+        self._expr_weights = [k.numerator * (s // k.denominator) for k in self._kappa]
         self._quotients: dict[tuple[int, Exponent], dict] = {}
         self._coord_images: dict[tuple[int, Exponent], dict] = {}
         self._laplacian_images: dict[Exponent, dict] = {}
-        self._expr_images: dict[Exponent, Poly] = {}
+        self._expr_images: dict[Exponent, dict] = {}
 
     # -- monomial-level building blocks ------------------------------------
 
@@ -120,7 +127,7 @@ class DunklContext:
                 cached = divided_difference(e, action)
             else:
                 p = Poly.monomial(self.dim, e)
-                cached = divide_exact_by_linear(p - compose_reflection(p, action), action).terms
+                cached = divide_exact_by_linear((p - compose_reflection(p, action)).terms, action)
             self._quotients[key] = cached
         return cached
 
@@ -149,44 +156,50 @@ class DunklContext:
             self._laplacian_images[e] = cached
         return cached
 
-    def _unscaled(self, pairs, power: int = 1) -> Poly:
-        """The sum of c * image over the (c, image term dict) pairs, divided by q^power.
+    def _unscaled(self, pairs, scale: int) -> Poly:
+        """The sum of c * image over the (c, image term dict) pairs, divided by scale.
 
         The images are summed with the integer numerators of the c over their
         common denominator, each output term is divided once, unless that
-        denominator times q^power is 1, and the call's one Poly is built last.
+        denominator times scale is 1, and the call's one Poly is built last.
         """
         pairs = list(pairs)
         den = lcm(*(c.denominator for c, _ in pairs))
         if den != 1:
             pairs = [(c.numerator * (den // c.denominator), image) for c, image in pairs]
         total = combine_terms(pairs)
-        den *= self._scale**power
+        den *= scale
         if den != 1:
             total = divide_numerators(total, den)
         return Poly(self.dim, total)
 
-    def _expr_image(self, e: Exponent) -> Poly:
-        """The explicit second-order expression applied to the monomial x^e.
+    def _expr_image(self, e: Exponent) -> dict:
+        """The terms of s times the explicit second-order expression applied to x^e.
 
         Per active root, 2 d_alpha x^e - <alpha,alpha> Q_alpha(e) vanishes on
-        the root hyperplane and is divided exactly by <alpha, x>.  Reads
-        _quotients only, never the coordinate or Laplacian images.
+        the root hyperplane and is divided exactly by <alpha, x>; the
+        quotients are summed with the int weights s kappa_alpha, and the
+        classical Laplacian of x^e with s.  Reads _quotients only, never the
+        coordinate or Laplacian images.
         """
         cached = self._expr_images.get(e)
         if cached is None:
             # x^e with one power of x_i removed, for each i with e_i > 0
             lowered = [(i, k, e[:i] + (k - 1,) + e[i + 1:]) for i, k in enumerate(e) if k]
-            pairs = [(1, classical_laplacian(Poly.monomial(self.dim, e)))]
+            classical = {e[:i] + (k - 2,) + e[i + 1:]: k * (k - 1)
+                         for i, k in enumerate(e) if k > 1}
+            pairs = [(self._expr_scale, classical)]
             for idx in self._active:
                 action = self.rs.reflections[idx]
                 alpha, unit = action.root, action.unit or 1  # a general root's unit is 1
                 gradient = {f: 2 * k * alpha[i] for i, k, f in lowered if alpha[i]}
-                numerator = Poly(self.dim, combine_terms(
-                    ((1, gradient), (-action.norm * unit, self._quotient(idx, e)))))
-                if numerator.terms:  # zero, for one, when x^e is free of the root's coordinates
-                    pairs.append((self._kappa[idx], divide_exact_by_linear(numerator, action)))
-            cached = linear_combination(self.dim, pairs)
+                numerator = combine_terms(
+                    ((1, gradient), (-action.norm * unit, self._quotient(idx, e))))
+                numerator = {f: v for f, v in numerator.items() if v}
+                if numerator:  # empty, for one, when x^e is free of the root's coordinates
+                    quotient = divide_exact_by_linear(numerator, action)
+                    pairs.append((self._expr_weights[idx], quotient))
+            cached = {f: v for f, v in combine_terms(pairs).items() if v}
             self._expr_images[e] = cached
         return cached
 
@@ -209,7 +222,7 @@ def check_budget(ctx: DunklContext, degree: int, repeats: int = 1) -> None:
 
 def apply_coord(ctx: DunklContext, j: int, p: Poly) -> Poly:
     """D_j p via the per-monomial cache."""
-    return ctx._unscaled((c, ctx._coord_image(j, e)) for e, c in p.terms.items())
+    return ctx._unscaled(((c, ctx._coord_image(j, e)) for e, c in p.terms.items()), ctx._scale)
 
 
 def dunkl_apply(ctx: DunklContext, xi: Sequence, p: Poly) -> Poly:
@@ -223,17 +236,17 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence, p: Poly) -> Poly:
     xi = [as_coeff(c) for c in xi]
     if len(xi) != ctx.dim:
         raise ValueError("direction has wrong dimension")
-    return ctx._unscaled(
+    return ctx._unscaled((
         (coeff * c, ctx._coord_image(j, e))
         for j, coeff in enumerate(xi)
         if coeff
         for e, c in p.terms.items()
-    )
+    ), ctx._scale)
 
 
 def dunkl_laplacian_sq(ctx: DunklContext, p: Poly) -> Poly:
     """Sum of squared coordinate Dunkl operators (the defining route)."""
-    return ctx._unscaled(((c, ctx._laplacian_image(e)) for e, c in p.terms.items()), 2)
+    return ctx._unscaled(((c, ctx._laplacian_image(e)) for e, c in p.terms.items()), ctx._scale**2)
 
 
 def laplacian_powers(ctx: DunklContext, p: Poly, n: int) -> list[Poly]:
@@ -275,9 +288,7 @@ def dunkl_laplacian_expr(ctx: DunklContext, p: Poly) -> Poly:
     reproduce dunkl_laplacian_sq.  Both routes are kept as cross-checks of
     each other, each over its own per-monomial table.
     """
-    return linear_combination(
-        ctx.dim, ((c, ctx._expr_image(e)) for e, c in p.terms.items())
-    )
+    return ctx._unscaled(((c, ctx._expr_image(e)) for e, c in p.terms.items()), ctx._expr_scale)
 
 
 def dunkl_laplacian_invariant(ctx: DunklContext, p: Poly) -> Poly:
@@ -289,7 +300,7 @@ def dunkl_laplacian_invariant(ctx: DunklContext, p: Poly) -> Poly:
     restriction does not apply to it, and the per-root division may even be
     exact while giving a wrong answer.
     """
-    pairs = [(1, classical_laplacian(p))]
+    pairs = [(1, classical_laplacian(p).terms)]
     for idx in ctx._active:
         action = ctx.rs.reflections[idx]
         if p != compose_reflection(p, action):
@@ -298,9 +309,9 @@ def dunkl_laplacian_invariant(ctx: DunklContext, p: Poly) -> Poly:
                 "the invariant restriction needs a polynomial fixed by the "
                 f"reflection in the root ({root})"
             )
-        numerator = partial_derivative(p, action.root).scale(2 * ctx._kappa[idx])
-        pairs.append((1, divide_exact_by_linear(numerator, action)))
-    return linear_combination(ctx.dim, pairs)
+        numerator = partial_derivative(p, action.root).terms
+        pairs.append((2 * ctx._kappa[idx], divide_exact_by_linear(numerator, action)))
+    return Poly(ctx.dim, combine_terms(pairs))
 
 
 def operator_words(p: Poly, start, step: Callable) -> list[tuple[Fraction, object]]:

@@ -460,20 +460,23 @@ def divided_difference(e: Exponent, action: ReflectionAction) -> dict:
     return terms
 
 
-def _divide_monic(p: Poly, divisor: Poly, pivot: int) -> tuple[dict, dict]:
-    """Quotient and remainder terms of p divided by divisor in x_pivot.
+def _divide_monic(
+    terms: Mapping[Exponent, Coeff], divisor: Poly, pivot: int
+) -> tuple[dict, dict]:
+    """Quotient and remainder terms of a term dict divided by divisor in x_pivot.
 
     The divisor's highest power k of x_pivot must sit in one term
-    c * x_pivot^k.  p is cleared level by level in pivot degree from the top
-    down, each level's terms in the order they entered it; what is left
-    below degree k is the remainder, empty exactly when the division is exact.
+    c * x_pivot^k.  The terms are cleared level by level in pivot degree
+    from the top down, each level's terms in the order they entered it; what
+    is left below degree k is the remainder, empty exactly when the division
+    is exact.
     """
     k = max(e[pivot] for e in divisor.terms)
-    head = tuple(k if i == pivot else 0 for i in range(p.dim))
+    head = tuple(k if i == pivot else 0 for i in range(divisor.dim))
     lead = divisor.terms[head]
     rest = [(e, -c) for e, c in divisor.terms.items() if e != head]
     levels: dict[int, dict[Exponent, Coeff]] = {}
-    for e, c in p.terms.items():
+    for e, c in terms.items():
         levels.setdefault(e[pivot], {})[e] = c
     quot: dict[Exponent, Coeff] = {}
     while levels and (top := max(levels)) >= k:
@@ -491,23 +494,29 @@ def _divide_monic(p: Poly, divisor: Poly, pivot: int) -> tuple[dict, dict]:
     return quot, {e: c for level in levels.values() for e, c in level.items()}
 
 
-def divide_exact_by_linear(p: Poly, action: ReflectionAction) -> Poly:
-    """Quotient q with q * <alpha, x> == p for the compiled alpha, else ExactDivisionError."""
-    if action.dim != p.dim:
+def divide_exact_by_linear(terms: Mapping[Exponent, Coeff], action: ReflectionAction) -> dict:
+    """The terms of q with q * <alpha, x> == the polynomial of terms, for the compiled alpha.
+
+    Takes and returns term dicts with no zero entry, as divided_difference
+    returns them; a remainder raises ExactDivisionError.
+    """
+    if terms and len(next(iter(terms))) != action.dim:
         raise PolyError("root has wrong dimension")
-    quot, rem = _divide_monic(p, action.form, action.pivot)
+    quot, rem = _divide_monic(terms, action.form, action.pivot)
     if rem:
         raise ExactDivisionError(
-            f"{format_poly(p)} is not divisible by the linear form of "
+            f"{format_poly(Poly(action.dim, terms))} is not divisible by the linear form of "
             f"({', '.join(str(a) for a in action.root)}); remainder "
-            f"{format_poly(Poly(p.dim, rem))}"
+            f"{format_poly(Poly(action.dim, rem))}"
         )
-    return Poly(p.dim, quot)
+    if set(map(type, quot.values())) <= {int}:
+        return quot
+    return {e: as_coeff(c) for e, c in quot.items()}  # Fraction arithmetic may leave n/1
 
 
 def try_divide_norm_sq(p: Poly) -> Poly | None:
     """Quotient of p by x_1^2+...+x_d^2 (terms in descending lex order), or None."""
-    quot, rem = _divide_monic(p, norm_sq_poly(p.dim), 0)
+    quot, rem = _divide_monic(p.terms, norm_sq_poly(p.dim), 0)
     if rem:
         return None
     return Poly(p.dim, dict(sorted(quot.items(), reverse=True)))
@@ -688,36 +697,31 @@ class _Scanner:
         return terms
 
 
-def _grlex_sort_key(e: Exponent):
-    return (sum(e), e)
-
-
 def format_poly(p: Poly) -> str:
     """Canonical text: graded-lexicographic descending term order."""
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return "0"
+    names = [f"x{i}" for i in range(1, p.dim + 1)]
     pieces = []
-    for e in sorted(p.terms, key=_grlex_sort_key, reverse=True):
-        c = p.terms[e]
-        var_part = "*".join(
-            f"x{i + 1}" if k == 1 else f"x{i + 1}^{k}"
-            for i, k in enumerate(e)
-            if k
-        )
-        mag = str(c)  # sign and magnitude read off the text: abs() builds a Fraction
+    # sorted by (degree, exponent) pairs, with no key call per term
+    for _, e in sorted(zip(map(sum, terms), terms), reverse=True):
+        factors = ""  # "*x{i}^{k}" per k > 0, the power left out at k = 1
+        for name, k in zip(names, e):
+            if k == 1:
+                factors += f"*{name}"
+            elif k:
+                factors += f"*{name}^{k}"
+        mag = str(terms[e])  # sign and magnitude read off the text: abs() builds a Fraction
         sign, mag = ("-", mag[1:]) if mag[0] == "-" else ("+", mag)
-        if not var_part:
-            body = mag
+        if not factors:
+            pieces.append(f"{sign} {mag}")
         elif mag == "1":
-            body = var_part
+            pieces.append(f"{sign} {factors[1:]}")
         else:
-            body = f"{mag}*{var_part}"
-        pieces.append((sign, body))
-    sign, first = pieces[0]
-    text = ("-" if sign == "-" else "") + first
-    for sign, body in pieces[1:]:
-        text += f" {sign} {body}"
-    return text
+            pieces.append(f"{sign} {mag}{factors}")
+    text = " ".join(pieces)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def parse_poly(text: str, dim: int) -> Poly:

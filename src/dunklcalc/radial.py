@@ -14,7 +14,10 @@ here: not for a single numeric sample but as a structural equality of
 canonical forms, each reached in one fold per profile family that divides
 only lowest parts by |x|^2 (WeightedFunction._folds).  The fold runs in
 integers, scaled once per family and divided once per output term, and
-each of its Horner steps in |x|^2 is one dict of shifted exponents.
+each of its Horner steps in |x|^2 is one dict of shifted exponents.  The
+operator words of p(D) run in integers as well: a word's parts are int term
+dicts over one denominator, read off the scaled coordinate images, and the
+words are summed and divided once per output term, one Poly per part.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import Iterable, Iterator, Mapping
 from .operators import (
     MAX_WORK,
     DunklContext,
-    apply_coord,
     check_budget,
     laplacian_powers,
     operator_words,
@@ -42,6 +44,7 @@ from .poly import (
     _Scanner,
     _factor_step,
     as_coeff,
+    combine_terms,
     divide_numerators,
     linear_combination,
     try_divide_norm_sq,
@@ -313,11 +316,6 @@ def _combine_parts(
     return parts
 
 
-def _times_var(poly: Poly, j: int) -> Poly:
-    """poly * x_j, a shift of exponents."""
-    return Poly(poly.dim, {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in poly.terms.items()})
-
-
 def _scaled(poly: Poly, scale: int) -> Poly:
     """poly * scale, for a scale that clears every denominator: int coefficients."""
     return Poly(poly.dim, {
@@ -345,16 +343,33 @@ def _times_norm_sq(
     return out
 
 
-def _apply_coord_weighted(
-    ctx: DunklContext, j: int, parts: Mapping[ProfileKey, Poly]
-) -> dict[ProfileKey, Poly]:
-    """D_j on the summands P r^s exp(a r^2) given as parts."""
-    items = []
-    for (s, a), poly in parts.items():
-        items.append(((s, a), 1, apply_coord(ctx, j, poly)))
-        shifted = _times_var(poly, j)
-        items.extend((key, c, shifted) for key, c in _radial_derivative(s, a))
-    return _combine_parts(ctx.dim, items)
+Word = tuple[int, dict[ProfileKey, dict[Exponent, Coeff]]]
+
+
+def _word_step(ctx: DunklContext, j: int, word: Word) -> Word:
+    """D_j on a word (den, parts): the sum of parts[(s, a)] / den times r^s exp(a r^2).
+
+    Each part P contributes L D_j P, read off the q-scaled coordinate images
+    at its nonzero terms, at its own key, and P x_j times q L c for each
+    radial-derivative item (key, c): s at (s - 2, a) and 2a at (s, a).  L,
+    the lcm of the denominators of those c, makes every weight an int, so
+    the step returns (den q L, parts) with int sums on signed roots and no
+    Poly or Fraction built; zero entries may stay until the caller builds
+    a Poly.
+    """
+    den, parts = word
+    q = ctx._scale
+    slopes = {key: list(_radial_derivative(*key)) for key in parts}
+    scale = lcm(*(c.denominator for items in slopes.values() for _, c in items))
+    pairs: dict[ProfileKey, list] = {}
+    for key, terms in parts.items():
+        pairs.setdefault(key, []).extend(
+            (scale * c, ctx._coord_image(j, e)) for e, c in terms.items() if c)
+        shifted = {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in terms.items()}
+        for target, c in slopes[key]:
+            pairs.setdefault(target, []).append(
+                (q * c.numerator * (scale // c.denominator), shifted))
+    return den * q * scale, {key: combine_terms(group) for key, group in pairs.items()}
 
 
 def weighted_poly_of_dunkl(
@@ -362,18 +377,33 @@ def weighted_poly_of_dunkl(
 ) -> WeightedFunction:
     """p(D) applied to the radial function, one operator word per term of p.
 
-    A gaussian rate lets a word of length m spread over m + 1 exponents of
+    Each word runs in integers (_word_step), its parts over one denominator;
+    the words are summed per profile key over their common denominator,
+    each output term is divided once, and one Poly is built per part.  A
+    gaussian rate lets a word of length m spread over m + 1 exponents of
     r, each with its own polynomial; the work budget counts them.  Both
     this and hobson_rhs also bound the output fold (_check_fold_budget).
     """
     spread = max(p.degree(), 0) + 1 if profile.gauss_coeff else 1
     check_budget(ctx, p.degree(), len(profile.terms) * spread)
     _check_fold_budget(ctx.dim, p.degree(), profile)
-    start = WeightedFunction(ctx.dim, [(Poly.const(ctx.dim, 1), profile)]).parts
-    words = operator_words(p, start, lambda j, parts: _apply_coord_weighted(ctx, j, parts))
-    return WeightedFunction._sum(
-        ctx.dim, ((key, c, poly) for c, parts in words for key, poly in parts.items())
-    )
+    den = lcm(*(c.denominator for _, c in profile.terms))
+    one = (0,) * ctx.dim
+    start = (den, {(s, profile.gauss_coeff): {one: c.numerator * (den // c.denominator)}
+                   for s, c in profile.terms})
+    words = operator_words(p, start, lambda j, word: _word_step(ctx, j, word))
+    den = lcm(*(c.denominator * word_den for c, (word_den, _) in words))
+    grouped: dict[ProfileKey, list] = {}
+    for c, (word_den, parts) in words:
+        factor = c.numerator * (den // (c.denominator * word_den))
+        for key, terms in parts.items():
+            grouped.setdefault(key, []).append((factor, terms))
+    out = WeightedFunction(ctx.dim)
+    for key, group in grouped.items():
+        total = {e: v for e, v in combine_terms(group).items() if v}
+        if total:
+            out.parts[key] = Poly(ctx.dim, divide_numerators(total, den) if den != 1 else total)
+    return out
 
 
 def _check_fold_budget(dim: int, degree: int, profile: RadialProfile) -> None:

@@ -18,7 +18,9 @@ counts on a window chosen from a Gaussian tail bound, with the first panel
 graded toward the origin when r^(2 nu + 1) has a branch point there; the
 error bound they state adds the tail, the difference of the two rules (an
 estimate of the rule error), the Bessel series error integrated in closed
-form against the envelope, and the rounding of the sum.
+form against the envelope, and the rounding of the sum.  The Bessel
+factor at the nodes of both rules is one series pass, its length set once at
+the largest argument and its sums taken in C.
 The module confirms, within stated tolerances, the spherical pairing
 formula, the Bochner-Hecke identity for the weighted Gaussian, the Hankel
 picture of transforms of radial multiples, the Hermite eigenfunction
@@ -39,7 +41,7 @@ import sys
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import factorial
-from operator import mul
+from operator import mul, truediv
 from typing import Callable, Sequence
 
 from .harmonic import hermite_poly
@@ -69,13 +71,12 @@ class QuadratureError(RuntimeError):
 def normalized_bessel(nu: float, x: float, *, max_arg: float = BESSEL_SERIES_MAX) -> float:
     """J_nu(x) / x^nu by the ascending series (DLMF 10.2.2), continuous at x = 0.
 
-    The leading term 2^-nu / Gamma(nu+1) is computed once and each further
-    term follows from term *= -(x/2)^2 / (j (nu+j)).  The absolute error is
-    at most 16 eps sum_j |term_j| = 16 eps I_nu(x) / x^nu: the bound is
-    relative to the sum of absolute terms, not to the value, so for large
-    x the alternating series loses digits to cancellation (relative error
-    6e-9 at nu = -1/2, x = 20, and 3e-3 at x = 29.9).  Arguments beyond
-    max_arg raise.
+    One argument of _bessel_series, from the leading term 2^-nu / Gamma(nu+1).
+    The absolute error is at most 16 eps sum_j |term_j| = 16 eps I_nu(x) / x^nu:
+    the bound is relative to the sum of absolute terms, not to the value, so
+    for large x the alternating series loses digits to cancellation
+    (relative error 6e-9 at nu = -1/2, x = 20, and 3e-3 at x = 29.9).
+    Arguments beyond max_arg raise.
     """
     if nu < -0.5:
         raise ValueError("order must be at least -1/2")
@@ -83,21 +84,45 @@ def normalized_bessel(nu: float, x: float, *, max_arg: float = BESSEL_SERIES_MAX
         raise ValueError("argument must be non-negative")
     if x > max_arg:
         raise ValueError(f"argument {x} outside validated range (<= {max_arg})")
-    return _bessel_series(nu, x, math.exp(-nu * math.log(2.0) - math.lgamma(nu + 1.0)))
+    return _bessel_series(nu, [x], _bessel_lead(nu))[0]
 
 
-def _bessel_series(nu: float, x: float, term: float) -> float:
-    """Sum of the ascending Bessel series of order nu at x from its leading term."""
-    if x == 0.0:
-        return term
-    step = -0.25 * x * x
-    total = term
+def _bessel_lead(nu: float) -> float:
+    """2^-nu / Gamma(nu+1), the leading term of J_nu(x) / x^nu."""
+    return math.exp(-nu * math.log(2.0) - math.lgamma(nu + 1.0))
+
+
+def _bessel_series(nu: float, xs: Sequence[float], lead: float) -> list[float]:
+    """Sums of the ascending Bessel series of order nu at each of xs, from its leading term.
+
+    Term j follows from term j-1 times -(x/2)^2 / (j (nu+j)).  The length N
+    is found once, at the largest argument x_max: the first j with 2j > x_max
+    and |term_j| < 1e-18 max(1, |sum|), TruncationError past 500 terms.  At
+    every other argument the N + 1 terms are summed in C, with the same
+    float steps as at x_max.  Since term_j(x) = term_j(x_max) (x/x_max)^(2j)
+    and 2N > x_max >= x, the terms left out at x are no larger than those
+    left out at x_max, which the rule makes negligible.
+    """
+    top = max(xs)
+    if top == 0.0:
+        return [lead] * len(xs)
+    step = -0.25 * top * top
+    term = total = lead
+    divisors = []
     for j in range(1, 500):
-        term *= step / (j * (nu + j))
+        divisors.append(j * (nu + j))
+        term *= step / divisors[-1]
         total += term
-        if 2 * j > x and abs(term) < 1e-18 * max(1.0, abs(total)):
-            return total
-    raise TruncationError("Bessel series did not converge")
+        if 2 * j > top and abs(term) < 1e-18 * max(1.0, abs(total)):
+            break
+    else:
+        raise TruncationError("Bessel series did not converge")
+    n = len(divisors)
+    return [
+        total if x == top
+        else sum(accumulate(map(truediv, repeat(-0.25 * x * x, n), divisors), mul, initial=lead))
+        for x in xs
+    ]
 
 
 def bessel_j(nu: float, x: float, *, max_arg: float = BESSEL_SERIES_MAX) -> float:
@@ -125,7 +150,7 @@ def scaled_normalized_bessel(lam: Fraction, shift: int, t: float) -> float:
     if shift < 0:
         raise ValueError("shift must be non-negative")
     lead = 1 / (2**shift * pochhammer(lam + 1, shift))
-    return _bessel_series(float(lam + shift), t, float(lead))
+    return _bessel_series(float(lam + shift), [t], float(lead))[0]
 
 
 # -- kernel series ----------------------------------------------------------
@@ -517,20 +542,27 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 _GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_legendre(20)
 
 
-def _gauss_composite(
-    f: Callable[[float], float], edges: Sequence[float]
-) -> tuple[float, float]:
-    """Composite 20-point Gauss-Legendre rule on the panels between edges.
+def _panel_nodes(edges: Sequence[float]) -> list[float]:
+    """The nodes of the 20-point rule on each panel between edges, in order."""
+    nodes = []
+    for a, b in zip(edges, edges[1:]):
+        half = 0.5 * (b - a)
+        nodes += [a + half + half * x for x in _GAUSS_NODES]
+    return nodes
+
+
+def _gauss_composite(edges: Sequence[float], values: Sequence[float]) -> tuple[float, float]:
+    """Composite 20-point Gauss-Legendre rule from the integrand's values at _panel_nodes(edges).
 
     Returns the sum and the sum of the absolute values of its terms, which
     bounds the rounding of the sum.
     """
     total = 0.0
     magnitude = 0.0
-    for a, b in zip(edges, edges[1:]):
+    n = len(_GAUSS_WEIGHTS)
+    for i, (a, b) in enumerate(zip(edges, edges[1:])):
         half = 0.5 * (b - a)
-        mid = a + half
-        terms = [w * f(mid + half * x) for x, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS)]
+        terms = list(map(mul, _GAUSS_WEIGHTS, values[n * i : n * i + n]))
         total += half * sum(terms)
         magnitude += half * sum(map(abs, terms))
     return total, magnitude
@@ -591,7 +623,10 @@ def hankel_quadrature(
 
     On [0, cutoff] the composite 20-point Gauss-Legendre rule is applied
     on 4 equal panels (Q4) and with each panel halved (Q8), 240 integrand
-    evaluations in all; Q8 is returned.  When 2 nu + 1 is not an integer,
+    evaluations in all; Q8 is returned.  The nodes of both rules are listed
+    first, and the Bessel factor at all of them comes from one pass of
+    _bessel_series, whose length is set at the largest argument and so
+    meets the truncation rule at every node.  When 2 nu + 1 is not an integer,
     r^(2 nu + 1) has a branch point at r = 0, and the first panel is first
     split geometrically toward it (ratio 1/4) until the envelope's mass on
     the innermost panel is below tol/4; every other panel then keeps the
@@ -601,7 +636,7 @@ def hankel_quadrature(
         tail + |Q8 - Q4| + B + R.
 
     tail bounds the discarded tail.  B bounds the Bessel series error
-    16 eps I_nu(r s)/(r s)^nu of normalized_bessel integrated against the
+    16 eps I_nu(r s)/(r s)^nu of that pass integrated against the
     envelope, in closed form (_bessel_error_integral).  R = n eps sum|w f|
     over the n terms of Q8 bounds the rounding of its sum.  |Q8 - Q4| is an
     estimate, not a bound, of the rule error: it measures the error of Q4
@@ -615,7 +650,9 @@ def hankel_quadrature(
         raise ValueError("transform variable must be non-negative")
     if nu <= -1.0:
         raise ValueError("Hankel order must exceed -1")
-    j_bound = math.exp(-nu * math.log(2.0) - math.lgamma(nu + 1.0))
+    if nu < -0.5:
+        raise ValueError("order must be at least -1/2")  # the range of the Bessel series
+    j_bound = _bessel_lead(nu)
     env_power = 2.0 * power + 2.0 * nu + 1.0
     cutoff = 6.0
     while True:
@@ -625,7 +662,6 @@ def hankel_quadrature(
         cutoff += 0.5
         if cutoff > 60.0:
             raise QuadratureError("gaussian tail bound cannot reach the tolerance")
-    arg_limit = max(BESSEL_SERIES_MAX, cutoff * s + 1.0)
     edges = [k * cutoff / 4 for k in range(5)]
     if not (2.0 * nu + 1.0).is_integer():
         inner = edges[1]
@@ -636,16 +672,14 @@ def hankel_quadrature(
             inner *= 0.25
             edges.insert(1, inner)
 
-    def integrand(r: float) -> float:
-        return (
-            f0(r)
-            * normalized_bessel(nu, r * s, max_arg=arg_limit)
-            * r ** (2.0 * nu + 1.0)
-        )
-
     fine_edges = _bisect(edges)
-    coarse, _ = _gauss_composite(integrand, edges)
-    fine, magnitude = _gauss_composite(integrand, fine_edges)
+    coarse_nodes = _panel_nodes(edges)
+    nodes = coarse_nodes + _panel_nodes(fine_edges)
+    series = _bessel_series(nu, [r * s for r in nodes], j_bound)  # one pass for both rules
+    weight = 2.0 * nu + 1.0
+    values = [f0(r) * j * r**weight for r, j in zip(nodes, series)]
+    coarse, _ = _gauss_composite(edges, values)
+    fine, magnitude = _gauss_composite(fine_edges, values[len(coarse_nodes):])
     gap = abs(fine - coarse)
     if gap > 0.5 * tol:
         raise QuadratureError(

@@ -181,7 +181,7 @@ def random_homogeneous(rng: random.Random, dim: int, degree: int, max_terms: int
     for e in picks:
         c = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
         den = rng.choice([1, 1, 2, 3])
-        terms[e] = Fraction(c, den)
+        terms[e] = c if den == 1 else Fraction(c, den)
     return Poly(dim, terms)
 
 

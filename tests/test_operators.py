@@ -184,6 +184,38 @@ def test_quotient_misses_on_general_roots_divide(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("roots, kappas", [
+    ("b:d=3", ["1/3", "3/2"]), ([(3, 4), (-4, 3)], ["1/2", "1"]), ("d:d=4", ["1/2"]),
+])
+def test_expr_image_miss_divides_once_per_root_with_a_numerator(monkeypatch, roots, kappas):
+    ctx = DunklContext(build_root_system(roots, kappas))
+    exponents = [(0,) * ctx.dim, (1,) + (0,) * (ctx.dim - 1), tuple(range(ctx.dim)),
+                 (3,) + (1,) * (ctx.dim - 1)]
+    for e in exponents:  # warm every quotient: a general root's miss divides too
+        for idx in ctx._active:
+            ctx._quotient(idx, e)
+    calls = count_divisions(monkeypatch)
+    divided = 0
+    for e in exponents:
+        mono = Poly.monomial(ctx.dim, e)
+        want = []
+        for idx in ctx._active:
+            action = ctx.rs.reflections[idx]
+            quotient = Poly(ctx.dim, divide_exact_by_linear(
+                (mono - compose_reflection(mono, action)).terms, action))
+            numerator = partial_derivative(mono, action.root).scale(2) - quotient.scale(action.norm)
+            if not numerator.is_zero():
+                want.append((numerator, action))
+        calls.clear()
+        ctx._expr_image(e)
+        assert [(Poly(ctx.dim, terms), action) for terms, action in calls] == want, e
+        divided += len(want)
+        calls.clear()
+        ctx._expr_image(e)  # a hit
+        assert calls == []
+    assert 0 < divided < len(exponents) * len(ctx._active)  # some numerators vanish
+
+
 def test_memo_table_keys_and_order():
     # recorded from the code that stored every coefficient as a Fraction: the
     # coefficient type must not change which entries are made, or in what order
@@ -216,8 +248,8 @@ def reference_coord(rs, j, p):
     for alpha, kappa in zip(rs.positive_roots, rs.kappa_by_root()):
         if kappa and alpha[j]:
             action = compile_reflection(alpha)
-            quotient = divide_exact_by_linear(p - compose_reflection(p, action), action)
-            pairs.append((kappa * alpha[j], quotient))
+            quotient = divide_exact_by_linear((p - compose_reflection(p, action)).terms, action)
+            pairs.append((kappa * alpha[j], Poly(rs.dim, quotient)))
     return linear_combination(rs.dim, pairs)
 
 
@@ -232,20 +264,25 @@ def canonical(terms):
                for c in terms.values())
 
 
-@pytest.mark.parametrize("system, kappas", SCALED_SYSTEMS)
+@pytest.mark.parametrize("system, kappas", SCALED_SYSTEMS + [("z2:d=3", ["1/3", "3/2", "1"])])
 def test_scaled_memo_tables_hold_integers(system, kappas):
     ctx = make_ctx(system, kappas)
+    assert ctx._scale > 1 and ctx._expr_scale > 1
     rng = random.Random(31)
     for i in range(5):
         p = random_poly(rng, ctx.dim, 6)
         dunkl_laplacian_sq(ctx, p)
+        dunkl_laplacian_expr(ctx, p)
         apply_coord(ctx, i % ctx.dim, p)
-    assert ctx._quotients and ctx._coord_images and ctx._laplacian_images
-    for table in (ctx._quotients, ctx._coord_images, ctx._laplacian_images):
+    tables = (ctx._quotients, ctx._coord_images, ctx._laplacian_images, ctx._expr_images)
+    for table in tables:
+        assert table
         for key, value in table.items():
             assert all(type(c) is int and c for c in value.values()), key
     # the signed quotients are stored over their unit, so every entry is +-1
-    assert {c for value in ctx._quotients.values() for c in value.values()} == {1, -1}
+    # (+1 alone for sign flips)
+    signs = {1} if system.startswith("z2") else {1, -1}
+    assert {c for value in ctx._quotients.values() for c in value.values()} == signs
 
 
 def test_unscaled_memo_tables_hold_the_images():
@@ -281,7 +318,7 @@ def test_operators_match_a_table_free_reference(roots, kappas):
         laplacian = dunkl_laplacian_sq(ctx, p)
         assert laplacian == reference_laplacian(rs, p) == dunkl_laplacian_expr(ctx, p)
         assert canonical(laplacian.terms)
-    for table in (ctx._coord_images, ctx._laplacian_images):
+    for table in (ctx._coord_images, ctx._laplacian_images, ctx._expr_images):
         assert table and all(canonical(value) for value in table.values())
 
 

@@ -1,12 +1,13 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dunklcalc.radial as radial
-from dunklcalc.operators import DunklContext, poly_of_dunkl
+from dunklcalc.operators import DunklContext, apply_coord, operator_words, poly_of_dunkl
 from dunklcalc.poly import (
     InvariantError,
     Poly,
@@ -19,7 +20,6 @@ from dunklcalc.poly import (
 from dunklcalc.radial import (
     RadialProfile,
     WeightedFunction,
-    _apply_coord_weighted,
     _profile,
     format_profile,
     hobson_lhs,
@@ -30,7 +30,7 @@ from dunklcalc.radial import (
     weighted_poly_of_dunkl,
 )
 from dunklcalc.roots import build_root_system
-from dunklcalc.verify import random_homogeneous
+from dunklcalc.verify import random_homogeneous, random_poly
 
 Q = Fraction
 
@@ -45,12 +45,68 @@ def make_profile(s, a, coeffs):
 
 
 def weighted_apply(ctx, xi, w):
-    """D_xi w, assembled from the coordinate steps of the weighted walk."""
-    return WeightedFunction._sum(w.dim, (
+    """D_xi w, assembled from the coordinate steps of the weighted walk.
+
+    w's parts go in as int numerators over their common denominator.
+    """
+    den = lcm(*(c.denominator for poly in w.parts.values() for c in poly.terms.values()))
+    word = (den, {key: {e: int(c * den) for e, c in poly.terms.items()}
+                  for key, poly in w.parts.items()})
+    items = []
+    for j, c in enumerate(xi):
+        if c:
+            step_den, parts = radial._word_step(ctx, j, word)
+            items.extend((key, Q(c) / step_den, Poly(w.dim, terms)) for key, terms in parts.items())
+    return WeightedFunction._sum(w.dim, items)
+
+
+def poly_step_walk(ctx, p, profile):
+    """weighted_poly_of_dunkl as it was: each D_j step builds a Poly per part.
+
+    D_j (P r^s exp(a r^2)) = (D_j P) r^s exp(a r^2) + P x_j (s r^(s-2) + 2a r^s) exp(a r^2),
+    combined per profile key in Fractions.
+    """
+    def step(j, parts):
+        items = []
+        for (s, a), poly in parts.items():
+            items.append(((s, a), 1, apply_coord(ctx, j, poly)))
+            shifted = Poly(ctx.dim, {e[:j] + (e[j] + 1,) + e[j + 1:]: c
+                                     for e, c in poly.terms.items()})
+            items += [((s - 2, a), s, shifted), ((s, a), 2 * a, shifted)]
+        return WeightedFunction._sum(ctx.dim, items).parts
+
+    start = WeightedFunction(ctx.dim, [(Poly.const(ctx.dim, 1), profile)]).parts
+    return WeightedFunction._sum(ctx.dim, (
         (key, c, poly)
-        for j, c in enumerate(xi) if c
-        for key, poly in _apply_coord_weighted(ctx, j, w.parts).items()
+        for c, parts in operator_words(p, start, step)
+        for key, poly in parts.items()
     ))
+
+
+WALK_SYSTEMS = [
+    ("z2:d=2", ["1/2", "1"]), ("z2:d=3", ["1/3", "3/2", "0"]), ("a:d=3", ["2/3"]),
+    ("b:d=2", ["3/2", "1/2"]), ("b:d=3", ["1", "1/4"]), ("d:d=4", ["1/2"]),
+]
+
+
+@given(
+    st.sampled_from(WALK_SYSTEMS),
+    st.integers(0, 3),
+    st.integers(0, 2**32),
+    st.sampled_from([Q(-3), Q(2), Q(7, 2), Q(-5, 2), Q(1, 3), Q(-4, 3)]),
+    st.sampled_from([Q(-1, 2), Q(1, 2), Q(-1), Q(1), Q(0)]),
+    st.dictionaries(st.integers(0, 2), st.builds(Q, st.integers(-5, 5), st.integers(1, 4)),
+                    min_size=1, max_size=3),
+)
+@settings(max_examples=120, deadline=None)
+def test_integer_words_match_the_poly_step_walk(system, degree, seed, s, a, coeffs):
+    ctx = make_ctx(*system)
+    p = random_poly(random.Random(seed), ctx.dim, degree)
+    profile = make_profile(s, a, coeffs)
+    got = weighted_poly_of_dunkl(ctx, p, profile)
+    want = poly_step_walk(ctx, p, profile)
+    assert got.parts == want.parts
+    assert str(got) == str(want)
 
 
 def test_profile_canonical_form():

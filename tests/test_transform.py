@@ -21,6 +21,8 @@ from dunklcalc.transform import (
     QuadratureError,
     TruncationError,
     _bessel_error_integral,
+    _bessel_lead,
+    _bessel_series,
     _gauss_factor,
     _pairing_row,
     bessel_j,
@@ -103,6 +105,21 @@ def test_normalized_bessel_error_bound():
                 abs_sum = mpmath.besseli(_mp(nu), x) / xnu
                 err = abs(normalized_bessel(nu, x, max_arg=60.0) - exact)
                 assert err <= 16 * EPS * abs_sum, (nu, x, float(err / (EPS * abs_sum)))
+
+
+def test_one_bessel_pass_meets_the_bound_at_every_argument():
+    # one _bessel_series call over many arguments, as hankel_quadrature makes
+    # it: the length set at the largest argument holds the bound at each one
+    args = [0.0, *BOUND_ARGS]
+    with mpmath.workdps(50):
+        for nu in BOUND_ORDERS:
+            values = _bessel_series(nu, args, _bessel_lead(nu))
+            assert values[0] == _bessel_lead(nu)
+            for x, value in zip(BOUND_ARGS, values[1:]):
+                xnu = mpmath.mpf(x) ** _mp(nu)
+                exact = mpmath.besselj(_mp(nu), x) / xnu
+                abs_sum = mpmath.besseli(_mp(nu), x) / xnu
+                assert abs(value - exact) <= 16 * EPS * abs_sum, (nu, x)
 
 
 def test_scaled_normalized_bessel_error_bound():
