@@ -554,40 +554,18 @@ def homogeneous_components(p: Poly) -> list[tuple[int, Poly]]:
 MAX_DEGREE = 256
 
 
-# Text made only of the usual token shapes of a grammar is read with one
-# match per factor (_factor_step).  \s and \d follow str.isspace and
-# str.isdecimal, as the character-level reads do.  A number has at most 640
-# digits (the least int digit limit Python allows), so int() never raises,
-# and a zero denominator does not match.  Any other text is read character
-# by character, which reports every error: a factor matched short leaves
-# text that no step matches.
+# \s and \d follow str.isspace and str.isdecimal, here and in _POLY_STEP.
 _SPACE = re.compile(r"\s*")
 _DIGITS = re.compile(r"\d*")
-_INT = r"\d{1,640}"
-# integer ['/' integer]: groups num, den
-_RATIONAL = rf"({_INT})(?:\s*/\s*((?=0*[1-9]){_INT}))?"
-
-
-def _factor_step(factor: str) -> re.Pattern:
-    """A factor with the operator before it (group 1) and the whitespace around both.
-
-    The factor starts at group 2, which is empty; its own groups follow.
-    """
-    return re.compile(rf"\s*([-+*]?)\s*()(?:{factor})\s*")
-
-
-# a rational, or groups index and power of x_index^power
-_POLY_STEP = _factor_step(rf"{_RATIONAL}|x({_INT})(?:\s*\^\s*({_INT}))?")
 
 
 class _Scanner:
-    """Cursor over grammar text.
+    """Cursor over grammar text, read character by character.
 
     Every error is a PolyParseError at the first character of the offending
-    token, or at len(text) at the end of input.  read_sum reads text in a
-    grammar's usual shapes with one match per factor (_factor_step); other
-    text goes character by character through peek, take, digits, rational
-    and the grammar's factor(), which raise every error.
+    token, or at len(text) at the end of input.  read_sum reads the sum and
+    product shape; the grammar's factor() reads each factor through peek,
+    take, digits and rational, and raises every error of its own.
     """
 
     def __init__(self, text: str):
@@ -646,39 +624,12 @@ class _Scanner:
             raise self.error("zero denominator", slash)
         return Fraction(num, den)
 
-    def read_sum(
-        self,
-        factor: Callable[[], tuple],
-        step: re.Pattern,
-        token: Callable[..., tuple | None],
-    ) -> list[tuple[int, int, list[tuple]]]:
-        """The whole text as a sum of products of factors.
+    def read_sum(self, factor: Callable[[], tuple]) -> list[tuple[int, int, list[tuple]]]:
+        """The whole text as a sum of products of factors, each read by factor().
 
         Returns (sign, position, factors) per term, where position is the
-        start of the term's first factor.  While the text comes in the
-        grammar's usual shapes, each factor is token(*groups) of one match
-        of step; when it does not, or when token gives None (a variable out
-        of range), the whole text is read again character by character, each
-        factor by factor().
+        start of the term's first factor.
         """
-        text, pos, terms = self.text, 0, []
-        while pos < len(text):
-            match = step.match(text, pos)
-            read = match and token(*match.groups()[2:])
-            if read is None:
-                break
-            op = match[1]
-            if op == "*" and terms:
-                factors.append(read)
-            elif op != "*" and (op or not terms):  # only the first term may go unsigned
-                factors = [read]
-                terms.append((-1 if op == "-" else 1, match.start(2), factors))
-            else:
-                break
-            pos = match.end()
-        else:
-            if terms:
-                return terms
         if not self.peek():
             raise self.error("empty input")
         terms = []
@@ -724,6 +675,52 @@ def format_poly(p: Poly) -> str:
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
+# One polynomial factor in its usual shape, with the operator before it
+# (group 1) and the whitespace around both.  The factor starts at group 2,
+# which is empty: integer ['/' integer] (groups 3-4) or x_index ['^' power]
+# (groups 5-6).  A number has at most 640 digits (the least int digit limit
+# Python allows), so int() never raises, and a zero denominator does not
+# match.
+_INT = r"\d{1,640}"
+_POLY_STEP = re.compile(
+    rf"\s*([-+*]?)\s*()(?:({_INT})(?:\s*/\s*((?=0*[1-9]){_INT}))?"
+    rf"|x({_INT})(?:\s*\^\s*({_INT}))?)\s*"
+)
+
+
+def _usual_terms(text: str, dim: int) -> list[tuple[int, int, list[tuple]]] | None:
+    """The terms of polynomial text read with one _POLY_STEP match per factor, or None.
+
+    The terms are those _Scanner.read_sum gives, each factor as (numerator,
+    denominator, 0-based variable, power).  Most command-line text comes in
+    these shapes, and this read needs no call per character.  Any other
+    text, and a variable out of range, gives None (a factor matched short
+    leaves text that no step matches); the scanner then reads it again and
+    reports every error.
+    """
+    pos, terms = 0, []
+    while pos < len(text):
+        match = _POLY_STEP.match(text, pos)
+        if match is None:
+            return None
+        op, _, num, den, index, power = match.groups()
+        if index is None:
+            read = int(num), int(den) if den else 1, 0, 0
+        elif 1 <= (i := int(index)) <= dim:
+            read = 1, 1, i - 1, int(power) if power else 1
+        else:
+            return None
+        if op == "*" and terms:
+            factors.append(read)
+        elif op != "*" and (op or not terms):  # only the first term may go unsigned
+            factors = [read]
+            terms.append((-1 if op == "-" else 1, match.start(2), factors))
+        else:
+            return None
+        pos = match.end()
+    return terms
+
+
 def parse_poly(text: str, dim: int) -> Poly:
     """Parse polynomial text into a canonical Poly with the given dimension.
 
@@ -731,12 +728,6 @@ def parse_poly(text: str, dim: int) -> Poly:
     on a term of total degree above MAX_DEGREE.
     """
     scanner = _Scanner(text)
-
-    def token(num, den, index, power) -> tuple[int, int, int, int] | None:
-        if index is None:
-            return int(num), int(den) if den else 1, 0, 0
-        i = int(index)
-        return (1, 1, i - 1, int(power) if power else 1) if 1 <= i <= dim else None
 
     def factor() -> tuple[int, int, int, int]:
         """(numerator, denominator, 0-based variable, power) of one factor."""
@@ -757,7 +748,7 @@ def parse_poly(text: str, dim: int) -> Poly:
 
     # each term's coefficient is built in ints, and made a Fraction once
     terms: dict[Exponent, Coeff] = {}
-    for sign, start, factors in scanner.read_sum(factor, _POLY_STEP, token):
+    for sign, start, factors in _usual_terms(scanner.text, dim) or scanner.read_sum(factor):
         num, den, exps = sign, 1, [0] * dim
         for n, d, i, k in factors:
             num *= n

@@ -18,11 +18,13 @@ each of its Horner steps in |x|^2 is one dict of shifted exponents.  The
 operator words of p(D) run in integers as well: a word's parts are int term
 dicts over one denominator, read off the scaled coordinate images, and the
 words are summed and divided once per output term, one Poly per part.
+
+Profile text (parse_profile) is read character by character by the scanner
+that parse_poly shares.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
@@ -40,9 +42,7 @@ from .poly import (
     Exponent,
     InvariantError,
     Poly,
-    _RATIONAL,
     _Scanner,
-    _factor_step,
     as_coeff,
     combine_terms,
     divide_numerators,
@@ -458,43 +458,19 @@ def hobson_residual(
     return hobson_lhs(ctx, p, profile) - hobson_rhs(ctx, p, profile)
 
 
-# The usual shapes of a factor of parse_profile, with no whitespace inside
-# the r and exp forms: a rational (groups 1-2); r, r^p/q or r^(+-p/q)
-# (groups 3-4 bare, 5-7 in parentheses); exp(+-p/q*r^2) or exp(+-r^2)
-# (groups 8-10).
-_PROFILE_STEP = _factor_step(
-    rf"{_RATIONAL}|r(?:\^(?:{_RATIONAL}|\(([-+]?){_RATIONAL}\)))?"
-    rf"|exp\(([-+]?)(?:{_RATIONAL}\*)?r\^2\)"
-)
-
-
 def parse_profile(text: str) -> RadialProfile:
     """Parse profile text like "r^(-3)*exp(-1/2*r^2)" or "r^2 + 2*r^4".
 
     Terms are products of a rational factor, powers of r (integer or p/q
     exponents bare, signed ones in parentheses), and gaussian factors
     exp(a*r^2), with exp(r^2) and exp(-r^2) short for rates 1 and -1.  The
-    lexical rules and PolyParseError are those of poly.parse_poly.  Sums
-    must stay inside one profile family (equal gaussian rates, exponent
-    differences even), else ValueError.
+    lexical rules and PolyParseError are those of poly.parse_poly, and every
+    text is read character by character through its scanner (poly._Scanner):
+    a profile is parsed once per command, too seldom for a faster second
+    reader to pay for its code.  Sums must stay inside one profile family
+    (equal gaussian rates, exponent differences even), else ValueError.
     """
     scanner = _Scanner(text)
-
-    def value(num: str, den: str | None) -> Coeff:
-        return int(num) if den is None else Fraction(int(num), int(den))
-
-    def token(num, den, bare, bare_den, sign, r_num, r_den, e_sign, e_num, e_den):
-        if num is not None:
-            return value(num, den), 0, 0
-        if bare is not None:
-            return 1, value(bare, bare_den), 0
-        if r_num is not None:
-            exponent = value(r_num, r_den)
-            return 1, -exponent if sign == "-" else exponent, 0
-        if e_sign is None:
-            return 1, 1, 0  # r
-        rate = 1 if e_num is None else value(e_num, e_den)
-        return 1, 0, -rate if e_sign == "-" else rate
 
     def factor() -> tuple[Coeff, Coeff, Coeff]:
         """(coefficient, r exponent, gaussian rate) of one factor."""
@@ -526,7 +502,7 @@ def parse_profile(text: str) -> RadialProfile:
         raise scanner.error(f"unexpected character {ch!r}")
 
     pieces = []
-    for sign, _, factors in scanner.read_sum(factor, _PROFILE_STEP, token):
+    for sign, _, factors in scanner.read_sum(factor):
         coeff, exponent, rate = sign, 0, 0
         for c, e, a in factors:
             coeff *= c

@@ -68,7 +68,7 @@ class QuadratureError(RuntimeError):
 # -- Bessel functions -------------------------------------------------------
 
 
-def normalized_bessel(nu: float, x: float, *, max_arg: float = BESSEL_SERIES_MAX) -> float:
+def normalized_bessel(nu: float, x: float) -> float:
     """J_nu(x) / x^nu by the ascending series (DLMF 10.2.2), continuous at x = 0.
 
     One argument of _bessel_series, from the leading term 2^-nu / Gamma(nu+1).
@@ -76,14 +76,14 @@ def normalized_bessel(nu: float, x: float, *, max_arg: float = BESSEL_SERIES_MAX
     the bound is relative to the sum of absolute terms, not to the value, so
     for large x the alternating series loses digits to cancellation
     (relative error 6e-9 at nu = -1/2, x = 20, and 3e-3 at x = 29.9).
-    Arguments beyond max_arg raise.
+    Arguments beyond BESSEL_SERIES_MAX raise.
     """
     if nu < -0.5:
         raise ValueError("order must be at least -1/2")
     if x < 0:
         raise ValueError("argument must be non-negative")
-    if x > max_arg:
-        raise ValueError(f"argument {x} outside validated range (<= {max_arg})")
+    if x > BESSEL_SERIES_MAX:
+        raise ValueError(f"argument {x} outside validated range (<= {BESSEL_SERIES_MAX})")
     return _bessel_series(nu, [x], _bessel_lead(nu))[0]
 
 
@@ -125,7 +125,7 @@ def _bessel_series(nu: float, xs: Sequence[float], lead: float) -> list[float]:
     ]
 
 
-def bessel_j(nu: float, x: float, *, max_arg: float = BESSEL_SERIES_MAX) -> float:
+def bessel_j(nu: float, x: float) -> float:
     """Bessel function of the first kind via the ascending series."""
     if x == 0.0:
         if nu > 0:
@@ -133,7 +133,7 @@ def bessel_j(nu: float, x: float, *, max_arg: float = BESSEL_SERIES_MAX) -> floa
         if nu == 0:
             return 1.0
         raise ValueError("J_nu diverges at 0 for negative order")
-    return normalized_bessel(nu, x, max_arg=max_arg) * x**nu
+    return normalized_bessel(nu, x) * x**nu
 
 
 def scaled_normalized_bessel(lam: Fraction, shift: int, t: float) -> float:
@@ -614,8 +614,9 @@ def hankel_quadrature(
 ) -> tuple[float, float]:
     """Hankel transform of order nu of a Gaussian-type profile at s, with its bound.
 
-    Integrates f0(r) J_nu(r s)/(r s)^nu r^(2 nu + 1) over (0, inf) and
-    returns (value, bound).  power and rate describe the envelope
+    Integrates f0(r) J_nu(r s)/(r s)^nu r^(2 nu + 1) over (0, inf), for
+    nu >= -1/2 (the range of the Bessel series), and returns (value,
+    bound).  power and rate describe the envelope
     |f0(r)| <= r^(2 power) e^(-rate r^2), from which the cutoff is
     chosen so the discarded tail stays below tol/4; the Bessel factor is
     bounded by its value at zero.  The cutoff, not a fixed window, keeps the
@@ -648,10 +649,8 @@ def hankel_quadrature(
     """
     if s < 0:
         raise ValueError("transform variable must be non-negative")
-    if nu <= -1.0:
-        raise ValueError("Hankel order must exceed -1")
     if nu < -0.5:
-        raise ValueError("order must be at least -1/2")  # the range of the Bessel series
+        raise ValueError("order must be at least -1/2")
     j_bound = _bessel_lead(nu)
     env_power = 2.0 * power + 2.0 * nu + 1.0
     cutoff = 6.0

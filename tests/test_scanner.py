@@ -1,9 +1,10 @@
 """parse_poly and parse_profile against a copy of the character-level scanner.
 
-The package reads text in the usual token shapes with regular expressions
-and everything else character by character.  For every text, valid or not,
-both grammars must give what the reference below gives: the same value, or
-the same error message at the same position.
+parse_poly reads polynomial text in the usual token shapes with a regular
+expression, one match per factor, and everything else character by
+character; parse_profile reads every text character by character.  For
+every text, valid or not, both grammars must give what the reference below
+gives: the same value, or the same error message at the same position.
 """
 
 from fractions import Fraction
@@ -194,7 +195,7 @@ NAMED = [
     "3/0", "3/00*x1", "3/2/5", "x1^2^3", "x1 ^ 2", "- -x1", "*x1", "x1 x2", "", "  ",
     f"x1^{MAX_DEGREE}*x2", "r^(-3)*exp(-1/2*r^2)", "r^4 + 2*r^2", "r^(7/2)", "exp(-1*r^2)",
     "r^2^2", "exp(-r^2)", "exp(+r^2)", "exp(0*r^2)", "exp(-0/5*r^2)", "r^(-3/0)", "r^ 2",
-    "r ^2", "r^2 + r^3", "exp(r^2) + 1",
+    "r ^2", "r^2 + r^3", "exp(r^2) + 1", "r^2", "r^3*exp(-1*r^2)",
 ]
 
 

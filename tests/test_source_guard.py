@@ -15,8 +15,8 @@ poly.compile_reflection compiles the root (with its reflection images), and
 every division by it reads the compiled form.  A weighted function's
 canonical form is reached in one fold, radial.WeightedFunction._folds, so
 that fold and poly.divide_exact_by_norm_sq are the only callers of
-try_divide_norm_sq.  Last, every public module-level function is reached
-from the package itself, not only from the tests.
+try_divide_norm_sq.  Last, every module-level function, public or private,
+is reached from the package itself, not only from the tests.
 """
 
 import ast
@@ -191,8 +191,8 @@ TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 REGISTRARS = {"_suite", "_command"}
 
 
-def _unreached_public_functions(src: Path) -> set[tuple[str, str]]:
-    """Public module-level functions that no other code of the package names.
+def _unreached_functions(src: Path) -> set[tuple[str, str]]:
+    """Module-level functions, public or private, that no other code of the package names.
 
     A function counts as reached when its name is used (read as a name or an
     attribute) in any top-level statement of a package module other than its
@@ -215,7 +215,6 @@ def _unreached_public_functions(src: Path) -> set[tuple[str, str]]:
                     used.setdefault(node.attr, set()).add(site)
             if (
                 isinstance(statement, ast.FunctionDef)
-                and not statement.name.startswith("_")
                 and not {_called_name(d) for d in statement.decorator_list} & REGISTRARS
             ):
                 defined.append((site, statement.name))
@@ -226,8 +225,8 @@ def _unreached_public_functions(src: Path) -> set[tuple[str, str]]:
     }
 
 
-def test_every_public_function_is_reached_from_the_package():
-    assert _unreached_public_functions(SRC) == set(), (
+def test_every_module_level_function_is_reached_from_the_package():
+    assert _unreached_functions(SRC) == set(), (
         "delete the function, or call it from the package"
     )
 
@@ -237,4 +236,14 @@ def test_the_reach_guard_flags_a_function_only_the_tests_could_call(tmp_path):
         (tmp_path / path.name).write_text(path.read_text())
     with open(tmp_path / "radial.py", "a") as fh:
         fh.write("\n\ndef unreached(x):\n    return unreached(x - 1) if x else 0\n")
-    assert _unreached_public_functions(tmp_path) == {("radial", "unreached")}
+    assert _unreached_functions(tmp_path) == {("radial", "unreached")}
+
+
+def test_the_reach_guard_flags_a_private_helper_nothing_calls(tmp_path):
+    # a leftover helper of a deleted code path, say a regex builder, that
+    # only its own module defines
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "poly.py", "a") as fh:
+        fh.write("\n\ndef _helper(pattern):\n    return re.compile(pattern)\n")
+    assert _unreached_functions(tmp_path) == {("poly", "_helper")}

@@ -16,6 +16,7 @@ from dunklcalc.operators import DunklContext
 from dunklcalc.poly import Poly, parse_poly
 from dunklcalc.roots import build_root_system
 from dunklcalc.transform import (
+    BESSEL_SERIES_MAX,
     _GAUSS_NODES,
     _GAUSS_WEIGHTS,
     QuadratureError,
@@ -75,12 +76,10 @@ def test_normalized_bessel_at_zero():
 
 
 def test_bessel_argument_range_guard():
-    with pytest.raises(ValueError):
-        normalized_bessel(1.0, 31.0)
-    # extended range available on request
-    assert normalized_bessel(1.0, 31.0, max_arg=40.0) == pytest.approx(
-        bessel_j(1.0, 31.0, max_arg=40.0) / 31.0, rel=1e-9
-    )
+    with pytest.raises(ValueError, match="outside validated range"):
+        normalized_bessel(1.0, BESSEL_SERIES_MAX + 1.0)
+    with pytest.raises(ValueError, match="outside validated range"):
+        bessel_j(1.0, BESSEL_SERIES_MAX + 1.0)
 
 
 EPS = sys.float_info.epsilon
@@ -103,7 +102,11 @@ def test_normalized_bessel_error_bound():
                 xnu = mpmath.mpf(x) ** _mp(nu)
                 exact = mpmath.besselj(_mp(nu), x) / xnu
                 abs_sum = mpmath.besseli(_mp(nu), x) / xnu
-                err = abs(normalized_bessel(nu, x, max_arg=60.0) - exact)
+                if x <= BESSEL_SERIES_MAX:
+                    value = normalized_bessel(nu, x)
+                else:  # past the guard, the series the guard protects
+                    value = _bessel_series(nu, [x], _bessel_lead(nu))[0]
+                err = abs(value - exact)
                 assert err <= 16 * EPS * abs_sum, (nu, x, float(err / (EPS * abs_sum)))
 
 
@@ -547,11 +550,12 @@ def test_hankel_error_bound():
                         assert err <= tol, (power, nu, s, tol, float(err))
 
 
-def test_hankel_order_must_exceed_minus_one():
-    # at nu = -5/4 the integrand is not integrable at 0 and no graded panel
-    # can make the envelope's mass on it small
-    with pytest.raises(ValueError):
-        hankel_numeric(lambda r: math.exp(-r * r / 2.0), -1.25, 1.0)
+def test_hankel_order_must_be_at_least_minus_one_half():
+    # the range of the Bessel series; below -1 the integrand is not even
+    # integrable at 0, and every order below -1/2 gets the one message
+    for nu in (-0.75, -1.25, -1.5):
+        with pytest.raises(ValueError, match="order must be at least -1/2"):
+            hankel_numeric(lambda r: math.exp(-r * r / 2.0), nu, 1.0)
 
 
 def test_hankel_rejects_non_smooth_integrand():
