@@ -15,9 +15,10 @@ canonical forms, each reached in one fold per profile family that divides
 only lowest parts by |x|^2 (WeightedFunction._folds).  The fold runs in
 integers, scaled once per family and divided once per output term, and
 each of its Horner steps in |x|^2 is one dict of shifted exponents.  The
-operator words of p(D) run in integers as well: a word's parts are int term
-dicts over one denominator, read off the scaled coordinate images, and the
-words are summed and divided once per output term, one Poly per part.
+left side walks Hobson's form p(D) f = sum_k P_k (1/r d/dr)^k f, whose P_k
+do not depend on f: the words of p(D) run from 1 in integers, their parts
+int term dicts listed by derivative order k over one denominator, and part
+k meets the k-th derivative of f when the words are summed per profile key.
 
 Profile text (parse_profile) is read character by character by the scanner
 that parse_poly shares.
@@ -96,18 +97,6 @@ def _family(s, a) -> tuple:
     return a, s % 2
 
 
-def _radial_derivative(s, a) -> Iterator[tuple[ProfileKey, Coeff]]:
-    """(1/r) d/dr r^s exp(a r^2) as ((exponent, rate), coefficient) items.
-
-    It is s r^(s-2) exp(a r^2) + 2a r^s exp(a r^2); a zero coefficient
-    (s = 0, or a = 0) leaves its item out.
-    """
-    if s:
-        yield (s - 2, a), s
-    if a:
-        yield (s, a), 2 * a
-
-
 def _profile(items: Iterable[tuple[ProfileKey, object]]) -> RadialProfile:
     """The sum of c r^s exp(a r^2) over ((s, a), c) items, zero sums dropped.
 
@@ -129,11 +118,19 @@ def _profile(items: Iterable[tuple[ProfileKey, object]]) -> RadialProfile:
 
 
 def inv_r_ddr(profile: RadialProfile) -> RadialProfile:
-    """The radial derivative (1/r) d/dr of the profile, term by term."""
+    """(1/r) d/dr of the profile: c r^s exp(a r^2) goes to c (s r^(s-2) + 2a r^s) exp(a r^2)."""
     a = profile.gauss_coeff
     return _profile(
-        (key, c * d) for s, c in profile.terms for key, d in _radial_derivative(s, a)
+        item for s, c in profile.terms for item in (((s - 2, a), c * s), ((s, a), c * 2 * a))
     )
+
+
+def _derivatives(profile: RadialProfile, m: int) -> list[RadialProfile]:
+    """[f, (1/r d/dr) f, ..., (1/r d/dr)^m f], cut before the first zero derivative."""
+    out = [profile]
+    while len(out) <= m and not (f := inv_r_ddr(out[-1])).is_zero():
+        out.append(f)
+    return out
 
 
 def format_profile(profile: RadialProfile) -> str:
@@ -343,61 +340,57 @@ def _times_norm_sq(
     return out
 
 
-Word = tuple[int, dict[ProfileKey, dict[Exponent, Coeff]]]
+Word = tuple[int, list[dict[Exponent, Coeff]]]
 
 
-def _word_step(ctx: DunklContext, j: int, word: Word) -> Word:
-    """D_j on a word (den, parts): the sum of parts[(s, a)] / den times r^s exp(a r^2).
+def _word_step(ctx: DunklContext, j: int, word: Word, depth: int) -> Word:
+    """D_j on a word (den, parts): the sum of parts[k] / den times (1/r d/dr)^k f.
 
-    Each part P contributes L D_j P, read off the q-scaled coordinate images
-    at its nonzero terms, at its own key, and P x_j times q L c for each
-    radial-derivative item (key, c): s at (s - 2, a) and 2a at (s, a).  L,
-    the lcm of the denominators of those c, makes every weight an int, so
-    the step returns (den q L, parts) with int sums on signed roots and no
-    Poly or Fraction built; zero entries may stay until the caller builds
-    a Poly.
+    For every radial f, D_j (P F) = (D_j P) F + P x_j (1/r d/dr) F, so part
+    k sends D_j P, read off the q-scaled coordinate images at its nonzero
+    terms, to order k and q P x_j to order k + 1; no part is made at order
+    depth, where the derivative of f vanishes.  The step returns (den q,
+    parts) with int entries on signed roots, reads no profile and builds no
+    Poly or Fraction; zero entries may stay until the caller builds a Poly.
     """
     den, parts = word
     q = ctx._scale
-    slopes = {key: list(_radial_derivative(*key)) for key in parts}
-    scale = lcm(*(c.denominator for items in slopes.values() for _, c in items))
-    pairs: dict[ProfileKey, list] = {}
-    for key, terms in parts.items():
-        pairs.setdefault(key, []).extend(
-            (scale * c, ctx._coord_image(j, e)) for e, c in terms.items() if c)
-        shifted = {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in terms.items()}
-        for target, c in slopes[key]:
-            pairs.setdefault(target, []).append(
-                (q * c.numerator * (scale // c.denominator), shifted))
-    return den * q * scale, {key: combine_terms(group) for key, group in pairs.items()}
+    pairs = [[(c, ctx._coord_image(j, e)) for e, c in terms.items() if c] for terms in parts]
+    if len(parts) < depth:
+        pairs.append([])
+    for k, terms in enumerate(parts[:depth - 1]):
+        pairs[k + 1].append((q, {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in terms.items()}))
+    return den * q, [combine_terms(group) for group in pairs]
 
 
 def weighted_poly_of_dunkl(
     ctx: DunklContext, p: Poly, profile: RadialProfile
 ) -> WeightedFunction:
-    """p(D) applied to the radial function, one operator word per term of p.
+    """p(D) applied to the radial function f: the sum over k of P_k (1/r d/dr)^k f.
 
-    Each word runs in integers (_word_step), its parts over one denominator;
-    the words are summed per profile key over their common denominator,
-    each output term is divided once, and one Poly is built per part.  A
-    gaussian rate lets a word of length m spread over m + 1 exponents of
-    r, each with its own polynomial; the work budget counts them.  Both
-    this and hobson_rhs also bound the output fold (_check_fold_budget).
+    One operator word per term of p runs from 1 in integers (_word_step);
+    its part k is paired with the k-th radial derivative of f (_derivatives),
+    the products are summed per profile key over one denominator, and each
+    output term is divided once.  The work budget counts the output keys:
+    the profile's terms, times the m + 1 exponents of r a gaussian rate
+    spreads each over.  Both this and hobson_rhs bound the output fold.
     """
     spread = max(p.degree(), 0) + 1 if profile.gauss_coeff else 1
     check_budget(ctx, p.degree(), len(profile.terms) * spread)
     _check_fold_budget(ctx.dim, p.degree(), profile)
-    den = lcm(*(c.denominator for _, c in profile.terms))
-    one = (0,) * ctx.dim
-    start = (den, {(s, profile.gauss_coeff): {one: c.numerator * (den // c.denominator)}
-                   for s, c in profile.terms})
-    words = operator_words(p, start, lambda j, word: _word_step(ctx, j, word))
+    derivatives = _derivatives(profile, p.degree())
+    start = (1, [{(0,) * ctx.dim: 1}])
+    words = operator_words(p, start, lambda j, w: _word_step(ctx, j, w, len(derivatives)))
     den = lcm(*(c.denominator * word_den for c, (word_den, _) in words))
+    scale = lcm(*(d.denominator for f in derivatives for _, d in f.terms))
     grouped: dict[ProfileKey, list] = {}
     for c, (word_den, parts) in words:
         factor = c.numerator * (den // (c.denominator * word_den))
-        for key, terms in parts.items():
-            grouped.setdefault(key, []).append((factor, terms))
+        for terms, f in zip(parts, derivatives):
+            for s, d in f.terms:
+                grouped.setdefault((s, f.gauss_coeff), []).append(
+                    (factor * d.numerator * (scale // d.denominator), terms))
+    den *= scale
     out = WeightedFunction(ctx.dim)
     for key, group in grouped.items():
         total = {e: v for e, v in combine_terms(group).items() if v}
@@ -441,13 +434,12 @@ def hobson_rhs(ctx: DunklContext, p: Poly, profile: RadialProfile) -> WeightedFu
         return WeightedFunction(ctx.dim)
     m = p.degree()
     _check_fold_budget(ctx.dim, m, profile)
-    derivatives = [profile]
-    for _ in range(m):
-        derivatives.append(inv_r_ddr(derivatives[-1]))
+    derivatives = _derivatives(profile, m)
     return WeightedFunction(
         ctx.dim,
         [(lap_power.scale(Fraction(1, 2**j * factorial(j))), derivatives[m - j])
-         for j, lap_power in enumerate(laplacian_powers(ctx, p, m // 2))],
+         for j, lap_power in enumerate(laplacian_powers(ctx, p, m // 2))
+         if m - j < len(derivatives)],
     )
 
 

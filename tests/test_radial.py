@@ -47,16 +47,21 @@ def make_profile(s, a, coeffs):
 def weighted_apply(ctx, xi, w):
     """D_xi w, assembled from the coordinate steps of the weighted walk.
 
-    w's parts go in as int numerators over their common denominator.
+    Each part P r^s exp(a r^2) of w goes in as a one-part word of int
+    numerators over their common denominator, and step part k is paired
+    with (1/r d/dr)^k r^s exp(a r^2).
     """
-    den = lcm(*(c.denominator for poly in w.parts.values() for c in poly.terms.values()))
-    word = (den, {key: {e: int(c * den) for e, c in poly.terms.items()}
-                  for key, poly in w.parts.items()})
     items = []
-    for j, c in enumerate(xi):
-        if c:
-            step_den, parts = radial._word_step(ctx, j, word)
-            items.extend((key, Q(c) / step_den, Poly(w.dim, terms)) for key, terms in parts.items())
+    for (s, a), poly in w.parts.items():
+        den = lcm(*(c.denominator for c in poly.terms.values()))
+        word = (den, [{e: int(c * den) for e, c in poly.terms.items()}])
+        f = RadialProfile.power_gauss(s, a)
+        derivatives = [f, inv_r_ddr(f)]
+        for j, c in enumerate(xi):
+            if c:
+                step_den, parts = radial._word_step(ctx, j, word, 2)
+                items.extend(((t, g.gauss_coeff), Q(c) * d / step_den, Poly(w.dim, terms))
+                             for terms, g in zip(parts, derivatives) for t, d in g.terms)
     return WeightedFunction._sum(w.dim, items)
 
 
@@ -107,6 +112,30 @@ def test_integer_words_match_the_poly_step_walk(system, degree, seed, s, a, coef
     want = poly_step_walk(ctx, p, profile)
     assert got.parts == want.parts
     assert str(got) == str(want)
+
+
+def test_word_parts_are_listed_by_derivative_order(monkeypatch):
+    # part k of a word multiplies (1/r d/dr)^k of the profile: int term dicts
+    # on a signed system, and no part past the first vanishing derivative, so
+    # words on r^2 (derivatives r^2, 2, 0) keep 2 parts and words on a
+    # gaussian, whose derivatives never vanish, reach m + 1
+    ctx = make_ctx("b:d=3", ["1", "2"])
+    p = random_homogeneous(random.Random(5), 3, 4)
+    step, seen = radial._word_step, []
+
+    def spy(*args):
+        seen.append(step(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(radial, "_word_step", spy)
+    for text, most in [("r^2", 2), ("exp(-1*r^2)", 5)]:
+        seen.clear()
+        weighted_poly_of_dunkl(ctx, p, parse_profile(text))
+        assert seen
+        for den, parts in seen:
+            assert type(den) is int and type(parts) is list
+            assert all(type(c) is int for terms in parts for c in terms.values())
+        assert max(len(parts) for _, parts in seen) == most
 
 
 def test_profile_canonical_form():
