@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .operators import DunklContext, heat_series, laplacian_powers
-from .poly import InvariantError, Poly, linear_combination, norm_sq_poly
+from .poly import InvariantError, Poly, _times_norm_sq, combine_terms
 from .radial import RadialProfile, WeightedFunction, weighted_poly_of_dunkl
 from .util import pochhammer
 
@@ -44,17 +44,20 @@ def _projected_layers(ctx: DunklContext, p: Poly, count: int) -> list[Poly]:
     Lap^j p has degree n = m - 2j, and its own Laplacian powers are the
     tail of the one list [p, Lap p, ..., Lap^(m//2) p], so its projection
     is the series sum over k of |x|^(2k) Lap^(j+k) p / (4^k k! (-lam-n+1)_k).
+    It is summed by Horner in |x|^2, one shifted dict per step
+    (poly._times_norm_sq): no power of |x|^2 and no product is built.
     """
     m = p.degree()
     powers = laplacian_powers(ctx, p, m // 2)
-    r2 = norm_sq_poly(ctx.dim)
-    return [
-        linear_combination(ctx.dim, [(1, powers[j])] + [
-            (1 / _series_denominator(ctx, m - 2 * j, k), r2**k * powers[j + k])
-            for k in range(1, len(powers) - j)
-        ])
-        for j in range(count)
-    ]
+    layers = []
+    for j in range(count):
+        total: dict = {}
+        for k in reversed(range(len(powers) - j)):
+            c = 1 / _series_denominator(ctx, m - 2 * j, k) if k else 1
+            term = combine_terms([(c, powers[j + k].terms)])
+            total = _times_norm_sq(ctx.dim, total, term) if total else term
+        layers.append(Poly(ctx.dim, total))
+    return layers
 
 
 def clebsch_project_series(ctx: DunklContext, p: Poly) -> Poly:

@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .operators import DunklContext, heat_series, laplacian_powers
-from .poly import Coeff, Poly
+from .operators import DunklContext, check_budget, heat_series, laplacian_powers
+from .poly import Coeff, Poly, homogeneous_components
 from .util import pochhammer
 
 
@@ -25,14 +25,18 @@ def pizzetti_mean(ctx: DunklContext, p: Poly) -> Fraction:
     """Normalized weighted spherical mean of p via the Pizzetti series.
 
     Sum over l of (Lap^l p)(0) / (4^l l! (lam+1)_l) with lam the Bessel
-    index; the denominators are positive since lam >= -1/2.  Odd-degree
-    content contributes nothing because its Laplacian iterates have no
-    constant term.
+    index; the denominators are positive since lam >= -1/2.  Only the
+    component of degree 2l reaches (Lap^l p)(0), so each even component is
+    taken to its own last Laplacian power, and odd ones to none.
     """
+    check_budget(ctx, p.degree())
     lam = ctx.bessel_index
     total = Fraction(0)
-    for l, level in enumerate(laplacian_powers(ctx, p, max(p.degree(), 0) // 2)):
-        value = level.constant_term()
+    for degree, component in homogeneous_components(p):
+        if degree % 2:
+            continue
+        l = degree // 2
+        value = laplacian_powers(ctx, component, l)[-1].constant_term()
         if value:
             total += value / (Fraction(4**l * factorial(l)) * pochhammer(lam + 1, l))
     return total

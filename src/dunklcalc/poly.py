@@ -133,6 +133,8 @@ class Poly:
     def __sub__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.dim, other)
+        if self.dim == other.dim and self.terms == other.terms:
+            return Poly(self.dim)  # an exact residual: no term is negated or summed
         return linear_combination(self.dim, ((1, self), (-1, other)))
 
     def __rsub__(self, other):
@@ -270,6 +272,25 @@ def norm_sq_poly(dim: int) -> Poly:
         dim,
         {tuple(2 if j == i else 0 for j in range(dim)): 1 for i in range(dim)},
     )
+
+
+def _times_norm_sq(
+    dim: int, terms: Mapping[Exponent, Coeff], part: Mapping[Exponent, Coeff] | None = None
+) -> dict[Exponent, Coeff]:
+    """part + terms * |x|^2 in one dict, for nonempty terms: each x^e moves to every x^(e + 2 e_j).
+
+    A monomial to monomial map, and the one Horner step in |x|^2 of the
+    package: the shifted exponents are zipped from the coordinate columns of
+    all the terms at once, no Poly is built and no coefficient is re-checked;
+    zero coefficients may stay until the caller builds a Poly.
+    """
+    out = dict(part) if part else {}
+    columns, values = list(zip(*terms)), list(terms.values())
+    for j in range(dim):
+        shifted = zip(*columns[:j], [k + 2 for k in columns[j]], *columns[j + 1:])
+        for f, c in zip(shifted, values):
+            out[f] = out.get(f, 0) + c
+    return out
 
 
 def partial_derivative(p: Poly, direction: Sequence) -> Poly:

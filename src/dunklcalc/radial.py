@@ -17,8 +17,10 @@ integers, scaled once per family and divided once per output term, and
 each of its Horner steps in |x|^2 is one dict of shifted exponents.  The
 left side walks Hobson's form p(D) f = sum_k P_k (1/r d/dr)^k f, whose P_k
 do not depend on f: the words of p(D) run from 1 in integers, their parts
-int term dicts listed by derivative order k over one denominator, and part
-k meets the k-th derivative of f when the words are summed per profile key.
+int term dicts listed by derivative order k from the lowest nonzero order
+low over one denominator, and part k meets the k-th derivative of f when
+the words are summed per profile key.  Both sides read one derivative chain
+[f, (1/r d/dr) f, ...], each link kept by the profile it was taken of.
 
 Profile text (parse_profile) is read character by character by the scanner
 that parse_poly shares.
@@ -27,9 +29,10 @@ that parse_poly shares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .operators import (
     MAX_WORK,
@@ -44,6 +47,7 @@ from .poly import (
     InvariantError,
     Poly,
     _Scanner,
+    _times_norm_sq,
     as_coeff,
     combine_terms,
     divide_numerators,
@@ -83,6 +87,11 @@ class RadialProfile:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    @cached_property
+    def derivative(self) -> "RadialProfile":
+        """inv_r_ddr of the profile, computed once per profile object."""
+        return inv_r_ddr(self)
 
     def __str__(self) -> str:
         return format_profile(self)
@@ -128,7 +137,7 @@ def inv_r_ddr(profile: RadialProfile) -> RadialProfile:
 def _derivatives(profile: RadialProfile, m: int) -> list[RadialProfile]:
     """[f, (1/r d/dr) f, ..., (1/r d/dr)^m f], cut before the first zero derivative."""
     out = [profile]
-    while len(out) <= m and not (f := inv_r_ddr(out[-1])).is_zero():
+    while len(out) <= m and not (f := out[-1].derivative).is_zero():
         out.append(f)
     return out
 
@@ -193,6 +202,8 @@ class WeightedFunction:
         return WeightedFunction._sum(self.dim, self._items() + other._items())
 
     def __sub__(self, other: "WeightedFunction") -> "WeightedFunction":
+        if self.dim == other.dim and self.parts == other.parts:
+            return WeightedFunction(self.dim)  # an exact residual: no part is negated or summed
         return WeightedFunction._sum(self.dim, self._items() + other._items(-1))
 
     def __neg__(self) -> "WeightedFunction":
@@ -321,46 +332,30 @@ def _scaled(poly: Poly, scale: int) -> Poly:
     })
 
 
-def _times_norm_sq(
-    dim: int, terms: Mapping[Exponent, Coeff], part: Mapping[Exponent, Coeff] | None = None
-) -> dict[Exponent, Coeff]:
-    """part + terms * |x|^2 in one dict, for nonempty terms: each x^e moves to every x^(e + 2 e_j).
-
-    A monomial to monomial map: the shifted exponents are zipped from the
-    coordinate columns of all the terms at once, no Poly is built and no
-    coefficient is re-checked; zero coefficients may stay until the caller
-    builds a Poly.
-    """
-    out = dict(part) if part else {}
-    columns, values = list(zip(*terms)), list(terms.values())
-    for j in range(dim):
-        shifted = zip(*columns[:j], [k + 2 for k in columns[j]], *columns[j + 1:])
-        for f, c in zip(shifted, values):
-            out[f] = out.get(f, 0) + c
-    return out
-
-
-Word = tuple[int, list[dict[Exponent, Coeff]]]
+Word = tuple[int, int, list[dict[Exponent, Coeff]]]
 
 
 def _word_step(ctx: DunklContext, j: int, word: Word, depth: int) -> Word:
-    """D_j on a word (den, parts): the sum of parts[k] / den times (1/r d/dr)^k f.
+    """D_j on a word (den, low, parts): the sum of parts[i] / den times (1/r d/dr)^(low+i) f.
 
-    For every radial f, D_j (P F) = (D_j P) F + P x_j (1/r d/dr) F, so part
-    k sends D_j P, read off the q-scaled coordinate images at its nonzero
-    terms, to order k and q P x_j to order k + 1; no part is made at order
-    depth, where the derivative of f vanishes.  The step returns (den q,
-    parts) with int entries on signed roots, reads no profile and builds no
-    Poly or Fraction; zero entries may stay until the caller builds a Poly.
+    For every radial f, D_j (P F) = (D_j P) F + P x_j (1/r d/dr) F, so the
+    part at order k sends D_j P, read off the q-scaled coordinate images at
+    its nonzero terms, to order k and q P x_j to order k + 1; no part is made
+    at order depth, where the derivative of f vanishes.  The step returns
+    (den q, low, parts) with the empty parts at the bottom dropped (a word of
+    length l has none below order l/2) and int entries on signed roots, reads
+    no profile and builds no Poly or Fraction; zero entries may stay.
     """
-    den, parts = word
+    den, low, parts = word
     q = ctx._scale
     pairs = [[(c, ctx._coord_image(j, e)) for e, c in terms.items() if c] for terms in parts]
-    if len(parts) < depth:
+    if low + len(parts) < depth:
         pairs.append([])
-    for k, terms in enumerate(parts[:depth - 1]):
-        pairs[k + 1].append((q, {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in terms.items()}))
-    return den * q, [combine_terms(group) for group in pairs]
+    for i, terms in enumerate(parts[:depth - 1 - low]):
+        pairs[i + 1].append((q, {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in terms.items()}))
+    parts = [combine_terms(group) for group in pairs]
+    skip = next((i for i, terms in enumerate(parts) if terms), len(parts))
+    return den * q, low + skip, parts[skip:]
 
 
 def weighted_poly_of_dunkl(
@@ -379,14 +374,14 @@ def weighted_poly_of_dunkl(
     check_budget(ctx, p.degree(), len(profile.terms) * spread)
     _check_fold_budget(ctx.dim, p.degree(), profile)
     derivatives = _derivatives(profile, p.degree())
-    start = (1, [{(0,) * ctx.dim: 1}])
+    start = (1, 0, [{(0,) * ctx.dim: 1}])
     words = operator_words(p, start, lambda j, w: _word_step(ctx, j, w, len(derivatives)))
-    den = lcm(*(c.denominator * word_den for c, (word_den, _) in words))
+    den = lcm(*(c.denominator * word[0] for c, word in words))
     scale = lcm(*(d.denominator for f in derivatives for _, d in f.terms))
     grouped: dict[ProfileKey, list] = {}
-    for c, (word_den, parts) in words:
+    for c, (word_den, low, parts) in words:
         factor = c.numerator * (den // (c.denominator * word_den))
-        for terms, f in zip(parts, derivatives):
+        for terms, f in zip(parts, derivatives[low:]):
             for s, d in f.terms:
                 grouped.setdefault((s, f.gauss_coeff), []).append(
                     (factor * d.numerator * (scale // d.denominator), terms))
@@ -435,6 +430,8 @@ def hobson_rhs(ctx: DunklContext, p: Poly, profile: RadialProfile) -> WeightedFu
     m = p.degree()
     _check_fold_budget(ctx.dim, m, profile)
     derivatives = _derivatives(profile, m)
+    if m - m // 2 >= len(derivatives):  # every (1/r d/dr)^(m-j) f read below is zero
+        return WeightedFunction(ctx.dim)
     return WeightedFunction(
         ctx.dim,
         [(lap_power.scale(Fraction(1, 2**j * factorial(j))), derivatives[m - j])

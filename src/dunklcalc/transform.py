@@ -20,7 +20,7 @@ error bound they state adds the tail, the difference of the two rules (an
 estimate of the rule error), the Bessel series error integrated in closed
 form against the envelope, and the rounding of the sum.  The Bessel
 factor at the nodes of both rules is one series pass, its length set once at
-the largest argument and its sums taken in C.
+the largest argument and its sums taken in C, as are the sphere pairing's.
 The module confirms, within stated tolerances, the spherical pairing
 formula, the Bochner-Hecke identity for the weighted Gaussian, the Hankel
 picture of transforms of radial multiples, the Hermite eigenfunction
@@ -272,7 +272,7 @@ def kernel_eigen_residual(kappa, x: float, y: float) -> float:
 
 # -- spherical pairing ------------------------------------------------------
 
-# Float rows (util.grown_row): pairing row per (kappa, e_j), 1 / (gamma)_B per gamma.
+# Float rows (util.grown_row): pairing row per (kappa, e_j), (-1)^B / (gamma)_B per gamma.
 _SPHERE_MEAN_CACHE: dict[tuple[Fraction, int] | Fraction, list[float]] = {}
 
 
@@ -304,8 +304,10 @@ def sphere_pairing(
     numerator and the kernel coefficients factorize over coordinates, and
     the phase (-i)^(sum n_j) and the denominator depend only on |b|, so
     each monomial of p costs one convolution of d coordinate rows in b,
-    O(d N^2) for truncation order N.  Row coefficients and the reciprocal
-    denominators are exact values rounded once, kept in rows across calls.
+    O(d N^2) for truncation order N.  Row coefficients and the signed
+    reciprocal denominators (-1)^B / (gamma)_B are exact values rounded once,
+    kept in rows across calls.  Each convolution entry and the final pairing
+    is one builtin sum of products in index order (compensated from 3.12 on).
     """
     kappas = z2_kappas(ctx.rs)
     d = ctx.dim
@@ -322,24 +324,18 @@ def sphere_pairing(
         conv = [1.0]
         for kappa, ej, ypow in zip(kappas, e, ypows):
             start = (ej + 1) // 2
-            coeffs = _pairing_row(kappa, ej, order)
-            stop = (order + ej) // 2 + 1  # past the last b with kernel index <= order
-            row = [coeffs[b - start] * ypow[2 * b - ej] for b in range(start, stop)]
-            merged = [0.0] * (len(conv) + len(row) - 1)
-            for i, u in enumerate(conv):
-                for k, v in enumerate(row):
-                    merged[i + k] += u * v
-            conv = merged
+            # entry b - start pairs with kernel index 2b - ej <= order, the end of ypow
+            row = list(map(mul, _pairing_row(kappa, ej, order), ypow[2 * start - ej::2]))
+            rev, n = row[::-1], len(row)
+            conv = [sum(map(mul, conv[max(i - n + 1, 0):], rev[max(n - 1 - i, 0):]))
+                    for i in range(len(conv) + n - 1)]
             low += start
-        inverse_rising = grown_row(
+        # (-i)^(2B - |e|) = (-1)^B (-i)^(-|e|): the row holds (-1)^B / (gamma)_B
+        signed_rising = grown_row(
             _SPHERE_MEAN_CACHE, gamma, low + len(conv),
-            lambda row, b: float(1 / pochhammer(gamma, b)),
+            lambda row, b: float((-1) ** b / pochhammer(gamma, b)),
         )
-        # (-i)^(2B - |e|) = (-1)^B (-i)^(-|e|)
-        acc = 0.0
-        for k, v in enumerate(conv):
-            term = v * inverse_rising[low + k]
-            acc += -term if (low + k) % 2 else term
+        acc = sum(map(mul, conv, signed_rising[low:]))
         total += float(c) * acc * _PHASES[-sum(e) % 4]
     return total
 

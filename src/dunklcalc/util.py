@@ -38,7 +38,8 @@ def pochhammer(a: Fraction | int, n: int) -> Fraction:
     """Rising factorial a(a+1)...(a+n-1), read off one exact row per a; (a)_0 = 1."""
     if n < 0:
         raise ValueError("pochhammer needs a non-negative count")
-    a = Fraction(a)
+    if type(a) is not Fraction:
+        a = Fraction(a)
     return grown_row(
         _RISING_ROWS, a, n + 1, lambda row, k: row[-1] * (a + k - 1) if k else Fraction(1)
     )[n]

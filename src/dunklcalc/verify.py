@@ -45,6 +45,7 @@ from .operators import (
 )
 from .poly import (
     Poly,
+    as_coeff,
     classical_laplacian,
     compose_reflection,
     homogeneous_components,
@@ -173,26 +174,30 @@ def monomials_of_degree(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(set(out)))
 
 
-def random_homogeneous(rng: random.Random, dim: int, degree: int, max_terms: int = 4) -> Poly:
+# c / den as poly.as_coeff types it, per (c, den) that _random_terms draws
+_NUMERATORS = (-4, -3, -2, -1, 1, 2, 3, 4)
+_DENOMINATORS = (1, 1, 2, 3)
+_COEFFS = {(c, den): as_coeff(Fraction(c, den)) for c in _NUMERATORS for den in _DENOMINATORS}
+
+
+def _random_terms(rng: random.Random, dim: int, degree: int, max_terms: int) -> dict:
+    """The term dict of random_homogeneous: one numerator, then one denominator, per pick."""
     monos = monomials_of_degree(dim, degree)
     count = min(len(monos), rng.randint(1, max_terms))
-    picks = rng.sample(monos, count)
-    terms = {}
-    for e in picks:
-        c = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
-        den = rng.choice([1, 1, 2, 3])
-        terms[e] = c if den == 1 else Fraction(c, den)
-    return Poly(dim, terms)
+    return {e: _COEFFS[rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS)]
+            for e in rng.sample(monos, count)}
+
+
+def random_homogeneous(rng: random.Random, dim: int, degree: int, max_terms: int = 4) -> Poly:
+    return Poly(dim, _random_terms(rng, dim, degree, max_terms))
 
 
 def random_poly(rng: random.Random, dim: int, max_degree: int) -> Poly:
-    degrees = rng.sample(range(max_degree + 1), min(3, max_degree + 1))
-    total = linear_combination(
-        dim, ((1, random_homogeneous(rng, dim, degree)) for degree in degrees)
-    )
-    if total.is_zero():
-        total = Poly.const(dim, 1)
-    return total
+    """Up to three random homogeneous parts of distinct degrees, merged into one Poly."""
+    terms: dict = {}
+    for degree in rng.sample(range(max_degree + 1), min(3, max_degree + 1)):
+        terms.update(_random_terms(rng, dim, degree, 4))
+    return Poly(dim, terms) if terms else Poly.const(dim, 1)
 
 
 def random_direction(rng: random.Random, dim: int) -> tuple[Fraction, ...]:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -36,6 +37,35 @@ def test_pizzetti_basic_values():
 def test_pizzetti_weighted_example():
     ctx = make_ctx("z2:d=2", ["1", "0"])
     assert pizzetti_mean(ctx, parse_poly("x1^2", 2)) == Q(3, 4)
+
+
+def test_pizzetti_of_an_odd_polynomial_takes_no_laplacian(monkeypatch):
+    import dunklcalc.integrate
+    import dunklcalc.operators
+
+    def forbid(*args):
+        raise AssertionError("a Laplacian was taken")
+
+    monkeypatch.setattr(dunklcalc.integrate, "laplacian_powers", forbid)
+    monkeypatch.setattr(dunklcalc.operators, "dunkl_laplacian_sq", forbid)
+    ctx = make_ctx("b:d=2", ["1", "2"])
+    assert pizzetti_mean(ctx, parse_poly("x1^3*x2^2 - 2/3*x1 + x2^5", 2)) == 0
+
+
+def test_pizzetti_reads_each_even_component_alone():
+    # the series over the Laplacian powers of all of p, against the one that
+    # takes each even component to its own order
+    rng = random.Random(29)
+    for system, kappas in [("z2:d=2", ["1", "3/2"]), ("b:d=2", ["1", "2"]), ("a:d=3", ["1/2"])]:
+        ctx = make_ctx(system, kappas)
+        lam = ctx.bessel_index
+        for _ in range(6):
+            p = random_poly(rng, ctx.dim, 7)
+            want, power = Q(0), p
+            for l in range(max(p.degree(), 0) // 2 + 1):
+                want += power.constant_term() / (4**l * math.factorial(l) * pochhammer(lam + 1, l))
+                power = dunkl_laplacian_sq(ctx, power)
+            assert pizzetti_mean(ctx, p) == want
 
 
 def test_sphere_oracle_values():

@@ -48,6 +48,102 @@ def test_dimension_mismatch():
         P("x1", 1) + P("x1", 2)
 
 
+def _fraction_builds(action) -> int:
+    """The number of Fractions built while action() runs, read off the calls of fractions.py."""
+    import fractions
+    import sys
+
+    builds = [0]
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == fractions.__file__ and code.co_name in (
+                "__new__", "_from_coprime_ints"):
+            builds[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return builds[0]
+
+
+def test_subtracting_equal_operands_builds_no_fraction():
+    from dunklcalc.radial import WeightedFunction, parse_profile
+
+    text = "1/2*x1^2*x2 - 2/3*x2 + 5/7"
+    p, q = P(text), P(text)
+    assert _fraction_builds(lambda: p * 2) > 0  # the counter sees Fraction arithmetic
+    assert _fraction_builds(lambda: p - q) == 0
+    assert (p - q).is_zero() and (p - q).dim == 2
+    profile = parse_profile("r^(7/2)*exp(-1/3*r^2)")
+    v, w = (WeightedFunction(2, [(P(text), profile), (P("1/3*x1"), profile)]) for _ in "vw")
+    assert _fraction_builds(lambda: v - w) == 0
+    assert (v - w).is_zero() and not (v - w).parts and (v - w).dim == 2
+    # unequal operands still subtract, and a dimension mismatch still raises
+    assert (p - P("x2")) == P("1/2*x1^2*x2 - 5/3*x2 + 5/7")
+    with pytest.raises(PolyError):
+        Poly.zero(2) - Poly.zero(3)
+    with pytest.raises(PolyError):
+        v - WeightedFunction(3, [(P(text, 3), profile), (P("1/3*x1", 3), profile)])
+
+
+def _parent_random_homogeneous(rng, dim, degree, max_terms=4):
+    """random_homogeneous as it was written before its coefficient table."""
+    monos = dunklcalc.verify.monomials_of_degree(dim, degree)
+    count = min(len(monos), rng.randint(1, max_terms))
+    picks = rng.sample(monos, count)
+    terms = {}
+    for e in picks:
+        c = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+        den = rng.choice([1, 1, 2, 3])
+        terms[e] = c if den == 1 else Fraction(c, den)
+    return Poly(dim, terms)
+
+
+def _parent_random_poly(rng, dim, max_degree):
+    """random_poly as it was written before it merged term dicts."""
+    degrees = rng.sample(range(max_degree + 1), min(3, max_degree + 1))
+    total = linear_combination(
+        dim, ((1, _parent_random_homogeneous(rng, dim, degree)) for degree in degrees)
+    )
+    if total.is_zero():
+        total = Poly.const(dim, 1)
+    return total
+
+
+def test_random_inputs_match_the_term_by_term_generator(monkeypatch):
+    import random
+
+    for seed in range(12):
+        for dim in (1, 2, 3, 5):
+            for degree in range(-1, 9):
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                for make, parent in [
+                    (dunklcalc.verify.random_poly, _parent_random_poly),
+                    (dunklcalc.verify.random_homogeneous, _parent_random_homogeneous),
+                ]:
+                    if degree < 0 and parent is _parent_random_homogeneous:
+                        continue
+                    got, want = make(got_rng, dim, degree), parent(want_rng, dim, degree)
+                    assert got == want and list(got.terms) == list(want.terms)
+                    assert [type(c) for c in got.terms.values()] == [
+                        type(c) for c in want.terms.values()]
+                assert got_rng.random() == want_rng.random()  # the same draws were made
+    # one Poly per random input
+    built = []
+    init = Poly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    dunklcalc.verify.random_poly(random.Random(3), 3, 6)
+    assert len(built) == 1
+
+
 def test_partial_derivative_examples():
     assert partial_derivative(P("x1^3", 1), [1]) == P("3*x1^2", 1)
     assert partial_derivative(P("x1*x2"), [1, 1]) == P("x1 + x2")

@@ -48,20 +48,20 @@ def weighted_apply(ctx, xi, w):
     """D_xi w, assembled from the coordinate steps of the weighted walk.
 
     Each part P r^s exp(a r^2) of w goes in as a one-part word of int
-    numerators over their common denominator, and step part k is paired
-    with (1/r d/dr)^k r^s exp(a r^2).
+    numerators over their common denominator, and the step's part at order
+    low + i is paired with (1/r d/dr)^(low+i) r^s exp(a r^2).
     """
     items = []
     for (s, a), poly in w.parts.items():
         den = lcm(*(c.denominator for c in poly.terms.values()))
-        word = (den, [{e: int(c * den) for e, c in poly.terms.items()}])
+        word = (den, 0, [{e: int(c * den) for e, c in poly.terms.items()}])
         f = RadialProfile.power_gauss(s, a)
         derivatives = [f, inv_r_ddr(f)]
         for j, c in enumerate(xi):
             if c:
-                step_den, parts = radial._word_step(ctx, j, word, 2)
+                step_den, low, parts = radial._word_step(ctx, j, word, 2)
                 items.extend(((t, g.gauss_coeff), Q(c) * d / step_den, Poly(w.dim, terms))
-                             for terms, g in zip(parts, derivatives) for t, d in g.terms)
+                             for terms, g in zip(parts, derivatives[low:]) for t, d in g.terms)
     return WeightedFunction._sum(w.dim, items)
 
 
@@ -115,10 +115,11 @@ def test_integer_words_match_the_poly_step_walk(system, degree, seed, s, a, coef
 
 
 def test_word_parts_are_listed_by_derivative_order(monkeypatch):
-    # part k of a word multiplies (1/r d/dr)^k of the profile: int term dicts
-    # on a signed system, and no part past the first vanishing derivative, so
-    # words on r^2 (derivatives r^2, 2, 0) keep 2 parts and words on a
-    # gaussian, whose derivatives never vanish, reach m + 1
+    # the part at order k = low + i of a word multiplies (1/r d/dr)^k of the
+    # profile: int term dicts on a signed system, and no part past the first
+    # vanishing derivative, so words on r^2 (derivatives r^2, 2, 0) reach
+    # order 1 (2 orders) and words on a gaussian, whose derivatives never
+    # vanish, reach order m (m + 1 orders)
     ctx = make_ctx("b:d=3", ["1", "2"])
     p = random_homogeneous(random.Random(5), 3, 4)
     step, seen = radial._word_step, []
@@ -132,10 +133,76 @@ def test_word_parts_are_listed_by_derivative_order(monkeypatch):
         seen.clear()
         weighted_poly_of_dunkl(ctx, p, parse_profile(text))
         assert seen
-        for den, parts in seen:
-            assert type(den) is int and type(parts) is list
+        for den, low, parts in seen:
+            assert type(den) is int and type(low) is int and type(parts) is list
             assert all(type(c) is int for terms in parts for c in terms.values())
-        assert max(len(parts) for _, parts in seen) == most
+        assert max(low + len(parts) for _, low, parts in seen) == most
+
+
+def test_word_step_never_returns_an_empty_lowest_part(monkeypatch):
+    # a word of length l from 1 has no term below order l/2: the step drops
+    # those empty parts and raises low past them, and the words still sum to
+    # the step walk of Polys
+    step, seen = radial._word_step, []
+
+    def spy(*args):
+        seen.append(step(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(radial, "_word_step", spy)
+    rng = random.Random(8)
+    for system in WALK_SYSTEMS[:4]:
+        ctx = make_ctx(*system)
+        for text in ("r^2", "r^(7/2)", "exp(-1*r^2)", "r^(-3)*exp(-1/2*r^2)"):
+            profile = parse_profile(text)
+            p = random_poly(rng, ctx.dim, 4)
+            got = weighted_poly_of_dunkl(ctx, p, profile)
+            assert got.parts == poly_step_walk(ctx, p, profile).parts
+    assert seen
+    for den, low, parts in seen:
+        assert parts == [] or parts[0], (den, low, parts)
+    assert max(low for _, low, _ in seen) >= 2
+    # one step from 1 leaves D_j 1 = 0 at order 0, so the word starts at order 1
+    ctx = make_ctx("b:d=2", ["1", "2"])
+    assert step(ctx, 0, (1, 0, [{(0, 0): 1}]), 3) == (ctx._scale, 1, [{(1, 0): ctx._scale}])
+
+
+def test_each_profile_is_differentiated_once(monkeypatch):
+    # the derivative chain is kept by the profile objects: repeated residuals
+    # on one profile differentiate each link of the chain once
+    calls = []
+
+    def counting(profile):
+        calls.append(profile)
+        return inv_r_ddr(profile)
+
+    monkeypatch.setattr(radial, "inv_r_ddr", counting)
+    ctx = make_ctx("b:d=2", ["1", "2"])
+    profile = parse_profile("r^(-3)*exp(-1/2*r^2)")
+    rng = random.Random(21)
+    for _ in range(4):
+        assert hobson_residual(ctx, random_homogeneous(rng, 2, 3), profile).is_zero()
+    assert len(calls) == 3  # f, f' and f'' are each differentiated once
+    assert len({id(f) for f in calls}) == 3
+    # the chain is the one inv_r_ddr gives
+    assert profile.derivative.derivative == inv_r_ddr(inv_r_ddr(parse_profile(str(profile))))
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_hobson_rhs_on_r_squared_reads_no_laplacian_power(monkeypatch, degree):
+    # (1/r d/dr)^k r^2 vanishes for k >= 2, and m - j >= 2 for every j <= m/2
+    # once m >= 3: the right side is zero before any Laplacian power is taken
+    import dunklcalc.operators
+
+    def forbid(*args):
+        raise AssertionError("a Laplacian power was computed")
+
+    monkeypatch.setattr(dunklcalc.operators, "dunkl_laplacian_sq", forbid)
+    ctx = make_ctx("b:d=3", ["1", "1/2"])
+    p = random_homogeneous(random.Random(degree), 3, degree)
+    assert hobson_rhs(ctx, p, RadialProfile.power(2)).is_zero()
+    monkeypatch.undo()
+    assert hobson_lhs(ctx, p, RadialProfile.power(2)).is_zero()
 
 
 def test_profile_canonical_form():

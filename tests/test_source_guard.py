@@ -31,9 +31,9 @@ ALLOWED = {
     ("poly", "partial_derivative"): "monomial to monomial map",
     ("poly", "classical_laplacian"): "monomial to monomial map",
     ("poly", "_divide_monic"): "remainder of an exact division",
+    ("poly", "_times_norm_sq"): "monomial to monomial map",
     ("poly", "parse_poly"): "term collection while parsing",
     ("radial", "_profile"): "profile coefficients",
-    ("radial", "_times_norm_sq"): "monomial to monomial map",
 }
 
 

@@ -374,7 +374,7 @@ def test_default_battery_keeps_one_pairing_row_per_kappa_and_exponent(monkeypatc
     rows = {key: list(row) for key, row in cache.items() if isinstance(key, tuple)}
     # kappa in {0, 1/2, 1, 3/2} and exponents 0..4 (degree 4)
     assert sorted(rows) == sorted((Q(k, 2), e) for k in range(4) for e in range(5))
-    # the other rows hold 1 / (gamma)_B, gamma = sum kappa + d/2
+    # the other rows hold (-1)^B / (gamma)_B, gamma = sum kappa + d/2
     assert sorted(set(cache) - set(rows)) == [Q(k, 2) for k in (1, 2, 3, 4, 5, 7)]
     for (kappa, exponent), row in rows.items():
         order_400 = _pairing_row(kappa, exponent, 400)
@@ -686,3 +686,50 @@ def test_sphere_pairing_matches_term_by_term_expansion():
             want = _sphere_pairing_by_expansion(z2_kappas(ctx.rs), p, y, n_terms)
             got = sphere_pairing(ctx, p, y, n_terms=n_terms)
             assert abs(got - want) <= 1e-12 * abs(want), (kappas, str(p), y, n_terms)
+
+
+def _sphere_pairing_by_loops(ctx, p, y, n_terms=None):
+    """sphere_pairing with its convolutions and final sum written as float loops.
+
+    Reads the same pairing rows and the same 1 / (gamma)_B values, with the
+    sign of odd B applied to each term.
+    """
+    kappas = z2_kappas(ctx.rs)
+    order = n_terms if n_terms is not None else truncation_order(max(map(abs, y), default=0.0))
+    gamma = sum(kappas, Q(0)) + Q(ctx.dim, 2)
+    total = 0j
+    for e, c in p.terms.items():
+        low, conv = 0, [1.0]
+        for kappa, ej, yj in zip(kappas, e, y):
+            start = (ej + 1) // 2
+            coeffs = _pairing_row(kappa, ej, order)
+            ypow = list(itertools.accumulate(itertools.repeat(float(yj), order), initial=1.0,
+                                             func=lambda u, v: u * v))
+            row = [coeffs[b - start] * ypow[2 * b - ej] for b in range(start, (order + ej) // 2 + 1)]
+            merged = [0.0] * (len(conv) + len(row) - 1)
+            for i, u in enumerate(conv):
+                for k, v in enumerate(row):
+                    merged[i + k] += u * v
+            conv, low = merged, low + start
+        acc = 0.0
+        for k, v in enumerate(conv):
+            term = v * float(1 / pochhammer(gamma, low + k))
+            acc += -term if (low + k) % 2 else term
+        total += float(c) * acc * dunklcalc.transform._PHASES[-sum(e) % 4]
+    return total
+
+
+def test_sphere_pairing_sums_match_the_float_loops():
+    # the products and additions run in the loops' order: equal floats where
+    # the builtin sum is a plain float sum (before 3.12), compensated after
+    rng = random.Random(36)
+    for d in (1, 2, 3):
+        for _ in range(4):
+            ctx = make_ctx(f"z2:d={d}", [rng.choice(["0", "1/2", "1", "3/2"]) for _ in range(d)])
+            p = dunklcalc.verify.random_poly(rng, d, 5)
+            y = tuple(rng.uniform(-4.0, 4.0) for _ in range(d))
+            got, want = sphere_pairing(ctx, p, y), _sphere_pairing_by_loops(ctx, p, y)
+            if sys.version_info < (3, 12):
+                assert got == want, (str(p), y)
+            else:
+                assert abs(got - want) <= 1e-14 * max(abs(want), 1.0), (str(p), y)
